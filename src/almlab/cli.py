@@ -70,8 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.sigmas or not self.schedules:
             raise ValueError("at least one sigma and one schedule are required")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol:g}")
 
 
 def main(argv=None) -> int:
@@ -169,6 +169,10 @@ def cmd_solve(args) -> int:
     for s in sigmas:
         if not 0.0 <= s < 1.0:
             print(f"error: sigma must lie in [0, 1), got {s:g}", file=sys.stderr)
+            return EXIT_INPUT
+    for flag in ("tol", "c0", "growth"):
+        if not math.isfinite(getattr(args, flag)):
+            print(f"error: --{flag} must be finite, got {getattr(args, flag):g}", file=sys.stderr)
             return EXIT_INPUT
     schedule_names = args.schedule if args.schedule else ["fixed"]
     cmax = args.cmax if args.cmax > 0 else math.inf

@@ -56,11 +56,11 @@ class PenaltySchedule:
     def __post_init__(self):
         if self.kind not in ("fixed", "geometric", "adaptive"):
             raise ValueError(f"unknown schedule kind '{self.kind}'")
-        if self.c0 <= 0:
-            raise ValueError("c0 must be positive")
-        if self.growth < 1.0:
-            raise ValueError("growth factor must be >= 1")
-        if self.c_max <= 0:
+        if not (math.isfinite(self.c0) and self.c0 > 0):
+            raise ValueError(f"c0 must be positive and finite, got {self.c0:g}")
+        if not (math.isfinite(self.growth) and self.growth >= 1.0):
+            raise ValueError(f"growth factor must be finite and >= 1, got {self.growth:g}")
+        if not self.c_max > 0:
             raise ValueError("c_max must be positive")
         if self.kind == "adaptive" and not 0.0 < self.adapt_ratio < 1.0:
             raise ValueError("adapt_ratio must lie in (0, 1)")
@@ -260,8 +260,8 @@ def run(
     -------
     RunHistory with status Converged, MaxOuterIterations, or InnerFailure.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
     p = p0 if p0 is not None else DualPoint.zeros(prog.m1, prog.m2)

@@ -1,10 +1,12 @@
 """Exact primal/dual solution sets for affine-constrained QPs.
 
-Ground truth comes from exhaustive active-set enumeration: every subset of
-the inequality constraints is treated as the active set, the resulting
-equality-constrained KKT linear system is solved, and candidates passing
-primal feasibility and multiplier sign checks are kept. The dual solution
-set is the polyhedron
+Ground truth comes from active-set enumeration: subsets of the inequality
+constraints are tried as the active set in subset-index order, each
+equality-constrained KKT linear system is solved, and the search stops at
+the first candidate passing primal feasibility and multiplier sign checks.
+Each face is first tested for a feasible descent ray, unless Q is positive
+definite and no face can carry one. The worst case is still 2^m2 faces.
+The dual solution set is the polyhedron
 
     { p = (lam, mu) : A' lam + G' mu = -grad s(x*),
       mu_i = 0 for inactive i, mu_j >= 0 for active j }
@@ -182,13 +184,14 @@ def solve_qp_exact(
 ) -> SolutionSetOracle:
     """Exact solution sets of an affine-constrained QP by enumeration.
 
-    Tries all 2^m2 active sets in subset-index order, solving each
+    Tries the 2^m2 active sets in subset-index order, solving each
     equality-KKT system by least squares (rank-deficient systems from
-    duplicated constraint rows are handled), and keeps candidates passing
-    primal feasibility (<= feas_tol) and mu >= -mu_tol. Raises
-    :class:`UnboundedError` when some face carries a feasible descent ray,
-    :class:`InfeasibleError` when no active set passes, and
-    :class:`EnumerationLimitError` for m2 > 20.
+    duplicated constraint rows are handled), and stops at the first
+    candidate passing primal feasibility (<= feas_tol) and mu >= -mu_tol.
+    Raises :class:`UnboundedError` when a face visited before it carries a
+    feasible descent ray (the test is skipped when Q is finite and positive
+    definite, where it cannot fire), :class:`InfeasibleError` when no active
+    set passes, and :class:`EnumerationLimitError` for m2 > 20.
     """
     if not prog.is_affine_qp():
         raise ValueError("the oracle requires a quadratic objective with affine constraints")
@@ -200,34 +203,41 @@ def solve_qp_exact(
     G = np.vstack([g.coeff for g in prog.ineqs]) if m2 else np.zeros((0, n))
     d = np.array([g.offset for g in prog.ineqs]) if m2 else np.zeros(0)
 
-    solutions = []
+    # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
+    # positive definite Q leaves no face a flat direction to test. Finiteness
+    # comes first: eigvalsh maps NaN to zeros or fails to converge.
+    Qs = 0.5 * (Q + Q.T)
+    ev = np.linalg.eigvalsh(Qs) if np.isfinite(Qs).all() else np.zeros(1)
+    positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
+
     for mask in range(1 << m2):
         S = [i for i in range(m2) if mask >> i & 1]
         C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
         rhs_c = np.concatenate([b, d[S]])
-        _check_face_unbounded(Q, q, A, G, C, rhs_c)
+        if not positive_definite:
+            _check_face_unbounded(Q, q, A, G, C, rhs_c)
         k = C.shape[0]
-        kkt = np.block([[Q, C.T], [C, np.zeros((k, k))]])
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = Q
+        kkt[:n, n:] = C.T
+        kkt[n:, :n] = C
         rhs = np.concatenate([-q, rhs_c])
         sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
         if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
             continue
-        x = sol[:n]
-        lam = sol[n:n + m1]
+        x_star = sol[:n]
         mu = np.zeros(m2)
         mu[S] = sol[n + m1:]
-        if m1 and np.max(np.abs(A @ x - b)) > feas_tol:
+        if m1 and np.max(np.abs(A @ x_star - b)) > feas_tol:
             continue
-        if m2 and np.max(G @ x - d) > feas_tol:
+        if m2 and np.max(G @ x_star - d) > feas_tol:
             continue
         if (mu < -mu_tol).any():
             continue
-        solutions.append((x, lam, mu))
-
-    if not solutions:
+        break  # the first consistent face in subset-index order
+    else:
         raise InfeasibleError("no active set yields a KKT-consistent feasible point")
 
-    x_star = solutions[0][0]
     primal_basis = _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q
     g_star = G @ x_star - d if m2 else np.zeros(0)

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from almlab.cli import main
+from almlab.cli import ExperimentConfig, main
+from almlab.driver import InnerOptions, PenaltySchedule
 from almlab.problem import ConvexProgram, QuadraticObjective
 from almlab.verify import run_verification
 
@@ -69,6 +70,34 @@ class TestSolveCommand:
             "--max-outer", "2", "--out", str(tmp_path),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("flag, value, schedule", [
+        ("--tol", "nan", "fixed"),
+        ("--c0", "nan", "fixed"),
+        ("--growth", "inf", "geometric"),
+    ])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, flag, value, schedule):
+        code = main([
+            "solve", "--generator", "reference1d", "--schedule", schedule,
+            flag, value, "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_positive_cmax_means_no_cap(self, tmp_path):
+        code = main([
+            "solve", "--generator", "reference1d", "--sigma", "0", "--c0", "2",
+            "--schedule", "geometric", "--cmax", "0", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "reference1d__sigma0__geometric.summary.json").read_text())
+        assert summary["config"]["schedule"]["c_max"] == float("inf")
+
+    def test_experiment_config_rejects_non_finite_tol(self, tmp_path):
+        with pytest.raises(ValueError, match="tol"):
+            ExperimentConfig(None, "reference1d", 0, [0.5], [PenaltySchedule.fixed(1.0)],
+                             float("nan"), 10, tmp_path, InnerOptions())
 
 
 class TestRatesCommand:

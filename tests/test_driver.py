@@ -88,6 +88,20 @@ class TestNextPenalty:
         with pytest.raises(ValueError):
             PenaltySchedule("unknown", 1.0)
 
+    @pytest.mark.parametrize("c0, growth, c_max", [
+        (float("nan"), 2.0, 10.0),
+        (float("inf"), 2.0, 10.0),
+        (1.0, float("nan"), 10.0),
+        (1.0, float("inf"), 10.0),
+        (1.0, 2.0, float("nan")),
+    ])
+    def test_schedule_rejects_non_finite(self, c0, growth, c_max):
+        with pytest.raises(ValueError):
+            PenaltySchedule.geometric(c0, growth, c_max)
+
+    def test_schedule_keeps_infinite_cap(self):
+        assert PenaltySchedule.geometric(1.0, 2.0).c_max == float("inf")
+
 
 class TestCheckStop:
     def test_exact_kkt_point(self):
@@ -192,6 +206,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             run(generate(GeneratorSpec("quad_ineq")), PenaltySchedule.fixed(1.0),
                 sigma=0.5, p0=DualPoint(np.zeros(0), np.array([-1.0])))
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_non_finite_tol_rejected(self, reference1d, tol):
+        with pytest.raises(ValueError, match="tol"):
+            run(reference1d, PenaltySchedule.fixed(1.0), sigma=0.5, tol=tol)
 
     def test_inner_failure_status(self, sc_qp7):
         hist = run(sc_qp7, PenaltySchedule.fixed(100.0), sigma=0.01, tol=1e-8,

@@ -31,40 +31,41 @@ def project_cone(v):
 
 @dataclass
 class AugLagEval:
-    """One evaluation of L_c: value, gradient of the smooth part, and the
-    shifted multiplier max(0, mu + c g(x))."""
+    """One evaluation of L_c at x: value, gradient of the smooth part, the
+    constraint values h(x) and g(x), and the shifted multiplier
+    max(0, mu + c g(x))."""
 
     value: float
     smooth_grad: np.ndarray
     shifted_mu: np.ndarray
+    h: np.ndarray
+    g: np.ndarray
 
 
-def auglag_eval(prog: ConvexProgram, x, p: DualPoint, c: float, include_nonsmooth: bool = True) -> AugLagEval:
-    """Evaluate L_c(x, p) and the gradient of its smooth part.
-
-    With ``include_nonsmooth=False`` the value omits the nonsmooth objective
-    term; the gradient always covers exactly the differentiable terms.
-    """
+def auglag_eval(prog: ConvexProgram, x, p: DualPoint, c: float) -> AugLagEval:
+    """Evaluate L_c(x, p), nonsmooth term included, and the gradient of its
+    smooth part. This is the one evaluation of L_c: the inner solver, the
+    driver and the checks all read it."""
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
     x = as_vector(x, prog.n)
     h = prog.eval_h(x)
     g = prog.eval_g(x)
-    shifted = project_cone(p.mu + c * g)
+    shifted = np.maximum(0.0, p.mu + c * g)
     value = (
         prog.smooth.value(x)
         + float(p.lam @ h)
         + 0.5 * c * float(h @ h)
         + (float(shifted @ shifted) - float(p.mu @ p.mu)) / (2.0 * c)
     )
-    if include_nonsmooth and prog.nonsmooth is not None:
+    if prog.nonsmooth is not None:
         value += prog.nonsmooth.value(x)
     grad = prog.smooth.grad(x)
     if prog.m1:
         grad = grad + prog.eq_matrix().T @ (p.lam + c * h)
     if prog.m2:
         grad = grad + prog.grad_g(x) @ shifted
-    return AugLagEval(value=value, smooth_grad=grad, shifted_mu=shifted)
+    return AugLagEval(value=value, smooth_grad=grad, shifted_mu=shifted, h=h, g=g)
 
 
 def multiplier_update(p_prev: DualPoint, c: float, h_val, g_val):
@@ -102,12 +103,7 @@ class CriterionReport:
     satisfied: bool
 
     def as_dict(self):
-        return {
-            "lhs": self.lhs,
-            "rhs_raw": self.rhs_raw,
-            "rhs_rewritten": self.rhs_rewritten,
-            "satisfied": self.satisfied,
-        }
+        return dict(vars(self))
 
 
 def criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p) -> CriterionReport:

@@ -174,6 +174,16 @@ def cmd_solve(args) -> int:
         if not math.isfinite(getattr(args, flag)):
             print(f"error: --{flag} must be finite, got {getattr(args, flag):g}", file=sys.stderr)
             return EXIT_INPUT
+    if math.isnan(args.cmax):
+        print("error: --cmax must be a number (<= 0 means no cap), got nan", file=sys.stderr)
+        return EXIT_INPUT
+    try:
+        inner = InnerOptions(max_inner=args.max_inner, armijo_factor=args.armijo_factor,
+                             armijo_decrease=args.armijo_decrease, exact=args.exact)
+    except ValueError as exc:
+        field, _, rule = str(exc).partition(" ")
+        print(f"error: --{field.replace('_', '-')} {rule}", file=sys.stderr)
+        return EXIT_INPUT
     schedule_names = args.schedule if args.schedule else ["fixed"]
     cmax = args.cmax if args.cmax > 0 else math.inf
     schedules = []
@@ -193,12 +203,7 @@ def cmd_solve(args) -> int:
         tol=args.tol,
         max_outer=args.max_outer,
         out_dir=Path(args.out),
-        inner=InnerOptions(
-            max_inner=args.max_inner,
-            armijo_factor=args.armijo_factor,
-            armijo_decrease=args.armijo_decrease,
-            exact=args.exact,
-        ),
+        inner=inner,
     )
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auglag import CriterionReport, auglag_eval, aux_update, multiplier_update
+from .auglag import CriterionReport, aux_update, multiplier_update
 from .errors import MaxInnerIterationsError, NonFiniteError
 from .inner import InnerOptions, solve_subproblem
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
@@ -78,10 +78,7 @@ class PenaltySchedule:
         return cls("adaptive", c0, growth, c_max, adapt_ratio)
 
     def as_dict(self):
-        return {
-            "kind": self.kind, "c0": self.c0, "growth": self.growth,
-            "c_max": self.c_max, "adapt_ratio": self.adapt_ratio,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -296,7 +293,7 @@ def run(
             history.failure = f"iteration {k}: {exc}"
             break
         x, y = sub.x, sub.y
-        p_new, delta_p = multiplier_update(p, c, sub.h_val, sub.g_val)
+        p_new, delta_p = multiplier_update(p, c, sub.lc.h, sub.lc.g)
         w = aux_update(w, c, y)
         u = delta_p / c
         kkt = kkt_residual(prog, x, p_new, y)
@@ -305,7 +302,7 @@ def run(
             criterion=sub.criterion, kkt=kkt,
             inner_iters=sub.inner_iters, backtracks=sub.backtracks,
             f_val=prog.f_value(x),
-            auglag_val=auglag_eval(prog, x, p, c).value,
+            auglag_val=sub.lc.value,
         )
         history.records.append(record)
         p = p_new

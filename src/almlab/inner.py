@@ -10,6 +10,10 @@ x+ = prox_{t r}(x - t grad_phi(x)) the vector
 lies in the x-subdifferential of L_c at x+, because the second term is a
 subgradient of the nonsmooth part r at x+. For smooth problems the second
 term vanishes identically and y is the exact gradient.
+
+Every value and gradient of L_c comes from ``auglag.auglag_eval``. The
+evaluation at the accepted x is returned as ``SubproblemResult.lc``, so the
+multiplier update and the recorded L_c value need no second evaluation.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auglag import CriterionReport, criterion_eval, multiplier_update
+from .auglag import AugLagEval, CriterionReport, auglag_eval, criterion_eval, multiplier_update
 from .errors import MaxInnerIterationsError, NonFiniteError
 from .problem import AffineInequality, ConvexProgram, DualPoint, QuadraticObjective, as_vector
 
@@ -40,6 +44,19 @@ class InnerOptions:
     snap_tol: float = 1e-13
     track_values: bool = False
 
+    def __post_init__(self):
+        # each message leads with the field name, which the CLI maps to its flag
+        for name, ok, rule in (
+            ("max_inner", self.max_inner >= 0, ">= 0"),
+            ("armijo_factor", 0.0 < self.armijo_factor < 1.0, "in (0, 1)"),
+            ("armijo_decrease", 0.0 < self.armijo_decrease < 1.0, "in (0, 1)"),
+            ("max_backtracks", self.max_backtracks >= 1, ">= 1"),
+            ("exact_tol", 0.0 <= self.exact_tol < math.inf, "finite and >= 0"),
+            ("snap_tol", 0.0 <= self.snap_tol < math.inf, "finite and >= 0"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+
 
 @dataclass
 class SubproblemResult:
@@ -48,30 +65,9 @@ class SubproblemResult:
     inner_iters: int
     criterion: CriterionReport
     backtracks: int
-    h_val: np.ndarray = None
-    g_val: np.ndarray = None
+    # the evaluation of L_c(x, p_prev) at the accepted x
+    lc: AugLagEval = None
     values: list = None
-
-
-def _pieces(prog, x, p, c):
-    """(full value, smooth gradient, h(x), g(x)) of L_c at x."""
-    h = prog.eval_h(x)
-    g = prog.eval_g(x)
-    shifted = np.maximum(0.0, p.mu + c * g)
-    value = (
-        prog.smooth.value(x)
-        + float(p.lam @ h)
-        + 0.5 * c * float(h @ h)
-        + (float(shifted @ shifted) - float(p.mu @ p.mu)) / (2.0 * c)
-    )
-    if prog.nonsmooth is not None:
-        value += prog.nonsmooth.value(x)
-    grad = prog.smooth.grad(x)
-    if prog.m1:
-        grad = grad + prog.eq_matrix().T @ (p.lam + c * h)
-    if prog.m2:
-        grad = grad + prog.grad_g(x) @ shifted
-    return value, grad, h, g
 
 
 _EPS = float(np.finfo(float).eps)
@@ -102,16 +98,14 @@ def smooth_curvature_bound(prog: ConvexProgram, c: float):
     Available for quadratic objectives with affine constraint maps; returns
     None otherwise (quadratic inequalities make the bound state-dependent).
     """
-    if not isinstance(prog.smooth, QuadraticObjective):
-        return None
-    if not all(isinstance(g, AffineInequality) for g in prog.ineqs):
+    if not (isinstance(prog.smooth, QuadraticObjective)
+            and all(isinstance(g, AffineInequality) for g in prog.ineqs)):
         return None
     bound = float(np.linalg.eigvalsh(0.5 * (prog.smooth.Q + prog.smooth.Q.T))[-1])
     if prog.m1:
         bound += c * float(np.linalg.norm(prog.eq_matrix(), 2)) ** 2
     if prog.m2:
-        G = np.vstack([g.coeff for g in prog.ineqs])
-        bound += c * float(np.linalg.norm(G, 2)) ** 2
+        bound += c * float(np.linalg.norm(prog.ineq_matrix(), 2)) ** 2
     return bound if bound > 0 else None
 
 
@@ -124,11 +118,9 @@ def prox_grad_step(prog: ConvexProgram, p_prev: DualPoint, c: float, x, t: float
     if t <= 0:
         raise ValueError("step size t must be positive")
     x = as_vector(x, prog.n)
-    _, grad, _, _ = _pieces(prog, x, p_prev, c)
-    v = x - t * grad
+    v = x - t * auglag_eval(prog, x, p_prev, c).smooth_grad
     x_next = prog.nonsmooth.prox(v, t) if prog.nonsmooth is not None else v
-    _, grad_next, _, _ = _pieces(prog, x_next, p_prev, c)
-    y_cert = grad_next + (v - x_next) / t
+    y_cert = auglag_eval(prog, x_next, p_prev, c).smooth_grad + (v - x_next) / t
     return x_next, y_cert
 
 
@@ -171,11 +163,11 @@ def solve_subproblem(
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
     snap_at = _certificate_floor(prog, x, p_prev, c, opts.snap_tol)
-    F_x, grad_x, _, _ = _pieces(prog, x, p_prev, c)
-    if not np.isfinite(grad_x).all():
+    cur = auglag_eval(prog, x, p_prev, c)
+    if not np.isfinite(cur.smooth_grad).all():
         raise NonFiniteError("non-finite gradient at the initial point")
     backtracks = 0
-    values = [F_x] if opts.track_values else None
+    values = [cur.value] if opts.track_values else None
     prev_dx = prev_dgrad = None
     # best candidate so far, kept for the stall escape below
     best_norm, best_state, last_improve = math.inf, None, 0
@@ -183,25 +175,25 @@ def solve_subproblem(
 
     for i in range(opts.max_inner + 1):
         t_try = _trial_step(prev_dx, prev_dgrad, t, t0)
-        step = _line_search(prog, p_prev, c, x, F_x, grad_x, t_try, t_safe, opts)
-        x_next, y, F_next, grad_next, h_next, g_next, t, bt = step
+        x_next, y, nxt, t, bt = _line_search(prog, p_prev, c, x, cur, t_try, t_safe, opts)
         backtracks += bt
         y_norm = float(np.linalg.norm(y))
         if y_norm <= snap_at:
             y = np.zeros(prog.n)
+        lc = nxt
         if y_norm < 0.75 * best_norm:
-            best_norm, best_state, last_improve = y_norm, (x_next, h_next, g_next), i
+            best_norm, best_state, last_improve = y_norm, (x_next, nxt), i
         elif i - last_improve >= 400 and best_norm <= 1e-10:
             # the certificate norm has stopped improving at the solver's own
             # floating-point floor: declare the best candidate an exact solve
-            x_next, h_next, g_next = best_state
+            x_next, lc = best_state
             y = np.zeros(prog.n)
-        p_new, delta_p = multiplier_update(p_prev, c, h_next, g_next)
-        report = criterion_eval(c, sigma, w_prev, x_next, y, h_next, g_next, p_prev.mu, delta_p)
+        _, delta_p = multiplier_update(p_prev, c, lc.h, lc.g)
+        report = criterion_eval(c, sigma, w_prev, x_next, y, lc.h, lc.g, p_prev.mu, delta_p)
         if report.satisfied:
             return SubproblemResult(
                 x=x_next, y=y, inner_iters=i, criterion=report,
-                backtracks=backtracks, h_val=h_next, g_val=g_next, values=values,
+                backtracks=backtracks, lc=lc, values=values,
             )
         frozen = frozen + 1 if not (x_next - x).any() else 0
         if frozen >= 400:
@@ -210,10 +202,10 @@ def solve_subproblem(
                 f"certificate norm {best_norm:.3e} (c={c:g}, sigma={sigma:g})"
             )
         prev_dx = x_next - x
-        prev_dgrad = grad_next - grad_x
-        x, F_x, grad_x = x_next, F_next, grad_next
+        prev_dgrad = nxt.smooth_grad - cur.smooth_grad
+        x, cur = x_next, nxt
         if values is not None:
-            values.append(F_x)
+            values.append(cur.value)
     raise MaxInnerIterationsError(
         f"criterion not met within {opts.max_inner} inner iterations "
         f"(c={c:g}, sigma={sigma:g}); the subproblem may be ill-posed"
@@ -232,26 +224,28 @@ def _trial_step(prev_dx, prev_dgrad, t_last, t0):
     return min(max(t_bb, 1e-14), 1e12)
 
 
-def _line_search(prog, p, c, x, F_x, grad_x, t_try, t_safe, opts):
+def _line_search(prog, p, c, x, cur, t_try, t_safe, opts):
     """Armijo backtracking on the composite value along the prox-gradient arc.
 
-    Steps at or below t_safe (the inverse curvature bound, when one exists)
-    satisfy the sufficient-decrease condition by construction and skip the
-    value comparison, so roundoff in the value cannot block them.
+    ``cur`` is the evaluation of L_c at x. Returns (x_next, y, evaluation at
+    x_next, step, backtracks). Steps at or below t_safe (the inverse
+    curvature bound, when one exists) satisfy the sufficient-decrease
+    condition by construction and skip the value comparison, so roundoff in
+    the value cannot block them.
     """
-    slack = 5e-16 * (1.0 + abs(F_x))
+    slack = 5e-16 * (1.0 + abs(cur.value))
     for bt in range(opts.max_backtracks):
-        v = x - t_try * grad_x
+        v = x - t_try * cur.smooth_grad
         x_next = prog.nonsmooth.prox(v, t_try) if prog.nonsmooth is not None else v
-        F_next, grad_next, h_next, g_next = _pieces(prog, x_next, p, c)
-        if not (np.isfinite(F_next) and np.isfinite(grad_next).all()):
+        nxt = auglag_eval(prog, x_next, p, c)
+        if not (np.isfinite(nxt.value) and np.isfinite(nxt.smooth_grad).all()):
             t_try *= opts.armijo_factor
             continue
         dx = x_next - x
         certified = t_safe is not None and t_try <= t_safe
-        if certified or F_next <= F_x - (opts.armijo_decrease / t_try) * float(dx @ dx) + slack:
-            y = grad_next + (v - x_next) / t_try
-            return x_next, y, F_next, grad_next, h_next, g_next, t_try, bt
+        if certified or nxt.value <= cur.value - (opts.armijo_decrease / t_try) * float(dx @ dx) + slack:
+            y = nxt.smooth_grad + (v - x_next) / t_try
+            return x_next, y, nxt, t_try, bt
         t_try *= opts.armijo_factor
     raise NonFiniteError(
         "line search failed to find a finite decreasing step; "
@@ -274,18 +268,16 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
         )
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
-    G = np.vstack([g.coeff for g in prog.ineqs]) if prog.m2 else np.zeros((0, prog.n))
-    d = np.array([g.offset for g in prog.ineqs]) if prog.m2 else np.zeros(0)
+    G, d = prog.ineq_matrix(), prog.ineq_rhs()
 
     base = Q + c * A.T @ A
     rhs0 = -q - A.T @ (p.lam - c * b)
     x = x_init
-    best_norm, best_x = np.inf, x_init
+    # (x, evaluation) of the smallest gradient seen, the fallback to accept
+    best_norm, best = np.inf, None
     seen = set()
     polish_rounds = 0
-    iters = 0
-    for _ in range(200):
-        iters += 1
+    for iters in range(1, 201):
         active = (p.mu + c * (G @ x - d)) > 0 if prog.m2 else np.zeros(0, dtype=bool)
         H = base + c * G[active].T @ G[active] if active.any() else base
         rhs = rhs0 - (G[active].T @ (p.mu[active] - c * d[active]) if active.any() else 0.0)
@@ -293,12 +285,12 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
             x_new = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
             x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        _, grad, _, _ = _pieces(prog, x_new, p, c)
-        gnorm = float(np.linalg.norm(grad))
+        ev = auglag_eval(prog, x_new, p, c)
+        gnorm = float(np.linalg.norm(ev.smooth_grad))
         if gnorm < best_norm:
-            best_norm, best_x = gnorm, x_new
+            best_norm, best = gnorm, (x_new, ev)
         if gnorm <= opts.exact_tol:
-            x = x_new
+            x, lc = x_new, ev
             break
         key = active.tobytes()
         if key in seen:
@@ -306,7 +298,7 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
             # best gradient is already negligible, otherwise polish with a
             # few prox-gradient steps and retry
             if best_norm <= 1e-10:
-                x = best_x
+                x, lc = best
                 break
             if polish_rounds >= 3:
                 raise MaxInnerIterationsError(
@@ -325,14 +317,9 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
             raise MaxInnerIterationsError(
                 f"exact subproblem solve did not converge (gradient norm {best_norm:.3e})"
             )
-        x = best_x
+        x, lc = best
 
     y = np.zeros(prog.n)
-    h_val = prog.eval_h(x)
-    g_val = prog.eval_g(x)
-    _, delta_p = multiplier_update(p, c, h_val, g_val)
-    report = criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, p.mu, delta_p)
-    return SubproblemResult(
-        x=x, y=y, inner_iters=iters, criterion=report, backtracks=0,
-        h_val=h_val, g_val=g_val, values=None,
-    )
+    _, delta_p = multiplier_update(p, c, lc.h, lc.g)
+    report = criterion_eval(c, sigma, w_prev, x, y, lc.h, lc.g, p.mu, delta_p)
+    return SubproblemResult(x=x, y=y, inner_iters=iters, criterion=report, backtracks=0, lc=lc)

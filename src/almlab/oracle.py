@@ -200,8 +200,7 @@ def solve_qp_exact(
     n, m1, m2 = prog.n, prog.m1, prog.m2
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
-    G = np.vstack([g.coeff for g in prog.ineqs]) if m2 else np.zeros((0, n))
-    d = np.array([g.offset for g in prog.ineqs]) if m2 else np.zeros(0)
+    G, d = prog.ineq_matrix(), prog.ineq_rhs()
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
     # positive definite Q leaves no face a flat direction to test. Finiteness

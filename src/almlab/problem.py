@@ -225,6 +225,14 @@ class ConvexProgram:
     def eq_rhs(self):
         return self.eq.b if self.eq is not None else np.zeros(0)
 
+    def ineq_matrix(self):
+        """m2 x n matrix whose rows are the coefficients of the affine
+        inequalities G x <= d; every inequality must be affine."""
+        return np.vstack([g.coeff for g in self.ineqs]) if self.ineqs else np.zeros((0, self.n))
+
+    def ineq_rhs(self):
+        return np.array([g.offset for g in self.ineqs]) if self.ineqs else np.zeros(0)
+
     def is_affine_qp(self) -> bool:
         """Quadratic objective, affine constraints, no nonsmooth part."""
         return (
@@ -298,13 +306,7 @@ class KktResidual:
         return max(self.stationarity, self.eq_feas, self.ineq_feas, self.comp, self.mu_neg)
 
     def as_dict(self):
-        return {
-            "stationarity": self.stationarity,
-            "eq_feas": self.eq_feas,
-            "ineq_feas": self.ineq_feas,
-            "comp": self.comp,
-            "mu_neg": self.mu_neg,
-        }
+        return dict(vars(self))
 
 
 def eval_constraints(prog: ConvexProgram, x):
@@ -322,6 +324,17 @@ def lagrangian_value(prog: ConvexProgram, x, p: DualPoint) -> float:
         return -math.inf
     h, g = prog.eval_h(x), prog.eval_g(x)
     return prog.f_value(x) + float(p.lam @ h) + float(p.mu @ g)
+
+
+def lagrangian_grad(prog: ConvexProgram, x, p: DualPoint):
+    """Gradient in x of s(x) + <lam, h(x)> + <mu, g(x)>, the smooth part of
+    the ordinary Lagrangian."""
+    grad = prog.smooth.grad(x)
+    if prog.m1:
+        grad = grad + prog.eq_matrix().T @ p.lam
+    if prog.m2:
+        grad = grad + prog.grad_g(x) @ p.mu
+    return grad
 
 
 def kkt_residual(prog: ConvexProgram, x, p: DualPoint, y) -> KktResidual:

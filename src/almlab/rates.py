@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import RunHistory
+from .driver import RunHistory, _fmt
 from .errors import InsufficientIterationsError, OracleMismatchError
 from .oracle import ErrorBoundEstimate, SolutionSetOracle, project_dual, project_primal
 
@@ -65,13 +65,7 @@ class RateSummary:
     tail_start: int
 
     def as_dict(self):
-        return {
-            "kappa_hat": self.kappa_hat,
-            "sup_rho_tail": self.sup_rho_tail,
-            "bound_violations": self.bound_violations,
-            "margin_violations": self.margin_violations,
-            "tail_start": self.tail_start,
-        }
+        return dict(vars(self))
 
 
 @dataclass
@@ -95,10 +89,6 @@ class RateReport:
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1, default=_json_default)
         return doc
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def _json_default(v):

@@ -16,7 +16,7 @@ from .auglag import auglag_eval
 from .driver import CONVERGED, PenaltySchedule, run
 from .inner import InnerOptions, solve_subproblem
 from .oracle import project_dual, solve_qp_exact
-from .problem import DualPoint, kkt_residual
+from .problem import DualPoint, kkt_residual, lagrangian_grad
 from .problems import GeneratorSpec, generate, standard_corpus
 from .rng import Lcg
 
@@ -124,15 +124,6 @@ def _check_yp2(ctx, slack=1e-12):
                 break
 
 
-def _transfer_gap(prog, rec):
-    grad = prog.smooth.grad(rec.x)
-    if prog.m1:
-        grad = grad + prog.eq_matrix().T @ rec.p.lam
-    if prog.m2:
-        grad = grad + prog.grad_g(rec.x) @ rec.p.mu
-    return float(np.linalg.norm(rec.y - grad))
-
-
 def _check_subgradient_transfer(ctx, tol=1e-9):
     """For smooth problems, y equals the Lagrangian gradient at the updated
     multipliers (the identity putting (y, u) in the joint subdifferential)."""
@@ -140,7 +131,7 @@ def _check_subgradient_transfer(ctx, tol=1e-9):
         if not prog.is_smooth:
             continue
         for rec in hist.records:
-            gap = _transfer_gap(prog, rec)
+            gap = float(np.linalg.norm(rec.y - lagrangian_grad(prog, rec.x, rec.p)))
             if gap > tol:
                 yield Failure("subgradient-transfer", prog.name, f"k={rec.k}: gap {gap:.3e}")
                 break
@@ -234,12 +225,7 @@ def _check_oracle_kkt(ctx, tol=1e-10):
                    project_dual(oracle, rng.normal(oracle.dual.m))[0]]
         for member in members:
             p = DualPoint.from_vector(member, prog.m1)
-            stat = prog.smooth.grad(x_star)
-            if prog.m1:
-                stat = stat + prog.eq_matrix().T @ p.lam
-            if prog.m2:
-                stat = stat + prog.grad_g(x_star) @ p.mu
-            res = kkt_residual(prog, x_star, p, stat)
+            res = kkt_residual(prog, x_star, p, lagrangian_grad(prog, x_star, p))
             if res.max_violation() > tol:
                 yield Failure("oracle-kkt", prog.name,
                               f"residual {res.max_violation():.3e} > {tol:g}")

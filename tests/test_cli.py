@@ -9,6 +9,9 @@ from almlab.problem import ConvexProgram, QuadraticObjective
 from almlab.verify import run_verification
 
 
+NAN_Q_DOC = {"n": 2, "Q": [[2.0, float("nan")], [float("nan"), 2.0]], "q": [0.0, 0.0]}
+
+
 class _BrokenGradientObjective(QuadraticObjective):
     def grad(self, x):
         return super().grad(x) + 0.05  # deliberately inconsistent
@@ -94,6 +97,38 @@ class TestSolveCommand:
         summary = json.loads((tmp_path / "reference1d__sigma0__geometric.summary.json").read_text())
         assert summary["config"]["schedule"]["c_max"] == float("inf")
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--armijo-factor", "nan"),
+        ("--armijo-factor", "2"),
+        ("--max-inner", "-1"),
+        ("--armijo-decrease", "nan"),
+        ("--cmax", "nan"),
+    ])
+    def test_invalid_solver_flag_rejected(self, tmp_path, capsys, flag, value):
+        code = main([
+            "solve", "--generator", "sc_qp", "--seed", "1", "--schedule", "geometric",
+            flag, value, "--out", str(tmp_path),
+        ])
+        assert code == 1
+        assert flag in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_infinite_cmax_means_no_cap(self, tmp_path):
+        code = main([
+            "solve", "--generator", "reference1d", "--sigma", "0", "--c0", "2",
+            "--schedule", "geometric", "--cmax", "inf", "--out", str(tmp_path),
+        ])
+        assert code == 0
+        summary = json.loads((tmp_path / "reference1d__sigma0__geometric.summary.json").read_text())
+        assert summary["config"]["schedule"]["c_max"] == float("inf")
+
+    def test_nan_in_problem_file_names_the_field(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(NAN_Q_DOC))
+        assert main(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 1
+        assert "field 'Q'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_experiment_config_rejects_non_finite_tol(self, tmp_path):
         with pytest.raises(ValueError, match="tol"):
             ExperimentConfig(None, "reference1d", 0, [0.5], [PenaltySchedule.fixed(1.0)],
@@ -129,6 +164,16 @@ class TestRatesCommand:
 
     def test_no_oracle_source(self, trace):
         assert main(["rates", "--trace", str(trace)]) == 1
+
+    def test_with_oracle_rejects_nan_problem(self, trace, tmp_path, capfd):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(NAN_Q_DOC))
+        code = main(["rates", "--trace", str(trace), "--with-oracle", "--problem", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        out, err = capfd.readouterr()
+        assert "field 'Q'" in err
+        assert "DLASCL" not in out + err
 
     def test_oracle_file_round_trip(self, trace, tmp_path):
         from almlab import GeneratorSpec, generate, solve_qp_exact

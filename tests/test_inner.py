@@ -103,6 +103,33 @@ class TestSolveSubproblem:
         assert res.inner_iters <= 10000
 
 
+class TestInnerOptions:
+    def test_defaults_are_valid(self):
+        InnerOptions()
+        InnerOptions(max_inner=0, exact_tol=0.0, snap_tol=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_inner", -1),
+        ("armijo_factor", float("nan")),
+        ("armijo_factor", 0.0),
+        ("armijo_factor", 1.0),
+        ("armijo_factor", 2.0),
+        ("armijo_decrease", float("nan")),
+        ("armijo_decrease", 0.0),
+        ("armijo_decrease", 1.0),
+        ("max_backtracks", 0),
+        ("exact_tol", float("nan")),
+        ("exact_tol", float("inf")),
+        ("exact_tol", -1e-12),
+        ("snap_tol", float("nan")),
+        ("snap_tol", float("inf")),
+        ("snap_tol", -1e-13),
+    ])
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} "):
+            InnerOptions(**{field: value})
+
+
 class TestProxGradStep:
     def test_smooth_certificate_is_gradient(self, sc_qp7):
         p = DualPoint.zeros(2, 3)

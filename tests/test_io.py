@@ -74,6 +74,51 @@ class TestMalformedDocuments:
             load_problem(_write(tmp_path, doc))
         assert err.value.field == field
 
+    @pytest.mark.parametrize(
+        "mutate,field",
+        [
+            (lambda d: d.update(b=["x"]), "b"),
+            (lambda d: d.update(b=[float("nan")]), "b"),
+            (lambda d: d["Q"].__setitem__(0, [2.0, float("nan")]), "Q"),
+            (lambda d: d["Q"].__setitem__(1, [0.0, float("inf")]), "Q"),
+            (lambda d: d.update(q=[float("-inf"), 0.5]), "q"),
+            (lambda d: d.update(A=[[float("nan"), 1.0]]), "A"),
+            (lambda d: d.update(const="x"), "const"),
+            (lambda d: d.update(const=float("inf")), "const"),
+            (lambda d: d.update(l1_weight=float("nan")), "l1_weight"),
+            (lambda d: d.update(l1_weight=["x", 1.0]), "l1_weight"),
+            (lambda d: d["ineq"][0].update(d=float("nan")), "ineq[0].d"),
+            (lambda d: d["ineq"][1].update(r=[0.0, float("inf")]), "ineq[1].r"),
+            (lambda d: d.update(box={"lo": [float("nan"), 0.0], "hi": [1.0, 1.0]}), "box.lo"),
+            (lambda d: d.update(box={"lo": [0.0, 0.0], "hi": [1.0, float("nan")]}), "box.hi"),
+        ],
+    )
+    def test_non_numeric_or_non_finite_entry_names_field(self, tmp_path, mutate, field):
+        doc = json.loads(json.dumps(BASE))
+        mutate(doc)
+        with pytest.raises(ProblemFormatError) as err:
+            load_problem(_write(tmp_path, doc))
+        assert err.value.field == field
+
+    def test_box_bounds_may_be_infinite(self, tmp_path):
+        doc = {"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0],
+               "box": {"lo": [float("-inf"), -1.0], "hi": [1.0, float("inf")]}}
+        prog = load_problem(_write(tmp_path, doc))
+        np.testing.assert_array_equal(prog.nonsmooth.lo, [-np.inf, -1.0])
+        np.testing.assert_array_equal(prog.nonsmooth.hi, [1.0, np.inf])
+
+    def test_scalar_l1_weight_and_const(self, tmp_path):
+        doc = {"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0], "const": 1.5, "l1_weight": 0.25}
+        prog = load_problem(_write(tmp_path, doc))
+        assert prog.smooth.const == 1.5
+        np.testing.assert_array_equal(prog.nonsmooth.weight, [0.25, 0.25])
+
+    @pytest.mark.parametrize("conditioning", [[1.0, float("inf")], [float("nan"), 2.0], ["x", 2.0], [1.0]])
+    def test_bad_conditioning_names_field(self, conditioning):
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict({"generator": {"family": "sc_qp", "conditioning": conditioning}})
+        assert err.value.field == "generator.conditioning"
+
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -19,6 +19,7 @@ from almlab import (
     lagrangian_value,
 )
 from almlab.errors import DimensionMismatchError
+from almlab.problem import lagrangian_grad
 from almlab.rng import Lcg
 
 from conftest import make_halfspace_qp, make_unconstrained_1d
@@ -178,6 +179,25 @@ class TestBoxL1Regularizer:
         reg = BoxL1Regularizer(1, lo=np.zeros(1), hi=np.ones(1))
         assert reg.value(np.array([2.0])) == math.inf
         assert reg.value(np.array([0.5])) == 0.0
+
+
+class TestStackedRows:
+    def test_ineq_matrix_and_rhs(self, sc_qp7):
+        G, d = sc_qp7.ineq_matrix(), sc_qp7.ineq_rhs()
+        assert G.shape == (sc_qp7.m2, sc_qp7.n) and d.shape == (sc_qp7.m2,)
+        x = np.linspace(-1.0, 1.0, sc_qp7.n)
+        np.testing.assert_allclose(G @ x - d, sc_qp7.eval_g(x), rtol=0, atol=1e-14)
+
+    def test_no_inequalities(self, reference1d):
+        assert reference1d.ineq_matrix().shape == (0, reference1d.n)
+        assert reference1d.ineq_rhs().shape == (0,)
+
+    def test_lagrangian_grad(self, sc_qp7):
+        x = np.linspace(-1.0, 1.0, sc_qp7.n)
+        p = DualPoint(np.array([0.3, -0.2]), np.array([0.5, 0.0, 1.0]))
+        want = (sc_qp7.smooth.grad(x) + sc_qp7.eq_matrix().T @ p.lam
+                + sc_qp7.ineq_matrix().T @ p.mu)
+        np.testing.assert_allclose(lagrangian_grad(sc_qp7, x, p), want, rtol=0, atol=1e-13)
 
 
 class TestProgramValidation:

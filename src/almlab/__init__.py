@@ -8,7 +8,6 @@ from .auglag import (
     aux_update,
     criterion_eval,
     multiplier_update,
-    project_cone,
 )
 from .driver import (
     CONVERGED,
@@ -40,7 +39,6 @@ from .problem import (
     KktResidual,
     QuadraticInequality,
     QuadraticObjective,
-    eval_constraints,
     kkt_residual,
     lagrangian_value,
 )

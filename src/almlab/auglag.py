@@ -24,11 +24,6 @@ import numpy as np
 from .problem import ConvexProgram, DualPoint, as_vector
 
 
-def project_cone(v):
-    """Componentwise nonnegative part: the projection onto the cone mu >= 0."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
 @dataclass
 class AugLagEval:
     """One evaluation of L_c at x: value, gradient of the smooth part, the

@@ -21,7 +21,6 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import driver
@@ -50,28 +49,6 @@ _STATUS_CODES = {
     driver.MAX_OUTER: EXIT_MAX_OUTER,
     driver.INNER_FAILURE: EXIT_INNER_FAILURE,
 }
-
-
-@dataclass
-class ExperimentConfig:
-    """A solve grid: one run per (sigma, schedule) pair on one problem."""
-
-    problem_path: str | None
-    generator: str | None
-    seed: int
-    sigmas: list
-    schedules: list
-    tol: float
-    max_outer: int
-    out_dir: Path
-    inner: InnerOptions
-    with_oracle: bool = False
-
-    def __post_init__(self):
-        if not self.sigmas or not self.schedules:
-            raise ValueError("at least one sigma and one schedule are required")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive and finite, got {self.tol:g}")
 
 
 def main(argv=None) -> int:
@@ -194,29 +171,19 @@ def cmd_solve(args) -> int:
             schedules.append(PenaltySchedule.geometric(args.c0, args.growth, cmax))
         else:
             schedules.append(PenaltySchedule.adaptive(args.c0, args.growth, cmax, args.adapt_ratio))
-    cfg = ExperimentConfig(
-        problem_path=args.problem,
-        generator=args.generator,
-        seed=args.seed,
-        sigmas=sigmas,
-        schedules=schedules,
-        tol=args.tol,
-        max_outer=args.max_outer,
-        out_dir=Path(args.out),
-        inner=inner,
-    )
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(sigma, sched) for sigma in cfg.sigmas for sched in cfg.schedules]
+    jobs = [(sigma, sched) for sigma in sigmas for sched in schedules]
 
     def one(job):
         sigma, sched = job
-        hist = driver.run(prog, sched, sigma, tol=cfg.tol,
-                          max_outer=cfg.max_outer, inner=cfg.inner)
+        hist = driver.run(prog, sched, sigma, tol=args.tol,
+                          max_outer=args.max_outer, inner=inner)
         key = _run_key(prog.name, sigma, sched)
-        hist.to_csv(cfg.out_dir / f"{key}.csv")
-        hist.to_json(cfg.out_dir / f"{key}.trace.json")
-        _write_summary(cfg.out_dir / f"{key}.summary.json", hist)
+        hist.to_csv(out_dir / f"{key}.csv")
+        hist.to_json(out_dir / f"{key}.trace.json")
+        _write_summary(out_dir / f"{key}.summary.json", hist)
         return key, hist
 
     if len(jobs) == 1:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .auglag import AugLagEval, CriterionReport, auglag_eval, criterion_eval, multiplier_update
 from .errors import MaxInnerIterationsError, NonFiniteError
-from .problem import AffineInequality, ConvexProgram, DualPoint, QuadraticObjective, as_vector
+from .problem import ConvexProgram, DualPoint, QuadraticObjective, as_vector
 
 
 @dataclass
@@ -98,14 +98,11 @@ def smooth_curvature_bound(prog: ConvexProgram, c: float):
     Available for quadratic objectives with affine constraint maps; returns
     None otherwise (quadratic inequalities make the bound state-dependent).
     """
-    if not (isinstance(prog.smooth, QuadraticObjective)
-            and all(isinstance(g, AffineInequality) for g in prog.ineqs)):
+    if not (isinstance(prog.smooth, QuadraticObjective) and prog.ineqs_affine):
         return None
-    bound = float(np.linalg.eigvalsh(0.5 * (prog.smooth.Q + prog.smooth.Q.T))[-1])
-    if prog.m1:
-        bound += c * float(np.linalg.norm(prog.eq_matrix(), 2)) ** 2
-    if prog.m2:
-        bound += c * float(np.linalg.norm(prog.ineq_matrix(), 2)) ** 2
+    # c * 0.0 for an empty block can only turn a bound of -0.0 into 0.0
+    nA, nG = prog.norms_sq
+    bound = float(prog.q_spectrum[-1]) + c * nA + c * nG
     return bound if bound > 0 else None
 
 

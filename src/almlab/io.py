@@ -4,8 +4,8 @@ Explicit form: fields n, Q, q, optional const, optional l1_weight, optional
 box {lo, hi}, optional A and b, optional ineq list whose entries are
 {"type": "affine", "G": [...], "d": ...} or
 {"type": "quadratic", "P": [[...]], "r": [...], "s": ...}.
-Matrices are row-major lists of lists, numbers decimal doubles. Every
-number must be finite, except that box bounds may be +-Infinity.
+Matrices are row-major lists of lists; n, m1, m2 and seed are JSON
+integers, every other number a finite double (box bounds may be +-Infinity).
 
 Generated form: {"generator": {"family": ..., "n": ..., "m1": ..., "m2": ...,
 "seed": ..., "conditioning": [lo, hi]}} in place of explicit matrices.
@@ -49,7 +49,13 @@ def problem_from_dict(doc) -> ConvexProgram:
 
     nonsmooth = None
     if "l1_weight" in doc or "box" in doc:
-        weight = _get_array(doc, "l1_weight", "numbers")[1] if "l1_weight" in doc else None
+        weight = None
+        if "l1_weight" in doc:
+            name, weight = _get_array(doc, "l1_weight", "numbers")
+            if weight.ndim and weight.shape != (n,):
+                raise ProblemFormatError(name, f"expected a number or length {n}, got shape {weight.shape}")
+            if (weight < 0).any():
+                raise ProblemFormatError(name, "must be nonnegative")
         lo = hi = None
         if "box" in doc:
             box = doc["box"]
@@ -60,7 +66,7 @@ def problem_from_dict(doc) -> ConvexProgram:
         try:
             nonsmooth = BoxL1Regularizer(n, l1_weight=weight, lo=lo, hi=hi)
         except ValueError as exc:
-            raise ProblemFormatError("box" if "box" in doc else "l1_weight", str(exc)) from exc
+            raise ProblemFormatError("box", str(exc)) from exc
 
     eq = None
     if "A" in doc or "b" in doc:
@@ -97,15 +103,9 @@ def _generator_spec(d) -> GeneratorSpec:
         raise ProblemFormatError("generator", "expected an object with a 'family'")
     conditioning = (tuple(_get_vector(d, "conditioning", 2, parent="generator"))
                     if "conditioning" in d else (1.0, 10.0))
+    ints = {k: _get_int(d, k, parent="generator") for k in ("n", "m1", "m2", "seed") if k in d}
     try:
-        return GeneratorSpec(
-            family=d["family"],
-            n=d.get("n"),
-            m1=d.get("m1"),
-            m2=d.get("m2"),
-            seed=int(d.get("seed", 0)),
-            conditioning=conditioning,
-        )
+        return GeneratorSpec(family=d["family"], conditioning=conditioning, **ints)
     except (ValueError, TypeError) as exc:
         raise ProblemFormatError("generator", str(exc)) from exc
 
@@ -114,10 +114,11 @@ def _get_int(doc, field, parent=None):
     name = f"{parent}.{field}" if parent else field
     if field not in doc:
         raise ProblemFormatError(name, "missing")
-    try:
-        return int(doc[field])
-    except (TypeError, ValueError) as exc:
-        raise ProblemFormatError(name, "expected an integer") from exc
+    v = doc[field]
+    # JSON true/false load as bool, a subclass of int; 1.0 and "1" are not integers
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        raise ProblemFormatError(name, f"expected an integer, got {v!r}")
+    return int(v)
 
 
 def _get_array(doc, field, kind, parent=None, allow_inf=False):

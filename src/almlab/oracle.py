@@ -203,10 +203,9 @@ def solve_qp_exact(
     G, d = prog.ineq_matrix(), prog.ineq_rhs()
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
-    # positive definite Q leaves no face a flat direction to test. Finiteness
-    # comes first: eigvalsh maps NaN to zeros or fails to converge.
-    Qs = 0.5 * (Q + Q.T)
-    ev = np.linalg.eigvalsh(Qs) if np.isfinite(Qs).all() else np.zeros(1)
+    # positive definite Q leaves no face a flat direction to test. A
+    # non-finite Q has the spectrum [nan] and is never positive definite.
+    ev = prog.q_spectrum
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
 
     for mask in range(1 << m2):

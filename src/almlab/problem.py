@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -162,7 +163,11 @@ class QuadraticInequality:
 
 @dataclass
 class ConvexProgram:
-    """Immutable problem description; all evaluation methods are pure."""
+    """Immutable problem description; all evaluation methods are pure.
+
+    The stacked rows and spectral quantities are cached on first use. A
+    program shared across threads may compute one twice, to the same bits.
+    """
 
     smooth: QuadraticObjective
     eq: AffineMap | None = None
@@ -210,14 +215,45 @@ class ConvexProgram:
     def eval_h(self, x):
         return self.eq.value(x) if self.eq is not None else np.zeros(0)
 
+    @cached_property
+    def _rows(self):
+        """(G, d, jac, quad), stacked once and read-only: G is m2 x n and
+        C-contiguous, jac the n x m2 copy of G.T in np.column_stack's layout.
+        Quadratic rows are zero in G, d and jac, and listed in quad as
+        (index, row) pairs."""
+        G, d, quad = np.zeros((self.m2, self.n)), np.zeros(self.m2), []
+        for i, con in enumerate(self.ineqs):
+            if isinstance(con, AffineInequality):
+                G[i], d[i] = con.coeff, con.offset
+            else:
+                quad.append((i, con))
+        jac = np.ascontiguousarray(G.T)
+        for a in (G, d, jac):
+            a.setflags(write=False)
+        return G, d, jac, tuple(quad)
+
     def eval_g(self, x):
-        return np.array([g.value(x) for g in self.ineqs]) if self.ineqs else np.zeros(0)
+        # np.vecdot runs the dot kernel of a per-row coeff @ x, so the bits
+        # match it; G @ x sums in another order, which changes the last
+        # bits and with them every step length the inner solver takes
+        if not self.ineqs:
+            return np.zeros(0)
+        G, d, _, quad = self._rows
+        g = np.vecdot(G, x) - d
+        for i, con in quad:
+            g[i] = con.value(x)
+        return g
 
     def grad_g(self, x):
-        """n x m2 matrix whose columns are the inequality gradients."""
-        if not self.ineqs:
-            return np.zeros((self.n, 0))
-        return np.column_stack([g.grad(x) for g in self.ineqs])
+        """n x m2 matrix whose columns are the inequality gradients; the
+        cached read-only block when every inequality is affine."""
+        _, _, jac, quad = self._rows
+        if not quad:
+            return jac
+        jac = jac.copy()
+        for i, con in quad:
+            jac[:, i] = con.grad(x)
+        return jac
 
     def eq_matrix(self):
         return self.eq.A if self.eq is not None else np.zeros((0, self.n))
@@ -226,20 +262,34 @@ class ConvexProgram:
         return self.eq.b if self.eq is not None else np.zeros(0)
 
     def ineq_matrix(self):
-        """m2 x n matrix whose rows are the coefficients of the affine
-        inequalities G x <= d; every inequality must be affine."""
-        return np.vstack([g.coeff for g in self.ineqs]) if self.ineqs else np.zeros((0, self.n))
+        """Read-only m2 x n matrix whose rows are the coefficients of the
+        affine inequalities G x <= d; every inequality must be affine."""
+        return self._rows[0]
 
     def ineq_rhs(self):
-        return np.array([g.offset for g in self.ineqs]) if self.ineqs else np.zeros(0)
+        return self._rows[1]
+
+    @property
+    def ineqs_affine(self) -> bool:
+        return not self._rows[3]
 
     def is_affine_qp(self) -> bool:
         """Quadratic objective, affine constraints, no nonsmooth part."""
-        return (
-            isinstance(self.smooth, QuadraticObjective)
-            and self.nonsmooth is None
-            and all(isinstance(g, AffineInequality) for g in self.ineqs)
-        )
+        return isinstance(self.smooth, QuadraticObjective) and self.nonsmooth is None and self.ineqs_affine
+
+    @cached_property
+    def q_spectrum(self):
+        """Ascending eigenvalues of sym(Q), or [nan] for a non-finite Q, on
+        which eigvalsh returns zeros or fails; comparisons with NaN are
+        false, so no bound or definiteness is claimed for such a Q."""
+        Qs = 0.5 * (self.smooth.Q + self.smooth.Q.T)
+        return np.linalg.eigvalsh(Qs) if np.isfinite(Qs).all() else np.full(1, np.nan)
+
+    @cached_property
+    def norms_sq(self):
+        """(||A||_2^2, ||G||_2^2), each 0.0 for an empty block."""
+        return tuple(float(np.linalg.norm(M, 2)) ** 2 if M.size else 0.0
+                     for M in (self.eq_matrix(), self.ineq_matrix()))
 
     def fingerprint(self) -> str:
         """Stable content hash used to match traces with oracle solutions."""
@@ -307,14 +357,6 @@ class KktResidual:
 
     def as_dict(self):
         return dict(vars(self))
-
-
-def eval_constraints(prog: ConvexProgram, x):
-    """Values (h(x), g(x)) of the constraint maps."""
-    x = as_vector(x, prog.n)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
-    return prog.eval_h(x), prog.eval_g(x)
 
 
 def lagrangian_value(prog: ConvexProgram, x, p: DualPoint) -> float:

@@ -13,7 +13,6 @@ from almlab import (
     aux_update,
     criterion_eval,
     multiplier_update,
-    project_cone,
 )
 
 from conftest import make_halfspace_qp
@@ -176,15 +175,3 @@ class TestCriterionEval:
         )
         tol = 1e-10 * max(rep.rhs_raw, rep.rhs_rewritten, 1e-300)
         assert abs(rep.rhs_raw - rep.rhs_rewritten) <= tol
-
-
-class TestProjectCone:
-    def test_sign_split(self):
-        np.testing.assert_allclose(project_cone(np.array([-1.0, 2.0])), [0.0, 2.0])
-
-    def test_zero_fixed_point(self):
-        np.testing.assert_allclose(project_cone(np.zeros(2)), [0.0, 0.0])
-
-    def test_cone_member_unchanged(self):
-        v = np.array([0.5, 3.0, 0.0])
-        np.testing.assert_allclose(project_cone(v), v)

@@ -3,8 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from almlab.cli import ExperimentConfig, main
-from almlab.driver import InnerOptions, PenaltySchedule
+from almlab.cli import main
 from almlab.problem import ConvexProgram, QuadraticObjective
 from almlab.verify import run_verification
 
@@ -128,11 +127,6 @@ class TestSolveCommand:
         assert main(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 1
         assert "field 'Q'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
-
-    def test_experiment_config_rejects_non_finite_tol(self, tmp_path):
-        with pytest.raises(ValueError, match="tol"):
-            ExperimentConfig(None, "reference1d", 0, [0.5], [PenaltySchedule.fixed(1.0)],
-                             float("nan"), 10, tmp_path, InnerOptions())
 
 
 class TestRatesCommand:

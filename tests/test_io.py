@@ -131,6 +131,32 @@ class TestMalformedDocuments:
                                "box": {"lo": [1.0], "hi": [-1.0]}})
         assert err.value.field == "box"
 
+    @pytest.mark.parametrize("weight", [[1.0, 2.0, 3.0], [1.0, -2.0], -0.5, [[1.0, 2.0]]])
+    def test_bad_l1_weight_beside_a_box_names_l1_weight(self, weight):
+        doc = {"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0], "l1_weight": weight,
+               "box": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]}}
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict(doc)
+        assert err.value.field == "l1_weight"
+
+    def test_crossed_box_beside_an_l1_weight_names_box(self):
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict({"n": 1, "Q": [[1.0]], "q": [0.0], "l1_weight": 0.5,
+                               "box": {"lo": [1.0], "hi": [-1.0]}})
+        assert err.value.field == "box"
+
+    @pytest.mark.parametrize("n", [1.9, True, "1", 1.0])
+    def test_non_integer_n_rejected(self, n):
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict({"n": n, "Q": [[1.0]], "q": [0.0]})
+        assert err.value.field == "n"
+
+    @pytest.mark.parametrize("field,value", [("n", 6.7), ("seed", 2.5), ("m1", True), ("m2", "3")])
+    def test_non_integer_generator_field_rejected(self, field, value):
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict({"generator": {"family": "sc_qp", "n": 6, "seed": 2, field: value}})
+        assert err.value.field == f"generator.{field}"
+
     def test_bad_generator_family(self):
         with pytest.raises(ProblemFormatError) as err:
             problem_from_dict({"generator": {"family": "bogus"}})

@@ -13,7 +13,6 @@ from almlab import (
     GeneratorSpec,
     QuadraticInequality,
     QuadraticObjective,
-    eval_constraints,
     generate,
     kkt_residual,
     lagrangian_value,
@@ -27,9 +26,8 @@ from conftest import make_halfspace_qp, make_unconstrained_1d
 
 class TestEvalConstraints:
     def test_reference_point(self, reference1d):
-        h, g = eval_constraints(reference1d, np.zeros(1))
-        np.testing.assert_allclose(h, [-1.0])
-        assert g.shape == (0,)
+        np.testing.assert_allclose(reference1d.eval_h(np.zeros(1)), [-1.0])
+        assert reference1d.eval_g(np.zeros(1)).shape == (0,)
 
     def test_affine_identity_boundary(self):
         prog = ConvexProgram(
@@ -39,24 +37,14 @@ class TestEvalConstraints:
                 AffineInequality(np.array([0.0, 1.0]), 1.0),
             ),
         )
-        _, g = eval_constraints(prog, np.array([1.0, 1.0]))
-        np.testing.assert_allclose(g, [0.0, 0.0])
+        np.testing.assert_allclose(prog.eval_g(np.array([1.0, 1.0])), [0.0, 0.0])
 
     def test_quadratic_root(self):
         prog = ConvexProgram(
             smooth=QuadraticObjective(np.eye(1), np.zeros(1)),
             ineqs=(QuadraticInequality(np.array([[1.0]]), np.zeros(1), -2.0),),
         )
-        _, g = eval_constraints(prog, np.array([2.0]))
-        np.testing.assert_allclose(g, [0.0])
-
-    def test_dimension_mismatch(self, reference1d):
-        with pytest.raises(DimensionMismatchError):
-            eval_constraints(reference1d, np.zeros(3))
-
-    def test_nonfinite_rejected(self, reference1d):
-        with pytest.raises(ValueError):
-            eval_constraints(reference1d, np.array([np.nan]))
+        np.testing.assert_allclose(prog.eval_g(np.array([2.0])), [0.0])
 
 
 class TestLagrangianValue:

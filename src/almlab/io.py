@@ -153,7 +153,9 @@ def _get_vector(doc, field, n=None, parent=None, allow_inf=False):
 
 
 def _get_matrix(doc, field, rows, cols, parent=None):
+    """A rows x cols matrix, or rows x anything when cols is None."""
     name, M = _get_array(doc, field, "a numeric matrix", parent)
-    if M.shape != (rows, cols):
-        raise ProblemFormatError(name, f"expected shape {rows}x{cols}, got {'x'.join(map(str, M.shape))}")
+    if M.ndim != 2 or M.shape[0] != rows or cols not in (None, M.shape[1]):
+        expected = f"{rows}x{'k' if cols is None else cols}"
+        raise ProblemFormatError(name, f"expected shape {expected}, got {'x'.join(map(str, M.shape))}")
     return M

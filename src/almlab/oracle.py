@@ -1,22 +1,24 @@
 """Exact primal/dual solution sets for affine-constrained QPs.
 
-Ground truth comes from active-set enumeration: subsets of the inequality
-constraints are tried as the active set in subset-index order, each
+Both sets come from one face solver, ``_first_kkt_face``, which finds the
+minimizer of a convex QP by active-set enumeration: subsets of the
+inequality rows are tried as the active set in subset-index order, each
 equality-constrained KKT linear system is solved, and the search stops at
-the first candidate passing primal feasibility and multiplier sign checks.
-Each face is first tested for a feasible descent ray, unless Q is positive
-definite and no face can carry one. The worst case is still 2^m2 faces.
-The dual solution set is the polyhedron
+the first candidate passing primal feasibility and multiplier sign checks,
+both scaled with the data. Each face is first tested for a feasible descent
+ray, unless Q is positive definite and no face can carry one. The worst case
+is 2^m2 faces. The dual solution set is the polyhedron
 
     { p = (lam, mu) : A' lam + G' mu = -grad s(x*),
       mu_i = 0 for inactive i, mu_j >= 0 for active j }
 
-whose Euclidean projection is computed exactly by enumerating its faces.
+and its Euclidean projection is the same face solver run with Q = I.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,11 +28,19 @@ from .errors import (
     EnumerationLimitError,
     InfeasibleError,
     NoValidSamplesError,
+    ProblemFormatError,
     UnboundedError,
 )
+from .io import _get_matrix, _get_vector
 from .problem import ConvexProgram, as_vector
 
 _ENUM_CAP = 20
+# feasibility and multiplier-sign tolerances of a face's KKT point, at unit
+# data scale; _first_kkt_face scales them up for larger data
+_FEAS_TOL = 1e-10
+_MU_TOL = 1e-12
+# rows with g_i(x*) >= -_ACTIVE_TOL are active at x*
+_ACTIVE_TOL = 1e-8
 
 
 def _null_space(M, rtol=1e-10):
@@ -42,6 +52,53 @@ def _null_space(M, rtol=1e-10):
     cutoff = rtol * (s[0] if s.size else 1.0)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].T
+
+
+def _first_kkt_face(Q, q, A, b, G, d, check_rays):
+    """The x minimizing 0.5 x'Qx + q'x s.t. Ax = b, Gx <= d, Q PSD.
+
+    Tries the active sets of the rows of G in subset-index order, solving
+    each equality-KKT system by least squares (rank-deficient systems from
+    duplicated rows are handled), and returns the first point that is
+    feasible and whose inequality multipliers are nonnegative. Feasibility is
+    tested against _FEAS_TOL * max(1, |b|, |d|) and the sign against
+    _MU_TOL * max(1, |q|), so both tests keep their meaning when the data
+    is scaled up. With check_rays every face visited is first tested for a
+    feasible descent ray (:class:`UnboundedError`); positive definite Q
+    needs no test. Raises :class:`InfeasibleError` when no face passes and
+    :class:`EnumerationLimitError` for more than _ENUM_CAP rows in G.
+    """
+    n, m1, m2 = Q.shape[0], A.shape[0], G.shape[0]
+    if m2 > _ENUM_CAP:
+        raise EnumerationLimitError(f"{m2} inequality rows exceed the enumeration cap of {_ENUM_CAP}")
+    feas_tol = _FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0), np.abs(d).max(initial=0.0))
+    mu_tol = _MU_TOL * max(1.0, np.abs(q).max(initial=0.0))
+    for mask in range(1 << m2):
+        S = [i for i in range(m2) if mask >> i & 1]
+        C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
+        rhs_c = np.concatenate([b, d[S]])
+        if check_rays:
+            _check_face_unbounded(Q, q, A, G, C, rhs_c)
+        k = C.shape[0]
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = Q
+        kkt[:n, n:] = C.T
+        kkt[n:, :n] = C
+        rhs = np.concatenate([-q, rhs_c])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+            continue
+        x = sol[:n]
+        mu = np.zeros(m2)
+        mu[S] = sol[n + m1:]
+        if m1 and np.max(np.abs(A @ x - b)) > feas_tol:
+            continue
+        if m2 and np.max(G @ x - d) > feas_tol:
+            continue
+        if (mu < -mu_tol).any():
+            continue
+        return x
+    raise InfeasibleError("no active set yields a KKT-consistent feasible point")
 
 
 @dataclass
@@ -66,60 +123,26 @@ class DualPolyhedron:
         return all(p[j] >= -tol for j in self.nonneg_idx)
 
     def project(self, p):
-        """Euclidean projection by face enumeration; exact at desk scale.
+        """(z, ||z - p||) for the Euclidean projection z of p.
 
-        Each face pins a subset of the sign-constrained coordinates to zero;
-        the projection onto the face's affine hull is kept when it satisfies
-        the remaining sign constraints, and the nearest feasible candidate
-        over all faces is the projection onto the polyhedron.
+        The projection minimizes 0.5||z - p||^2 over the coordinates not
+        pinned to zero, subject to the equality rows and z_j >= 0 on the
+        sign-constrained ones: a QP with Q = I, solved exactly by the first
+        KKT-consistent face of _first_kkt_face. Sign-constrained entries are
+        clipped at zero, so the lstsq residue cannot leave them negative.
         """
         p = as_vector(p, self.m, "p")
+        zero = set(self.zero_idx)
+        keep = [i for i in range(self.m) if i not in zero]
         signs = list(self.nonneg_idx)
-        if len(signs) > _ENUM_CAP:
-            raise EnumerationLimitError(f"{len(signs)} sign constraints exceed the face enumeration cap")
-        base_rows = [self.eq_mat] if self.eq_mat.shape[0] else []
-        base_rhs = [self.eq_rhs] if self.eq_mat.shape[0] else []
-        for i in self.zero_idx:
-            e = np.zeros(self.m)
-            e[i] = 1.0
-            base_rows.append(e.reshape(1, -1))
-            base_rhs.append(np.zeros(1))
-        best = None
-        for mask in range(1 << len(signs)):
-            pinned = [signs[j] for j in range(len(signs)) if mask >> j & 1]
-            rows = list(base_rows)
-            rhs = list(base_rhs)
-            for i in pinned:
-                e = np.zeros(self.m)
-                e[i] = 1.0
-                rows.append(e.reshape(1, -1))
-                rhs.append(np.zeros(1))
-            if rows:
-                C = np.vstack(rows)
-                gvec = np.concatenate(rhs)
-                nu = np.linalg.lstsq(C @ C.T, C @ p - gvec, rcond=None)[0]
-                z = p - C.T @ nu
-                if np.linalg.norm(C @ z - gvec) > 1e-8 * (1.0 + np.linalg.norm(gvec)):
-                    continue  # inconsistent pin pattern: empty face
-            else:
-                z = p.copy()
-            free = [i for i in signs if i not in pinned]
-            if any(z[i] < -1e-12 for i in free):
-                continue
-            # snap constrained coordinates so returned members are exactly
-            # feasible (lstsq leaves ulp-level residue on pinned entries)
-            for i in self.zero_idx:
-                z[i] = 0.0
-            for i in pinned:
-                z[i] = 0.0
-            for i in free:
-                z[i] = max(z[i], 0.0)
-            dist = float(np.linalg.norm(z - p))
-            if best is None or dist < best[1]:
-                best = (z, dist)
-        if best is None:
-            raise InfeasibleError("dual polyhedron is empty")
-        return best
+        eye = np.eye(len(keep))
+        G = -eye[[keep.index(j) for j in signs]]
+        x = _first_kkt_face(eye, -p[keep], self.eq_mat[:, keep], self.eq_rhs,
+                            G, np.zeros(len(signs)), check_rays=False)
+        z = np.zeros(self.m)
+        z[keep] = x
+        z[signs] = np.maximum(z[signs], 0.0)
+        return z, float(np.linalg.norm(z - p))
 
     def as_dict(self):
         return {
@@ -131,9 +154,36 @@ class DualPolyhedron:
 
     @classmethod
     def from_dict(cls, d):
-        rhs = np.array(d["eq_rhs"], dtype=float)
-        mat = np.array(d["eq_mat"], dtype=float).reshape(rhs.shape[0], -1)
-        return cls(mat, rhs, tuple(d["zero_idx"]), tuple(d["nonneg_idx"]))
+        """Read as_dict's form; raises :class:`ProblemFormatError` naming
+        the first malformed field (as ``dual.<field>``)."""
+        if not isinstance(d, dict):
+            raise ProblemFormatError("dual", "expected an object")
+        rhs = _get_vector(d, "eq_rhs", parent="dual")
+        mat = _get_matrix(d, "eq_mat", rhs.size, None, parent="dual")
+        zero, nonneg = (_get_indices(d, name, mat.shape[1]) for name in ("zero_idx", "nonneg_idx"))
+        both = set(zero) & set(nonneg)
+        if both:
+            raise ProblemFormatError("dual.nonneg_idx", f"repeats zero_idx entries {sorted(both)}")
+        return cls(mat, rhs, zero, nonneg)
+
+
+def _get_indices(d, field, m):
+    """d[field] as a tuple of distinct integers in [0, m)."""
+    name = f"dual.{field}"
+    if field not in d:
+        raise ProblemFormatError(name, "missing")
+    raw = d[field]
+    if not isinstance(raw, list) or any(isinstance(i, bool) for i in raw):
+        raise ProblemFormatError(name, "expected a list of integers")
+    try:
+        idx = tuple(operator.index(i) for i in raw)
+    except TypeError as exc:
+        raise ProblemFormatError(name, "expected a list of integers") from exc
+    if any(not 0 <= i < m for i in idx):
+        raise ProblemFormatError(name, f"indices must lie in [0, {m}), got {list(idx)}")
+    if len(set(idx)) != len(idx):
+        raise ProblemFormatError(name, f"repeated index in {list(idx)}")
+    return idx
 
 
 @dataclass
@@ -166,80 +216,59 @@ class SolutionSetOracle:
 
     @classmethod
     def from_json(cls, source) -> "SolutionSetOracle":
+        """Read to_json's document, from a path or as a dict; every field is
+        checked, and a malformed one raises :class:`ProblemFormatError`."""
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             with open(source) as fh:
                 doc = json.load(fh)
         else:
             doc = source
-        point = np.array(doc["primal_point"], dtype=float)
-        basis = np.array(doc["primal_basis"], dtype=float).reshape(point.shape[0], -1)
-        return cls(point, basis, DualPolyhedron.from_dict(doc["dual"]), doc.get("fingerprint", ""))
+        if not isinstance(doc, dict):
+            raise ProblemFormatError("<document>", "expected a JSON object")
+        point = _get_vector(doc, "primal_point")
+        basis = _get_matrix(doc, "primal_basis", point.size, None)
+        if "dual" not in doc:
+            raise ProblemFormatError("dual", "missing")
+        dual = DualPolyhedron.from_dict(doc["dual"])
+        if dual.eq_rhs.size != point.size:
+            raise ProblemFormatError("dual.eq_rhs", f"expected length {point.size}, got {dual.eq_rhs.size}")
+        fingerprint = doc.get("fingerprint", "")
+        if not isinstance(fingerprint, str):
+            raise ProblemFormatError("fingerprint", "expected a string")
+        return cls(point, basis, dual, fingerprint)
 
 
-def solve_qp_exact(
-    prog: ConvexProgram,
-    feas_tol: float = 1e-10,
-    mu_tol: float = 1e-12,
-    active_tol: float = 1e-8,
-) -> SolutionSetOracle:
+def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     """Exact solution sets of an affine-constrained QP by enumeration.
 
-    Tries the 2^m2 active sets in subset-index order, solving each
-    equality-KKT system by least squares (rank-deficient systems from
-    duplicated constraint rows are handled), and stops at the first
-    candidate passing primal feasibility (<= feas_tol) and mu >= -mu_tol.
-    Raises :class:`UnboundedError` when a face visited before it carries a
-    feasible descent ray (the test is skipped when Q is finite and positive
-    definite, where it cannot fire), :class:`InfeasibleError` when no active
-    set passes, and :class:`EnumerationLimitError` for m2 > 20.
+    x* and the active set come from _first_kkt_face: the first active set in
+    subset-index order whose KKT point is feasible with mu >= 0. Raises
+    :class:`ProblemFormatError` naming a non-finite Q, q, A, b, G or d
+    before any factorization, :class:`UnboundedError` when a face visited
+    before it carries a feasible descent ray (the test is skipped when Q is
+    positive definite, where it cannot fire), :class:`InfeasibleError` when
+    no active set passes, and :class:`EnumerationLimitError` for m2 > 20.
     """
     if not prog.is_affine_qp():
         raise ValueError("the oracle requires a quadratic objective with affine constraints")
-    if prog.m2 > _ENUM_CAP:
-        raise EnumerationLimitError(f"m2 = {prog.m2} exceeds the enumeration cap of {_ENUM_CAP}")
     n, m1, m2 = prog.n, prog.m1, prog.m2
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
     G, d = prog.ineq_matrix(), prog.ineq_rhs()
+    for name, arr in (("Q", Q), ("q", q), ("A", A), ("b", b), ("G", G), ("d", d)):
+        if not np.isfinite(arr).all():
+            raise ProblemFormatError(name, "must be finite")
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
-    # positive definite Q leaves no face a flat direction to test. A
-    # non-finite Q has the spectrum [nan] and is never positive definite.
+    # positive definite Q leaves no face a flat direction to test.
     ev = prog.q_spectrum
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
-
-    for mask in range(1 << m2):
-        S = [i for i in range(m2) if mask >> i & 1]
-        C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
-        rhs_c = np.concatenate([b, d[S]])
-        if not positive_definite:
-            _check_face_unbounded(Q, q, A, G, C, rhs_c)
-        k = C.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = Q
-        kkt[:n, n:] = C.T
-        kkt[n:, :n] = C
-        rhs = np.concatenate([-q, rhs_c])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            continue
-        x_star = sol[:n]
-        mu = np.zeros(m2)
-        mu[S] = sol[n + m1:]
-        if m1 and np.max(np.abs(A @ x_star - b)) > feas_tol:
-            continue
-        if m2 and np.max(G @ x_star - d) > feas_tol:
-            continue
-        if (mu < -mu_tol).any():
-            continue
-        break  # the first consistent face in subset-index order
-    else:
-        raise InfeasibleError("no active set yields a KKT-consistent feasible point")
+    x_star = _first_kkt_face(Q, q, A, b, G, d, check_rays=not positive_definite)
 
     primal_basis = _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q
     g_star = G @ x_star - d if m2 else np.zeros(0)
-    active = [i for i in range(m2) if g_star[i] >= -active_tol]
+    active = [i for i in range(m2) if g_star[i] >= -_ACTIVE_TOL]
     inactive = [i for i in range(m2) if i not in active]
     E = np.hstack([A.T, G.T]) if (m1 + m2) else np.zeros((n, 0))
     dual = DualPolyhedron(

@@ -220,7 +220,13 @@ class ConvexProgram:
         """(G, d, jac, quad), stacked once and read-only: G is m2 x n and
         C-contiguous, jac the n x m2 copy of G.T in np.column_stack's layout.
         Quadratic rows are zero in G, d and jac, and listed in quad as
-        (index, row) pairs."""
+        (index, row) pairs.
+
+        The copy costs a second m2 x n block but keeps the bits: callers
+        multiply grad_g's jac by multipliers, and G.T @ s differs from
+        jac @ s in the last bits, as np.vecdot(jac.T, x) does from
+        np.vecdot(G, x) in eval_g (numpy 2.4, one OpenBLAS thread: 1127
+        and 986 of 1400 random shapes up to 400 x 160)."""
         G, d, quad = np.zeros((self.m2, self.n)), np.zeros(self.m2), []
         for i, con in enumerate(self.ineqs):
             if isinstance(con, AffineInequality):

@@ -13,6 +13,7 @@ spec reproduces the identical problem bit for bit. Families:
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +53,10 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise InconsistentSpecError(f"unknown family '{self.family}'")
         dn, dm1, dm2 = _DEFAULT_DIMS[self.family]
-        self.n = dn if self.n is None else int(self.n)
-        self.m1 = dm1 if self.m1 is None else int(self.m1)
-        self.m2 = dm2 if self.m2 is None else int(self.m2)
+        self.n = dn if self.n is None else _integer("n", self.n)
+        self.m1 = dm1 if self.m1 is None else _integer("m1", self.m1)
+        self.m2 = dm2 if self.m2 is None else _integer("m2", self.m2)
+        self.seed = _integer("seed", self.seed)
         lo, hi = float(self.conditioning[0]), float(self.conditioning[1])
         if not 0 < lo <= hi:
             raise InconsistentSpecError("conditioning range must satisfy 0 < lo <= hi")
@@ -63,6 +65,14 @@ class GeneratorSpec:
 
     def label(self) -> str:
         return f"{self.family}[n={self.n},m1={self.m1},m2={self.m2},seed={self.seed}]"
+
+
+def _integer(name: str, value) -> int:
+    """value as an int; numpy integers pass, 2.5 and "2" do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InconsistentSpecError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _validate_dims(spec: GeneratorSpec):

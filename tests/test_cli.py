@@ -180,6 +180,30 @@ class TestRatesCommand:
         doc = json.loads((tmp_path / "reference1d__sigma0__fixed.rates.json").read_text())
         assert doc["probe"]["ok"] is False  # fixed schedule
 
+    @pytest.mark.parametrize("field, edit", [
+        ("dual.nonneg_idx", lambda doc: doc["dual"].update(nonneg_idx=[99])),
+        ("primal_point", lambda doc: doc.pop("primal_point")),
+        ("dual.eq_rhs", lambda doc: doc["dual"].update(eq_rhs=[float("nan")])),
+        ("dual.nonneg_idx", lambda doc: doc["dual"].update(zero_idx=[0], nonneg_idx=[0])),
+        ("dual.zero_idx", lambda doc: doc["dual"].update(zero_idx=[0.5])),
+        ("dual.zero_idx", lambda doc: doc["dual"].update(zero_idx=[True])),
+        ("dual.eq_mat", lambda doc: doc["dual"].update(eq_mat=[[1.0], [2.0]])),
+        ("dual", lambda doc: doc.pop("dual")),
+    ], ids=["index-out-of-range", "missing-primal-point", "nan-eq-rhs", "overlapping-indices",
+            "non-integer-index", "bool-index", "eq-mat-shape", "missing-dual"])
+    def test_malformed_oracle_file_names_the_field(self, trace, tmp_path, capsys, field, edit):
+        from almlab import GeneratorSpec, generate, solve_qp_exact
+
+        doc = solve_qp_exact(generate(GeneratorSpec("reference1d"))).to_json()
+        edit(doc)
+        oracle_path = tmp_path / "oracle.json"
+        oracle_path.write_text(json.dumps(doc))
+        code = main(["rates", "--trace", str(trace), "--oracle", str(oracle_path),
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert f"field '{field}'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.rates.*"))
+
 
 class TestVerifyCommand:
     def test_full_battery_passes(self, capsys):

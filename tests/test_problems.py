@@ -127,6 +127,19 @@ class TestSpecValidation:
         with pytest.raises(InconsistentSpecError):
             GeneratorSpec("degenerate_dual_qp", m1=1)
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 2.5), ("n", 6.7), ("m1", 2.0), ("m2", "3"), ("seed", None),
+    ])
+    def test_non_integer_rejected(self, field, value):
+        with pytest.raises(InconsistentSpecError, match=f"{field} must be an integer"):
+            GeneratorSpec("sc_qp", **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        spec = GeneratorSpec("sc_qp", n=np.int64(7), m1=np.int32(2), m2=np.uint8(3), seed=np.int64(4))
+        assert (spec.n, spec.m1, spec.m2, spec.seed) == (7, 2, 3, 4)
+        assert spec.label() == "sc_qp[n=7,m1=2,m2=3,seed=4]"
+        assert generate(spec).fingerprint() == generate(GeneratorSpec("sc_qp", n=7, m1=2, m2=3, seed=4)).fingerprint()
+
 
 def test_standard_corpus_composition():
     corpus = standard_corpus()

@@ -20,7 +20,7 @@ from .driver import (
     next_penalty,
     run,
 )
-from .inner import InnerOptions, SubproblemResult, prox_grad_step, solve_subproblem
+from .inner import InnerOptions, SubproblemResult, solve_subproblem
 from .io import load_problem, problem_from_dict
 from .oracle import (
     ErrorBoundEstimate,

@@ -10,17 +10,16 @@ Subcommands:
 
 Exit codes: 0 success/Converged, 1 input error, 2 MaxOuterIterations,
 3 InnerFailure, 4 oracle mismatch, 5 rate bound violations. Grids report
-the worst code across runs. The worker pool for grids is capped by the
-ALMLAB_THREADS variable.
+the worst code across runs.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# unused here: perfbench/layers.py patches this name when it traces the CLI
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 from . import driver
@@ -99,7 +98,7 @@ def _build_parser():
     pr.add_argument("--oracle", help="oracle solution JSON")
     pr.add_argument("--with-oracle", action="store_true",
                     help="compute the oracle from the problem instead of loading it")
-    _add_problem_args(pr, required=False)
+    _add_problem_args(pr)
     pr.add_argument("--tail", type=float, default=0.25, help="tail fraction for the kappa estimate")
     pr.add_argument("--probe", action="store_true", help="also run the superlinear-trend probe")
     pr.add_argument("--out", default=".", help="output directory")
@@ -112,17 +111,16 @@ def _build_parser():
     return parser
 
 
-def _add_problem_args(p, required=True):
+def _add_problem_args(p):
     p.add_argument("--problem", help="problem file (JSON)")
     p.add_argument("--generator", help="generator family name")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
     p.add_argument("--n", type=int, help="generator dimension override")
     p.add_argument("--m1", type=int, help="generator equality count override")
     p.add_argument("--m2", type=int, help="generator inequality count override")
-    p.required_problem = required
 
 
-def _resolve_problem(args, required=True):
+def _resolve_problem(args):
     if args.problem and args.generator:
         raise ProblemFormatError("problem", "give either --problem or --generator, not both")
     if args.problem:
@@ -130,9 +128,7 @@ def _resolve_problem(args, required=True):
     if args.generator:
         return generate(GeneratorSpec(args.generator, n=args.n, m1=args.m1,
                                       m2=args.m2, seed=args.seed))
-    if required:
-        raise ProblemFormatError("problem", "one of --problem or --generator is required")
-    return None
+    raise ProblemFormatError("problem", "one of --problem or --generator is required")
 
 
 def _run_key(prog_name: str, sigma: float, schedule: PenaltySchedule) -> str:
@@ -174,30 +170,19 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(sigma, sched) for sigma in sigmas for sched in schedules]
-
-    def one(job):
-        sigma, sched = job
-        hist = driver.run(prog, sched, sigma, tol=args.tol,
-                          max_outer=args.max_outer, inner=inner)
-        key = _run_key(prog.name, sigma, sched)
-        hist.to_csv(out_dir / f"{key}.csv")
-        hist.to_json(out_dir / f"{key}.trace.json")
-        _write_summary(out_dir / f"{key}.summary.json", hist)
-        return key, hist
-
-    if len(jobs) == 1:
-        results = [one(jobs[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=_worker_count(len(jobs))) as pool:
-            results = list(pool.map(one, jobs))
-
     code = EXIT_OK
-    for key, hist in results:
-        final = hist.final() if hist.records else None
-        resid = f"residual={final.residual():.3e}" if final else "no iterations"
-        print(f"{key}: {hist.status} after {len(hist.records)} iterations ({resid})")
-        code = max(code, _STATUS_CODES[hist.status])
+    for sigma in sigmas:
+        for sched in schedules:
+            hist = driver.run(prog, sched, sigma, tol=args.tol,
+                              max_outer=args.max_outer, inner=inner)
+            key = _run_key(prog.name, sigma, sched)
+            hist.to_csv(out_dir / f"{key}.csv")
+            hist.to_json(out_dir / f"{key}.trace.json")
+            _write_summary(out_dir / f"{key}.summary.json", hist)
+            final = hist.final() if hist.records else None
+            resid = f"residual={final.residual():.3e}" if final else "no iterations"
+            print(f"{key}: {hist.status} after {len(hist.records)} iterations ({resid})")
+            code = max(code, _STATUS_CODES[hist.status])
     return code
 
 
@@ -220,15 +205,6 @@ def _write_summary(path, hist: RunHistory):
         }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
-
-
-def _worker_count(jobs: int) -> int:
-    cap = os.environ.get("ALMLAB_THREADS")
-    try:
-        cap = int(cap) if cap else (os.cpu_count() or 1)
-    except ValueError:
-        cap = 1
-    return max(1, min(jobs, cap))
 
 
 def cmd_rates(args) -> int:

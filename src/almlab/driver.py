@@ -238,7 +238,7 @@ def run(
     Parameters
     ----------
     prog : ConvexProgram
-        Problem to solve; shared immutably across concurrent runs.
+        Problem to solve; never modified.
     schedule : PenaltySchedule
         Penalty parameter rule.
     sigma : float

@@ -26,6 +26,16 @@ from .auglag import AugLagEval, CriterionReport, auglag_eval, criterion_eval, mu
 from .errors import MaxInnerIterationsError, NonFiniteError
 from .problem import ConvexProgram, DualPoint, QuadraticObjective, as_vector
 
+# backtracks per line search before the step is declared a failure
+_MAX_BACKTRACKS = 60
+# gradient norm at which an exact-mode solve stops
+_EXACT_TOL = 1e-12
+# candidates whose certificate is at the floating-point floor of the
+# gradient evaluation are treated as exact solves (y declared zero);
+# without this, warm starts at the solution and late iterations with
+# large penalties could never pass the criterion in double precision
+_SNAP_TOL = 1e-13
+
 
 @dataclass
 class InnerOptions:
@@ -34,14 +44,7 @@ class InnerOptions:
     max_inner: int = 10000
     armijo_factor: float = 0.5
     armijo_decrease: float = 1e-4
-    max_backtracks: int = 60
     exact: bool = False
-    exact_tol: float = 1e-12
-    # candidates whose certificate is at the floating-point floor of the
-    # gradient evaluation are treated as exact solves (y declared zero);
-    # without this, warm starts at the solution and late iterations with
-    # large penalties could never pass the criterion in double precision
-    snap_tol: float = 1e-13
     track_values: bool = False
 
     def __post_init__(self):
@@ -50,9 +53,6 @@ class InnerOptions:
             ("max_inner", self.max_inner >= 0, ">= 0"),
             ("armijo_factor", 0.0 < self.armijo_factor < 1.0, "in (0, 1)"),
             ("armijo_decrease", 0.0 < self.armijo_decrease < 1.0, "in (0, 1)"),
-            ("max_backtracks", self.max_backtracks >= 1, ">= 1"),
-            ("exact_tol", 0.0 <= self.exact_tol < math.inf, "finite and >= 0"),
-            ("snap_tol", 0.0 <= self.snap_tol < math.inf, "finite and >= 0"),
         ):
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
@@ -73,7 +73,7 @@ class SubproblemResult:
 _EPS = float(np.finfo(float).eps)
 
 
-def _certificate_floor(prog, x, p, c, user_tol):
+def _certificate_floor(prog, x, p, c):
     """Smallest certificate norm distinguishable from roundoff.
 
     The gradient of L_c sums terms whose magnitudes this estimates; anything
@@ -89,7 +89,7 @@ def _certificate_floor(prog, x, p, c, user_tol):
     for i, con in enumerate(prog.ineqs):
         ng = float(np.linalg.norm(con.grad(x)))
         scale += ng * (float(p.mu[i]) + c * (abs(con.value(x)) + ng * nx))
-    return max(user_tol, min(30.0 * _EPS * scale, 1e-10))
+    return max(_SNAP_TOL, min(30.0 * _EPS * scale, 1e-10))
 
 
 def smooth_curvature_bound(prog: ConvexProgram, c: float):
@@ -104,21 +104,6 @@ def smooth_curvature_bound(prog: ConvexProgram, c: float):
     nA, nG = prog.norms_sq
     bound = float(prog.q_spectrum[-1]) + c * nA + c * nG
     return bound if bound > 0 else None
-
-
-def prox_grad_step(prog: ConvexProgram, p_prev: DualPoint, c: float, x, t: float):
-    """One composite gradient step of length t with its certificate.
-
-    Returns (x_next, y_cert) where y_cert is an element of the
-    x-subdifferential of L_c at x_next.
-    """
-    if t <= 0:
-        raise ValueError("step size t must be positive")
-    x = as_vector(x, prog.n)
-    v = x - t * auglag_eval(prog, x, p_prev, c).smooth_grad
-    x_next = prog.nonsmooth.prox(v, t) if prog.nonsmooth is not None else v
-    y_cert = auglag_eval(prog, x_next, p_prev, c).smooth_grad + (v - x_next) / t
-    return x_next, y_cert
 
 
 def solve_subproblem(
@@ -150,7 +135,7 @@ def solve_subproblem(
     x = as_vector(x_init, prog.n, "x_init").copy()
 
     if opts.exact:
-        return _solve_exact(prog, p_prev, c, sigma, w_prev, x, opts)
+        return _solve_exact(prog, p_prev, c, sigma, w_prev, x)
 
     curv = smooth_curvature_bound(prog, c)
     # steps no longer than 1/curv are certified descent steps for the
@@ -159,7 +144,7 @@ def solve_subproblem(
     t_safe = 1.0 / curv if curv else None
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
-    snap_at = _certificate_floor(prog, x, p_prev, c, opts.snap_tol)
+    snap_at = _certificate_floor(prog, x, p_prev, c)
     cur = auglag_eval(prog, x, p_prev, c)
     if not np.isfinite(cur.smooth_grad).all():
         raise NonFiniteError("non-finite gradient at the initial point")
@@ -231,7 +216,7 @@ def _line_search(prog, p, c, x, cur, t_try, t_safe, opts):
     the value cannot block them.
     """
     slack = 5e-16 * (1.0 + abs(cur.value))
-    for bt in range(opts.max_backtracks):
+    for bt in range(_MAX_BACKTRACKS):
         v = x - t_try * cur.smooth_grad
         x_next = prog.nonsmooth.prox(v, t_try) if prog.nonsmooth is not None else v
         nxt = auglag_eval(prog, x_next, p, c)
@@ -250,7 +235,7 @@ def _line_search(prog, p, c, x, cur, t_try, t_safe, opts):
     )
 
 
-def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
+def _solve_exact(prog, p, c, sigma, w_prev, x_init):
     """Solve the subproblem to machine precision and certify y = 0.
 
     Requires a quadratic objective with affine constraints. The stationarity
@@ -286,14 +271,14 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
         gnorm = float(np.linalg.norm(ev.smooth_grad))
         if gnorm < best_norm:
             best_norm, best = gnorm, (x_new, ev)
-        if gnorm <= opts.exact_tol:
+        if gnorm <= _EXACT_TOL:
             x, lc = x_new, ev
             break
         key = active.tobytes()
         if key in seen:
             # active set cycling at the floating-point floor: accept if the
             # best gradient is already negligible, otherwise polish with a
-            # few prox-gradient steps and retry
+            # few gradient steps and retry
             if best_norm <= 1e-10:
                 x, lc = best
                 break
@@ -306,7 +291,7 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init, opts):
             curv = smooth_curvature_bound(prog, c)
             t = 1.0 / curv if curv else 1.0
             for _ in range(200):
-                x_new, _ = prox_grad_step(prog, p, c, x_new, t)
+                x_new = x_new - t * auglag_eval(prog, x_new, p, c).smooth_grad
         seen.add(key)
         x = x_new
     else:

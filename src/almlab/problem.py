@@ -165,8 +165,7 @@ class QuadraticInequality:
 class ConvexProgram:
     """Immutable problem description; all evaluation methods are pure.
 
-    The stacked rows and spectral quantities are cached on first use. A
-    program shared across threads may compute one twice, to the same bits.
+    The stacked rows and spectral quantities are cached on first use.
     """
 
     smooth: QuadraticObjective

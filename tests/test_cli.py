@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -56,14 +57,39 @@ class TestSolveCommand:
         assert code == 0
         assert len(list(tmp_path.glob("*.csv"))) == 4
 
-    def test_grid_respects_thread_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ALMLAB_THREADS", "1")
+    def test_grid_runs_in_order_without_threads(self, tmp_path, monkeypatch, capsys):
+        def no_threads(self):
+            raise RuntimeError("the solve grid must not start threads")
+
+        monkeypatch.setattr(threading.Thread, "start", no_threads)
         code = main([
             "solve", "--generator", "reference1d", "--sigma", "0", "--sigma", "0.5",
-            "--schedule", "fixed", "--c0", "2", "--tol", "1e-8", "--out", str(tmp_path),
+            "--schedule", "fixed", "--schedule", "geometric", "--c0", "2",
+            "--tol", "1e-8", "--out", str(tmp_path),
         ])
         assert code == 0
-        assert len(list(tmp_path.glob("*.csv"))) == 2
+        assert len(list(tmp_path.glob("*.csv"))) == 4
+        keys = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert keys == [
+            "reference1d__sigma0__fixed", "reference1d__sigma0__geometric",
+            "reference1d__sigma0.5__fixed", "reference1d__sigma0.5__geometric",
+        ]
+
+    @pytest.mark.parametrize("sigma, schedule", [
+        ("0", "fixed"), ("0", "geometric"), ("0.5", "fixed"), ("0.5", "geometric"),
+    ])
+    def test_grid_run_matches_the_run_alone(self, tmp_path, sigma, schedule):
+        # no state leaks from one grid run into the next
+        common = ["solve", "--generator", "sc_qp", "--seed", "3", "--c0", "10",
+                  "--growth", "1.5", "--cmax", "1e6", "--tol", "1e-8"]
+        grid, alone = tmp_path / "grid", tmp_path / "alone"
+        assert main(common + ["--sigma", "0", "--sigma", "0.5", "--schedule", "fixed",
+                              "--schedule", "geometric", "--out", str(grid)]) == 0
+        assert main(common + ["--sigma", sigma, "--schedule", schedule,
+                              "--out", str(alone)]) == 0
+        key = f"sc_qp_n_6_m1_2_m2_3_seed_3___sigma{sigma}__{schedule}"
+        for suffix in (".csv", ".trace.json", ".summary.json"):
+            assert (grid / (key + suffix)).read_bytes() == (alone / (key + suffix)).read_bytes()
 
     def test_max_outer_exit_code(self, tmp_path):
         code = main([
@@ -121,6 +147,20 @@ class TestSolveCommand:
         summary = json.loads((tmp_path / "reference1d__sigma0__geometric.summary.json").read_text())
         assert summary["config"]["schedule"]["c_max"] == float("inf")
 
+    def test_problem_and_generator_together_rejected(self, tmp_path, capsys):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"n": 1, "Q": [[1.0]], "q": [0.0]}))
+        code = main(["solve", "--problem", str(path), "--generator", "reference1d",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "not both" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_no_problem_source_rejected(self, tmp_path, capsys):
+        assert main(["solve", "--out", str(tmp_path)]) == 1
+        assert "one of --problem or --generator is required" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_nan_in_problem_file_names_the_field(self, tmp_path, capsys):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(NAN_Q_DOC))
@@ -158,6 +198,12 @@ class TestRatesCommand:
 
     def test_no_oracle_source(self, trace):
         assert main(["rates", "--trace", str(trace)]) == 1
+
+    def test_with_oracle_needs_a_problem(self, trace, tmp_path, capsys):
+        code = main(["rates", "--trace", str(trace), "--with-oracle", "--out", str(tmp_path)])
+        assert code == 1
+        assert "one of --problem or --generator is required" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.rates.*"))
 
     def test_with_oracle_rejects_nan_problem(self, trace, tmp_path, capfd):
         path = tmp_path / "problem.json"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from almlab import (
+    AffineInequality,
     BoxL1Regularizer,
     ConvexProgram,
     DualPoint,
@@ -10,9 +11,9 @@ from almlab import (
     QuadraticObjective,
     auglag_eval,
     generate,
-    prox_grad_step,
     solve_subproblem,
 )
+from almlab import inner as inner_mod
 from almlab.errors import MaxInnerIterationsError, NonFiniteError
 
 
@@ -79,6 +80,31 @@ class TestSolveSubproblem:
             solve_subproblem(sc_qp7, DualPoint(np.zeros(2), np.array([-1.0, 0, 0])),
                              1.0, 0.5, np.zeros(6), np.zeros(6))
 
+    def test_exact_mode_polishes_a_stalled_active_set(self, monkeypatch):
+        # min 0.5 x1^2 - x2 s.t. x2 <= 1 at c = 1, p = 0: with the row
+        # inactive the Newton matrix diag(1, 0) is singular, lstsq lands on
+        # x = 0 where the row is still inactive, and the active set repeats.
+        # Gradient steps carry x2 past 1, after which one Newton step on the
+        # active row solves exactly: x = (0, 2).
+        prog = ConvexProgram(
+            smooth=QuadraticObjective(np.diag([1.0, 0.0]), np.array([0.0, -1.0])),
+            ineqs=(AffineInequality(np.array([0.0, 1.0]), 1.0),),
+        )
+        calls = []
+
+        def counting_eval(*args):
+            calls.append(args)
+            return auglag_eval(*args)
+
+        monkeypatch.setattr(inner_mod, "auglag_eval", counting_eval)
+        res = solve_subproblem(prog, DualPoint.zeros(0, 1), 1.0, 0.5,
+                               np.zeros(2), np.zeros(2), InnerOptions(exact=True))
+        assert res.x.tolist() == [0.0, 2.0]
+        assert res.inner_iters == 3
+        assert res.criterion.satisfied and not res.y.any()
+        # one evaluation per Newton step and one per polish step
+        assert len(calls) == 3 + 200
+
     def test_exact_mode_requires_affine_qp(self):
         prog = generate(GeneratorSpec("quad_ineq", seed=0))
         with pytest.raises(ValueError):
@@ -106,7 +132,7 @@ class TestSolveSubproblem:
 class TestInnerOptions:
     def test_defaults_are_valid(self):
         InnerOptions()
-        InnerOptions(max_inner=0, exact_tol=0.0, snap_tol=0.0)
+        InnerOptions(max_inner=0)
 
     @pytest.mark.parametrize("field, value", [
         ("max_inner", -1),
@@ -117,31 +143,35 @@ class TestInnerOptions:
         ("armijo_decrease", float("nan")),
         ("armijo_decrease", 0.0),
         ("armijo_decrease", 1.0),
-        ("max_backtracks", 0),
-        ("exact_tol", float("nan")),
-        ("exact_tol", float("inf")),
-        ("exact_tol", -1e-12),
-        ("snap_tol", float("nan")),
-        ("snap_tol", float("inf")),
-        ("snap_tol", -1e-13),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
             InnerOptions(**{field: value})
 
 
-class TestProxGradStep:
+class TestLineSearchStep:
+    """The composite gradient step inside the inner solver's line search."""
+
+    @staticmethod
+    def step(prog, p, c, x, t):
+        cur = auglag_eval(prog, x, p, c)
+        curv = inner_mod.smooth_curvature_bound(prog, c)
+        t_safe = 1.0 / curv if curv else None
+        return inner_mod._line_search(prog, p, c, x, cur, t, t_safe, InnerOptions())
+
     def test_smooth_certificate_is_gradient(self, sc_qp7):
         p = DualPoint.zeros(2, 3)
         x = np.full(6, 0.7)
-        x_next, y = prox_grad_step(sc_qp7, p, 5.0, x, 0.01)
+        x_next, y, nxt, t, bt = self.step(sc_qp7, p, 5.0, x, 0.01)
+        assert (t, bt) == (0.01, 0)
         ev = auglag_eval(sc_qp7, x_next, p, 5.0)
         np.testing.assert_allclose(y, ev.smooth_grad, atol=1e-14)
+        np.testing.assert_array_equal(nxt.smooth_grad, ev.smooth_grad)
 
     def test_stationary_fixed_point(self, reference1d):
         p = DualPoint(np.zeros(1), np.zeros(0))
         x_star = np.array([2.0 / 3.0])  # exact minimizer for c = 2
-        x_next, y = prox_grad_step(reference1d, p, 2.0, x_star, 0.1)
+        x_next, y, _, _, _ = self.step(reference1d, p, 2.0, x_star, 0.1)
         np.testing.assert_allclose(x_next, x_star, atol=1e-15)
         assert np.linalg.norm(y) <= 1e-14
 
@@ -153,17 +183,12 @@ class TestProxGradStep:
             nonsmooth=BoxL1Regularizer(2, lo=np.zeros(2), hi=np.ones(2)),
         )
         x = np.array([0.5, 0.5])
-        x_next, y = prox_grad_step(prog, DualPoint.zeros(0, 0), 1.0, x, 1.0)
+        x_next, y, _, _, _ = self.step(prog, DualPoint.zeros(0, 0), 1.0, x, 1.0)
         np.testing.assert_allclose(x_next, [1.0, 0.0])
         resid = y - prog.smooth.grad(x_next)
         assert resid[0] >= -1e-12  # at hi
         assert resid[1] <= 1e-12  # at lo
         assert prog.nonsmooth.contains_subgradient(x_next, resid)
-
-    def test_nonpositive_step_rejected(self, reference1d):
-        with pytest.raises(ValueError):
-            prox_grad_step(reference1d, DualPoint(np.zeros(1), np.zeros(0)),
-                           1.0, np.zeros(1), 0.0)
 
 
 class TestCompositeCertificates:
@@ -176,7 +201,7 @@ class TestCompositeCertificates:
         resid = res.y - ev.smooth_grad
         assert prog.nonsmooth.contains_subgradient(res.x, resid, tol=1e-8)
 
-    def test_l1_certificate_within_weights(self):
+    def test_l1_certificate_within_weights(self, monkeypatch):
         # weighted l1 without a box: residual components within [-w, w],
         # equal to +-w off the zero set
         w = 0.7
@@ -184,8 +209,9 @@ class TestCompositeCertificates:
             smooth=QuadraticObjective(np.eye(2), np.array([-3.0, 0.1])),
             nonsmooth=BoxL1Regularizer(2, l1_weight=w),
         )
+        monkeypatch.setattr(inner_mod, "_SNAP_TOL", 1e-12)
         res = solve_subproblem(prog, DualPoint.zeros(0, 0), 1.0, 0.0,
-                               np.zeros(2), np.zeros(2), InnerOptions(snap_tol=1e-12))
+                               np.zeros(2), np.zeros(2))
         resid = res.y - prog.smooth.grad(res.x)
         assert np.all(np.abs(resid) <= w + 1e-8)
         for i in range(2):

@@ -20,6 +20,7 @@ from almlab import (
     solve_subproblem,
     standard_corpus,
 )
+from almlab import inner as inner_mod
 from almlab.rng import Lcg
 from almlab.verify import VERIFY_SIGMA, VERIFY_TOL
 
@@ -118,10 +119,11 @@ def test_subproblem_result_carries_its_evaluation(sc_qp7, exact):
 
 
 @pytest.mark.parametrize("c", [1.0, 10.0, 1e3])
-def test_exact_mode_fallback_carries_the_accepted_evaluation(c):
-    # with exact_tol = 0 the semismooth iteration runs until its active set
-    # repeats and then accepts its best iterate, not its last one
-    opts = InnerOptions(exact=True, exact_tol=0.0)
+def test_exact_mode_fallback_carries_the_accepted_evaluation(c, monkeypatch):
+    # with an exact tolerance of 0 the semismooth iteration runs until its
+    # active set repeats and then accepts its best iterate, not its last one
+    monkeypatch.setattr(inner_mod, "_EXACT_TOL", 0.0)
+    opts = InnerOptions(exact=True)
     for prog in (p for p in CORPUS if p.is_affine_qp()):
         p = DualPoint(np.full(prog.m1, 0.1), np.full(prog.m2, 0.2))
         res = solve_subproblem(prog, p, c, 0.5, np.zeros(prog.n), np.ones(prog.n), opts)

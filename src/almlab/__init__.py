@@ -40,7 +40,6 @@ from .problem import (
     QuadraticInequality,
     QuadraticObjective,
     kkt_residual,
-    lagrangian_value,
 )
 from .problems import GeneratorSpec, feasible_point, generate, standard_corpus
 from .rates import (

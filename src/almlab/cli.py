@@ -5,10 +5,11 @@ Subcommands:
            trace CSV, a full-vector trace JSON, and a summary JSON per
            (sigma, schedule) pair
   rates    post-process a trace against an oracle solution into a rate
-           report (CSV + JSON)
+           report (CSV + JSON); the oracle is read from --oracle FILE or
+           computed from --problem/--generator, never both
   verify   run the invariant suites over the standard corpus
 
-Exit codes: 0 success/Converged, 1 input error, 2 MaxOuterIterations,
+Exit codes: 0 success/Converged, 1 input or usage error, 2 MaxOuterIterations,
 3 InnerFailure, 4 oracle mismatch, 5 rate bound violations. Grids report
 the worst code across runs.
 """
@@ -52,7 +53,11 @@ _STATUS_CODES = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its usage message; only --help exits 0
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
     except ProblemFormatError as exc:
@@ -85,21 +90,14 @@ def _build_parser():
     ps.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
     ps.add_argument("--max-outer", type=int, default=200)
     ps.add_argument("--max-inner", type=int, default=10000)
-    ps.add_argument("--armijo-factor", type=float, default=0.5,
-                    help="line-search backtracking factor")
-    ps.add_argument("--armijo-decrease", type=float, default=1e-4,
-                    help="line-search sufficient-decrease constant")
     ps.add_argument("--exact", action="store_true", help="solve subproblems exactly (QP only)")
     ps.add_argument("--out", default=".", help="output directory")
     ps.set_defaults(func=cmd_solve)
 
     pr = sub.add_parser("rates", help="rate report from a trace and an oracle solution")
     pr.add_argument("--trace", required=True, help="trace JSON written by solve")
-    pr.add_argument("--oracle", help="oracle solution JSON")
-    pr.add_argument("--with-oracle", action="store_true",
-                    help="compute the oracle from the problem instead of loading it")
+    pr.add_argument("--oracle", help="oracle solution JSON; or give the problem to compute it")
     _add_problem_args(pr)
-    pr.add_argument("--tail", type=float, default=0.25, help="tail fraction for the kappa estimate")
     pr.add_argument("--probe", action="store_true", help="also run the superlinear-trend probe")
     pr.add_argument("--out", default=".", help="output directory")
     pr.set_defaults(func=cmd_rates)
@@ -151,8 +149,7 @@ def cmd_solve(args) -> int:
         print("error: --cmax must be a number (<= 0 means no cap), got nan", file=sys.stderr)
         return EXIT_INPUT
     try:
-        inner = InnerOptions(max_inner=args.max_inner, armijo_factor=args.armijo_factor,
-                             armijo_decrease=args.armijo_decrease, exact=args.exact)
+        inner = InnerOptions(max_inner=args.max_inner, exact=args.exact)
     except ValueError as exc:
         field, _, rule = str(exc).partition(" ")
         print(f"error: --{field.replace('_', '-')} {rule}", file=sys.stderr)
@@ -208,38 +205,34 @@ def _write_summary(path, hist: RunHistory):
 
 
 def cmd_rates(args) -> int:
+    if args.oracle and (args.problem or args.generator):
+        raise ProblemFormatError("oracle", "give either --oracle or --problem/--generator, not both")
+    if not (args.oracle or args.problem or args.generator):
+        raise ProblemFormatError("oracle", "one of --oracle, --problem or --generator is required")
     trace_path = Path(args.trace)
     if not trace_path.exists():
         print(f"error: trace file '{trace_path}' not found", file=sys.stderr)
         return EXIT_INPUT
     hist = RunHistory.from_json(trace_path)
-
     if args.oracle:
         oracle = SolutionSetOracle.from_json(args.oracle)
-    elif args.with_oracle:
-        prog = _resolve_problem(args)
-        oracle = solve_qp_exact(prog)
     else:
-        print("error: an oracle solution is required (--oracle FILE or --with-oracle)",
-              file=sys.stderr)
-        return EXIT_INPUT
+        oracle = solve_qp_exact(_resolve_problem(args))
 
     check_oracle_match(hist, oracle)
-    kappa = estimate_kappa(hist, oracle, tail_fraction=args.tail)
+    kappa = estimate_kappa(hist, oracle)
     report = rate_report(hist, oracle, kappa, hist.config["sigma"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = trace_path.name.replace(".trace.json", "") or "run"
-    report.to_csv(out_dir / f"{stem}.rates.csv")
-    doc = report.to_json(out_dir / f"{stem}.rates.json")
     if args.probe:
         try:
             probe = superlinearity_probe(hist, oracle)
-            doc["probe"] = {"ok": probe.ok, "reason": probe.reason, "ratios": probe.ratios}
+            report.probe = {"ok": probe.ok, "reason": probe.reason, "ratios": probe.ratios}
         except InsufficientIterationsError as exc:
-            doc["probe"] = {"ok": False, "reason": str(exc), "ratios": []}
-        with open(out_dir / f"{stem}.rates.json", "w") as fh:
-            json.dump(doc, fh, indent=1)
+            report.probe = {"ok": False, "reason": str(exc), "ratios": []}
+    report.to_csv(out_dir / f"{stem}.rates.csv")
+    report.to_json(out_dir / f"{stem}.rates.json")
     summary = report.summary
     print(f"kappa_hat={summary.kappa_hat:.6g} sup_rho_tail={summary.sup_rho_tail:.6g} "
           f"bound_violations={summary.bound_violations} margin_violations={summary.margin_violations}")

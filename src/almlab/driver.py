@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .auglag import CriterionReport, aux_update, multiplier_update
-from .errors import MaxInnerIterationsError, NonFiniteError
+from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
+from .io import _get_array, _get_vector
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
 
 CONVERGED = "Converged"
@@ -166,30 +167,98 @@ class RunHistory:
 
     @classmethod
     def from_json(cls, source) -> "RunHistory":
-        """Rebuild a history from a trace document or a file path."""
+        """Rebuild a history from a trace document or a file path.
+
+        Raises :class:`ProblemFormatError` naming the first malformed field,
+        e.g. ``records[3].mu``: every record vector must be finite, with the
+        length that ``config.x0``, ``p0_lam`` and ``p0_mu`` imply.
+        """
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             with open(source) as fh:
-                doc = json.load(fh)
+                try:
+                    doc = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ProblemFormatError("<document>", f"invalid JSON: {exc}") from exc
         else:
             doc = source
-        records = []
-        for rec in doc["records"]:
-            crit = CriterionReport(**rec["criterion"])
-            kkt = KktResidual(**rec["kkt"])
-            records.append(IterationRecord(
+        if not isinstance(doc, dict):
+            raise ProblemFormatError("<document>", "expected a JSON object")
+        config = _typed(doc, "config", dict, "an object")
+        status = _typed(doc, "status", str, "a string")
+        records = _typed(doc, "records", list, "a list")
+        sigma = _typed(config, "sigma", (int, float), "a number", "config")
+        if not 0.0 <= sigma < 1.0:
+            raise ProblemFormatError("config.sigma", f"must lie in [0, 1), got {sigma!r}")
+        _from_fields(config, "schedule", PenaltySchedule, "config")
+        n, m1, m2 = (_get_vector(config, key, parent="config").shape[0]
+                     for key in ("x0", "p0_lam", "p0_mu"))
+        sizes = {"x": n, "y": n, "lam": m1, "mu": m2, "w": n, "u": m1 + m2, "delta_p": m1 + m2}
+        vec = {key: _stacked(records, key, size) for key, size in sizes.items()}
+        out = []
+        for i, rec in enumerate(records):
+            parent = f"records[{i}]"
+            for key, kinds, kind in _RECORD_SCALARS:
+                _typed(rec, key, kinds, kind, parent)
+            if not (math.isfinite(rec["c"]) and rec["c"] > 0):
+                raise ProblemFormatError(f"{parent}.c", f"must be positive and finite, got {rec['c']!r}")
+            out.append(IterationRecord(
                 k=rec["k"], c=rec["c"],
-                x=np.array(rec["x"], dtype=float),
-                y=np.array(rec["y"], dtype=float),
-                p=DualPoint(np.array(rec["lam"], dtype=float), np.array(rec["mu"], dtype=float)),
-                w=np.array(rec["w"], dtype=float),
-                u=np.array(rec["u"], dtype=float),
-                delta_p=np.array(rec["delta_p"], dtype=float),
-                criterion=crit, kkt=kkt,
+                x=vec["x"][i], y=vec["y"][i], p=DualPoint(vec["lam"][i], vec["mu"][i]),
+                w=vec["w"][i], u=vec["u"][i], delta_p=vec["delta_p"][i],
+                criterion=_from_fields(rec, "criterion", CriterionReport, parent),
+                kkt=_from_fields(rec, "kkt", KktResidual, parent),
                 inner_iters=rec["inner_iters"], backtracks=rec["backtracks"],
                 f_val=rec["f_val"], auglag_val=rec["auglag_val"],
             ))
-        return cls(records=records, status=doc["status"], config=doc["config"],
-                   failure=doc.get("failure", ""))
+        return cls(records=out, status=status, config=config, failure=doc.get("failure", ""))
+
+
+# scalar fields of a trace record: (key, accepted types, what the error expects)
+_RECORD_SCALARS = (
+    ("k", int, "an integer"), ("inner_iters", int, "an integer"), ("backtracks", int, "an integer"),
+    ("c", (int, float), "a number"), ("f_val", (int, float), "a number"),
+    ("auglag_val", (int, float), "a number"),
+)
+
+
+def _typed(doc, key, kinds, kind, parent=None):
+    """doc[key] when it is an instance of kinds (never a bool)."""
+    v = doc.get(key)
+    if isinstance(v, kinds) and not isinstance(v, bool):
+        return v
+    name = f"{parent}.{key}" if parent else key
+    raise ProblemFormatError(name, "missing" if key not in doc else f"expected {kind}, got {v!r}")
+
+
+def _stacked(records, key, size):
+    """records[i][key] for every i as one finite len(records) x size array.
+
+    One conversion covers every record; the per-record pass that names the
+    offending entry runs only when that conversion fails a check.
+    """
+    try:
+        a = np.array([rec[key] for rec in records], dtype=float)
+        if a.shape == (len(records), size) and np.isfinite(a).all():
+            return a
+    except (KeyError, TypeError, ValueError):
+        pass
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict):
+            raise ProblemFormatError(f"records[{i}]", "expected an object")
+        name, v = _get_array(rec, key, "a numeric vector", f"records[{i}]")
+        if v.shape != (size,):
+            raise ProblemFormatError(name, f"expected length {size}, got shape {v.shape}")
+    # only an empty record list gets here: any other failure names a record above
+    return np.empty((0, size))
+
+
+def _from_fields(doc, key, data_cls, parent):
+    """data_cls built from the object doc[key], which passes data_cls's own checks."""
+    try:
+        return data_cls(**doc[key])
+    except (KeyError, TypeError, ValueError):
+        fields = ", ".join(data_cls.__dataclass_fields__)
+        raise ProblemFormatError(f"{parent}.{key}", f"expected an object with fields {fields}") from None
 
 
 def _fmt(v: float) -> str:

@@ -18,7 +18,7 @@ multiplier update and the recorded L_c value need no second evaluation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .problem import ConvexProgram, DualPoint, QuadraticObjective, as_vector
 
 # backtracks per line search before the step is declared a failure
 _MAX_BACKTRACKS = 60
+# Armijo line search: step shrink factor and sufficient-decrease constant
+_ARMIJO_FACTOR = 0.5
+_ARMIJO_DECREASE = 1e-4
 # gradient norm at which an exact-mode solve stops
 _EXACT_TOL = 1e-12
 # candidates whose certificate is at the floating-point floor of the
@@ -39,23 +42,15 @@ _SNAP_TOL = 1e-13
 
 @dataclass
 class InnerOptions:
-    """Tunables for the subproblem solver, exposed through the CLI."""
+    """Subproblem solver settings, exposed through the CLI."""
 
     max_inner: int = 10000
-    armijo_factor: float = 0.5
-    armijo_decrease: float = 1e-4
     exact: bool = False
-    track_values: bool = False
 
     def __post_init__(self):
-        # each message leads with the field name, which the CLI maps to its flag
-        for name, ok, rule in (
-            ("max_inner", self.max_inner >= 0, ">= 0"),
-            ("armijo_factor", 0.0 < self.armijo_factor < 1.0, "in (0, 1)"),
-            ("armijo_decrease", 0.0 < self.armijo_decrease < 1.0, "in (0, 1)"),
-        ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+        # the message leads with the field name, which the CLI maps to its flag
+        if not self.max_inner >= 0:
+            raise ValueError(f"max_inner must be >= 0, got {self.max_inner!r}")
 
 
 @dataclass
@@ -67,7 +62,8 @@ class SubproblemResult:
     backtracks: int
     # the evaluation of L_c(x, p_prev) at the accepted x
     lc: AugLagEval = None
-    values: list = None
+    # L_c at each inner iterate, the start point first; empty in exact mode
+    values: list = field(default_factory=list)
 
 
 _EPS = float(np.finfo(float).eps)
@@ -149,7 +145,7 @@ def solve_subproblem(
     if not np.isfinite(cur.smooth_grad).all():
         raise NonFiniteError("non-finite gradient at the initial point")
     backtracks = 0
-    values = [cur.value] if opts.track_values else None
+    values = [cur.value]
     prev_dx = prev_dgrad = None
     # best candidate so far, kept for the stall escape below
     best_norm, best_state, last_improve = math.inf, None, 0
@@ -157,7 +153,7 @@ def solve_subproblem(
 
     for i in range(opts.max_inner + 1):
         t_try = _trial_step(prev_dx, prev_dgrad, t, t0)
-        x_next, y, nxt, t, bt = _line_search(prog, p_prev, c, x, cur, t_try, t_safe, opts)
+        x_next, y, nxt, t, bt = _line_search(prog, p_prev, c, x, cur, t_try, t_safe)
         backtracks += bt
         y_norm = float(np.linalg.norm(y))
         if y_norm <= snap_at:
@@ -186,8 +182,7 @@ def solve_subproblem(
         prev_dx = x_next - x
         prev_dgrad = nxt.smooth_grad - cur.smooth_grad
         x, cur = x_next, nxt
-        if values is not None:
-            values.append(cur.value)
+        values.append(cur.value)
     raise MaxInnerIterationsError(
         f"criterion not met within {opts.max_inner} inner iterations "
         f"(c={c:g}, sigma={sigma:g}); the subproblem may be ill-posed"
@@ -206,7 +201,7 @@ def _trial_step(prev_dx, prev_dgrad, t_last, t0):
     return min(max(t_bb, 1e-14), 1e12)
 
 
-def _line_search(prog, p, c, x, cur, t_try, t_safe, opts):
+def _line_search(prog, p, c, x, cur, t_try, t_safe):
     """Armijo backtracking on the composite value along the prox-gradient arc.
 
     ``cur`` is the evaluation of L_c at x. Returns (x_next, y, evaluation at
@@ -221,14 +216,14 @@ def _line_search(prog, p, c, x, cur, t_try, t_safe, opts):
         x_next = prog.nonsmooth.prox(v, t_try) if prog.nonsmooth is not None else v
         nxt = auglag_eval(prog, x_next, p, c)
         if not (np.isfinite(nxt.value) and np.isfinite(nxt.smooth_grad).all()):
-            t_try *= opts.armijo_factor
+            t_try *= _ARMIJO_FACTOR
             continue
         dx = x_next - x
         certified = t_safe is not None and t_try <= t_safe
-        if certified or nxt.value <= cur.value - (opts.armijo_decrease / t_try) * float(dx @ dx) + slack:
+        if certified or nxt.value <= cur.value - (_ARMIJO_DECREASE / t_try) * float(dx @ dx) + slack:
             y = nxt.smooth_grad + (v - x_next) / t_try
             return x_next, y, nxt, t_try, bt
-        t_try *= opts.armijo_factor
+        t_try *= _ARMIJO_FACTOR
     raise NonFiniteError(
         "line search failed to find a finite decreasing step; "
         "the subproblem value may be unbounded below"

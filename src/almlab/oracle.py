@@ -352,22 +352,18 @@ class ErrorBoundEstimate:
 
     kappa_hat: float
     epsilon_used: float
-    mode: str
-    sample_count: int
 
 
-def estimate_kappa(history: RunHistory, oracle: SolutionSetOracle, tail_fraction: float = 0.25) -> ErrorBoundEstimate:
-    """Estimate kappa from the trailing iterations of a run.
+def estimate_kappa(history: RunHistory, oracle: SolutionSetOracle) -> ErrorBoundEstimate:
+    """Estimate kappa from the last ceil(N/4) of a run's N iterations.
 
     Iterations with ||(y, u)|| < 1e-13 are skipped (roundoff dominates);
     raises :class:`NoValidSamplesError` when nothing remains.
     """
-    if not 0.0 < tail_fraction <= 1.0:
-        raise ValueError("tail_fraction must lie in (0, 1]")
     records = history.records
     if not records:
         raise NoValidSamplesError("empty run history")
-    count = max(1, math.ceil(tail_fraction * len(records)))
+    count = max(1, math.ceil(0.25 * len(records)))
     ratios = []
     eps_used = 0.0
     for rec in records[-count:]:
@@ -379,9 +375,4 @@ def estimate_kappa(history: RunHistory, oracle: SolutionSetOracle, tail_fraction
         eps_used = max(eps_used, resid)
     if not ratios:
         raise NoValidSamplesError("all tail iterations have negligible residual")
-    return ErrorBoundEstimate(
-        kappa_hat=float(max(ratios)),
-        epsilon_used=eps_used,
-        mode="empirical",
-        sample_count=len(ratios),
-    )
+    return ErrorBoundEstimate(kappa_hat=float(max(ratios)), epsilon_used=eps_used)

@@ -364,15 +364,6 @@ class KktResidual:
         return dict(vars(self))
 
 
-def lagrangian_value(prog: ConvexProgram, x, p: DualPoint) -> float:
-    """f(x) + <lam, h(x)> + <mu, g(x)>, or -inf when some mu_i < 0."""
-    x = as_vector(x, prog.n)
-    if (p.mu < 0).any():
-        return -math.inf
-    h, g = prog.eval_h(x), prog.eval_g(x)
-    return prog.f_value(x) + float(p.lam @ h) + float(p.mu @ g)
-
-
 def lagrangian_grad(prog: ConvexProgram, x, p: DualPoint):
     """Gradient in x of s(x) + <lam, h(x)> + <mu, g(x)>, the smooth part of
     the ordinary Lagrangian."""

@@ -72,6 +72,8 @@ class RateSummary:
 class RateReport:
     rows: list
     summary: RateSummary
+    # the superlinear-trend probe's outcome, when one was run
+    probe: dict = None
 
     def to_csv(self, path):
         with open(path, "w", newline="\n") as fh:
@@ -85,6 +87,8 @@ class RateReport:
 
     def to_json(self, path=None):
         doc = {"summary": self.summary.as_dict(), "rows": [vars(r) for r in self.rows]}
+        if self.probe is not None:
+            doc["probe"] = self.probe
         if path is not None:
             with open(path, "w") as fh:
                 json.dump(doc, fh, indent=1, default=_json_default)

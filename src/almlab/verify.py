@@ -234,12 +234,11 @@ def _check_oracle_kkt(ctx, tol=1e-10):
 
 def _check_descent(ctx):
     """Subproblem values are nonincreasing along the inner iterations."""
-    opts = InnerOptions(track_values=True)
     sample = ctx.problems[:4] + [p for p in ctx.problems if not p.is_smooth][:2]
     for prog in sample:
         p0 = DualPoint.zeros(prog.m1, prog.m2)
-        res = solve_subproblem(prog, p0, 10.0, VERIFY_SIGMA, np.zeros(prog.n), np.zeros(prog.n), opts)
-        vals = res.values or []
+        res = solve_subproblem(prog, p0, 10.0, VERIFY_SIGMA, np.zeros(prog.n), np.zeros(prog.n))
+        vals = res.values
         for a, b in zip(vals, vals[1:]):
             if b > a + 1e-12 * (1.0 + abs(a)):
                 yield Failure("descent", prog.name, f"value rose from {a:.6e} to {b:.6e}")

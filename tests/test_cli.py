@@ -123,10 +123,7 @@ class TestSolveCommand:
         assert summary["config"]["schedule"]["c_max"] == float("inf")
 
     @pytest.mark.parametrize("flag, value", [
-        ("--armijo-factor", "nan"),
-        ("--armijo-factor", "2"),
         ("--max-inner", "-1"),
-        ("--armijo-decrease", "nan"),
         ("--cmax", "nan"),
     ])
     def test_invalid_solver_flag_rejected(self, tmp_path, capsys, flag, value):
@@ -177,8 +174,8 @@ class TestRatesCommand:
         return tmp_path / "reference1d__sigma0__fixed.trace.json"
 
     def test_reference_report(self, trace, tmp_path):
-        code = main(["rates", "--trace", str(trace), "--with-oracle",
-                     "--generator", "reference1d", "--out", str(tmp_path)])
+        code = main(["rates", "--trace", str(trace), "--generator", "reference1d",
+                     "--out", str(tmp_path)])
         assert code == 0
         rows = (tmp_path / "reference1d__sigma0__fixed.rates.csv").read_text().splitlines()
         # rho_hat column constant 1/3 away from the distance noise floor
@@ -188,27 +185,44 @@ class TestRatesCommand:
 
     def test_missing_trace(self, tmp_path):
         code = main(["rates", "--trace", str(tmp_path / "missing.trace.json"),
-                     "--with-oracle", "--generator", "reference1d"])
+                     "--generator", "reference1d"])
         assert code == 1
 
     def test_oracle_mismatch(self, trace, tmp_path):
-        code = main(["rates", "--trace", str(trace), "--with-oracle",
-                     "--generator", "sc_qp", "--seed", "0", "--out", str(tmp_path)])
+        code = main(["rates", "--trace", str(trace), "--generator", "sc_qp", "--seed", "0",
+                     "--out", str(tmp_path)])
         assert code == 4
 
-    def test_no_oracle_source(self, trace):
-        assert main(["rates", "--trace", str(trace)]) == 1
-
-    def test_with_oracle_needs_a_problem(self, trace, tmp_path, capsys):
-        code = main(["rates", "--trace", str(trace), "--with-oracle", "--out", str(tmp_path)])
-        assert code == 1
-        assert "one of --problem or --generator is required" in capsys.readouterr().err
+    def test_no_oracle_source(self, trace, tmp_path, capsys):
+        assert main(["rates", "--trace", str(trace), "--out", str(tmp_path)]) == 1
+        assert "one of --oracle, --problem or --generator is required" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.rates.*"))
 
-    def test_with_oracle_rejects_nan_problem(self, trace, tmp_path, capfd):
+    def test_problem_file_gives_the_oracle(self, trace, tmp_path):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"generator": {"family": "reference1d"}}))
+        code = main(["rates", "--trace", str(trace), "--problem", str(path),
+                     "--out", str(tmp_path)])
+        assert code == 0
+        assert (tmp_path / "reference1d__sigma0__fixed.rates.json").exists()
+
+    def test_oracle_file_and_problem_together_rejected(self, trace, tmp_path, capsys):
+        from almlab import GeneratorSpec, generate, solve_qp_exact
+
+        oracle_path = tmp_path / "oracle.json"
+        solve_qp_exact(generate(GeneratorSpec("reference1d"))).to_json(oracle_path)
+        problem_path = tmp_path / "problem.json"
+        problem_path.write_text(json.dumps({"generator": {"family": "reference1d"}}))
+        code = main(["rates", "--trace", str(trace), "--oracle", str(oracle_path),
+                     "--problem", str(problem_path), "--out", str(tmp_path)])
+        assert code == 1
+        assert "not both" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.rates.*"))
+
+    def test_problem_oracle_rejects_nan_problem(self, trace, tmp_path, capfd):
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(NAN_Q_DOC))
-        code = main(["rates", "--trace", str(trace), "--with-oracle", "--problem", str(path),
+        code = main(["rates", "--trace", str(trace), "--problem", str(path),
                      "--out", str(tmp_path)])
         assert code == 1
         out, err = capfd.readouterr()
@@ -249,6 +263,72 @@ class TestRatesCommand:
         assert code == 1
         assert f"field '{field}'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.rates.*"))
+
+
+    @pytest.mark.parametrize("field, edit", [
+        ("config", lambda doc: doc.clear()),
+        ("config.sigma", lambda doc: doc["config"].pop("sigma")),
+        ("config.x0", lambda doc: doc["config"].update(x0="abc")),
+        ("config.schedule", lambda doc: doc["config"].update(schedule="fixed")),
+        ("config.schedule", lambda doc: doc["config"]["schedule"].update(growth="2")),
+        ("records", lambda doc: doc.update(records={})),
+        ("records[3].mu", lambda doc: doc["records"][3].update(mu="abc")),
+        ("records[2].x", lambda doc: doc["records"][2].update(x=[1.0, 2.0])),
+        ("records[1].lam", lambda doc: doc["records"][1].update(lam=[float("nan")])),
+        ("records[4].u", lambda doc: doc["records"][4].pop("u")),
+        ("records[0].c", lambda doc: doc["records"][0].update(c="2")),
+        ("records[5].k", lambda doc: doc["records"][5].update(k=1.5)),
+        ("records[6].criterion", lambda doc: doc["records"][6].update(criterion={})),
+    ], ids=["empty-object", "missing-sigma", "string-x0", "string-schedule", "string-growth",
+            "records-not-a-list", "string-mu", "x-length", "nan-lam", "missing-u", "string-c",
+            "float-k", "empty-criterion"])
+    def test_malformed_trace_names_the_field(self, trace, tmp_path, capsys, field, edit):
+        doc = json.loads(trace.read_text())
+        edit(doc)
+        bad = tmp_path / "bad.trace.json"
+        bad.write_text(json.dumps(doc))
+        code = main(["rates", "--trace", str(bad), "--generator", "reference1d", "--probe",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}'" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("*.rates.*"))
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["invalid-json", "not-an-object"])
+    def test_unreadable_trace_names_the_document(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.trace.json"
+        bad.write_text(text)
+        code = main(["rates", "--trace", str(bad), "--generator", "reference1d",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        assert "field '<document>'" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.rates.*"))
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--generator", "reference1d", "--bogus", "1"],
+        ["solve", "--sigma", "abc"],
+        ["rates"],
+        ["solve", "--generator", "reference1d", "--armijo-factor", "0.4"],
+        ["rates", "--trace", "run.trace.json", "--with-oracle", "--generator", "reference1d"],
+        ["rates", "--trace", "run.trace.json", "--generator", "reference1d", "--tail", "0.5"],
+        [],
+    ], ids=["unknown-flag", "non-numeric-sigma", "rates-without-trace", "armijo-factor",
+            "with-oracle", "tail", "no-command"])
+    def test_usage_error_exits_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "usage: almlab" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["rates", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage: almlab" in capsys.readouterr().out
 
 
 class TestVerifyCommand:

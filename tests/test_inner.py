@@ -113,8 +113,7 @@ class TestSolveSubproblem:
 
     def test_descent_along_inner_iterations(self, sc_qp7):
         p = DualPoint.zeros(2, 3)
-        res = solve_subproblem(sc_qp7, p, 50.0, 0.1, np.zeros(6), np.full(6, 2.0),
-                               InnerOptions(track_values=True))
+        res = solve_subproblem(sc_qp7, p, 50.0, 0.1, np.zeros(6), np.full(6, 2.0))
         vals = res.values
         assert len(vals) >= 2
         for a, b in zip(vals, vals[1:]):
@@ -136,13 +135,6 @@ class TestInnerOptions:
 
     @pytest.mark.parametrize("field, value", [
         ("max_inner", -1),
-        ("armijo_factor", float("nan")),
-        ("armijo_factor", 0.0),
-        ("armijo_factor", 1.0),
-        ("armijo_factor", 2.0),
-        ("armijo_decrease", float("nan")),
-        ("armijo_decrease", 0.0),
-        ("armijo_decrease", 1.0),
     ])
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} "):
@@ -157,7 +149,7 @@ class TestLineSearchStep:
         cur = auglag_eval(prog, x, p, c)
         curv = inner_mod.smooth_curvature_bound(prog, c)
         t_safe = 1.0 / curv if curv else None
-        return inner_mod._line_search(prog, p, c, x, cur, t, t_safe, InnerOptions())
+        return inner_mod._line_search(prog, p, c, x, cur, t, t_safe)
 
     def test_smooth_certificate_is_gradient(self, sc_qp7):
         p = DualPoint.zeros(2, 3)

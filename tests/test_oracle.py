@@ -183,10 +183,9 @@ class TestEstimateKappa:
         orc = solve_qp_exact(reference1d)
         hist = run(reference1d, PenaltySchedule.fixed(2.0), sigma=0.0,
                    tol=1e-10, max_outer=30, inner=InnerOptions(exact=True))
-        est = estimate_kappa(hist, orc, tail_fraction=0.5)
+        est = estimate_kappa(hist, orc)
         assert est.kappa_hat == pytest.approx(np.sqrt(2.0), rel=1e-6)
         assert est.kappa_hat <= PHI
-        assert est.mode == "empirical"
         assert est.epsilon_used > 0
 
     def test_single_exact_iterate_has_no_samples(self, reference1d):
@@ -226,10 +225,3 @@ class TestEstimateKappa:
             if resid < 1e-13:
                 continue
             assert joint_distance(orc, rec.x, rec.p.as_vector()) <= 2.0 * kappa * resid + 1e-9
-
-    def test_tail_fraction_validation(self, reference1d):
-        orc = solve_qp_exact(reference1d)
-        hist = run(reference1d, PenaltySchedule.fixed(2.0), sigma=0.0,
-                   tol=1e-8, max_outer=30, inner=InnerOptions(exact=True))
-        with pytest.raises(ValueError):
-            estimate_kappa(hist, orc, tail_fraction=0.0)

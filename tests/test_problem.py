@@ -15,7 +15,6 @@ from almlab import (
     QuadraticObjective,
     generate,
     kkt_residual,
-    lagrangian_value,
 )
 from almlab.errors import DimensionMismatchError
 from almlab.problem import lagrangian_grad
@@ -45,23 +44,6 @@ class TestEvalConstraints:
             ineqs=(QuadraticInequality(np.array([[1.0]]), np.zeros(1), -2.0),),
         )
         np.testing.assert_allclose(prog.eval_g(np.array([2.0])), [0.0])
-
-
-class TestLagrangianValue:
-    def test_saddle_point(self, reference1d):
-        val = lagrangian_value(reference1d, np.ones(1), DualPoint(np.array([-1.0]), np.zeros(0)))
-        assert val == pytest.approx(0.5)
-
-    def test_negative_mu_sentinel(self):
-        prog = make_halfspace_qp()
-        val = lagrangian_value(prog, np.zeros(2), DualPoint(np.zeros(0), np.array([-0.5])))
-        assert val == -math.inf
-
-    def test_zero_multipliers(self):
-        prog = make_halfspace_qp()
-        x = np.array([3.0, 4.0])
-        val = lagrangian_value(prog, x, DualPoint(np.zeros(0), np.zeros(1)))
-        assert val == pytest.approx(prog.f_value(x))
 
 
 class TestKktResidual:

@@ -24,7 +24,7 @@ import numpy as np
 from .auglag import CriterionReport, aux_update, multiplier_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
-from .io import _get_array, _get_vector
+from .io import _get_array, _get_int, _get_number, _get_vector
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
 
 CONVERGED = "Converged"
@@ -170,8 +170,9 @@ class RunHistory:
         """Rebuild a history from a trace document or a file path.
 
         Raises :class:`ProblemFormatError` naming the first malformed field,
-        e.g. ``records[3].mu``: every record vector must be finite, with the
-        length that ``config.x0``, ``p0_lam`` and ``p0_mu`` imply.
+        e.g. ``records[3].mu``: every number a trace record holds must be
+        finite, and every record vector must have the length that
+        ``config.x0``, ``p0_lam`` and ``p0_mu`` imply.
         """
         if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
             with open(source) as fh:
@@ -183,51 +184,47 @@ class RunHistory:
             doc = source
         if not isinstance(doc, dict):
             raise ProblemFormatError("<document>", "expected a JSON object")
-        config = _typed(doc, "config", dict, "an object")
-        status = _typed(doc, "status", str, "a string")
-        records = _typed(doc, "records", list, "a list")
-        sigma = _typed(config, "sigma", (int, float), "a number", "config")
+        config = _container(doc, "config", dict, "an object")
+        status = _container(doc, "status", str, "a string")
+        records = _container(doc, "records", list, "a list")
+        sigma = _get_number(config, "sigma", parent="config")
         if not 0.0 <= sigma < 1.0:
             raise ProblemFormatError("config.sigma", f"must lie in [0, 1), got {sigma!r}")
-        _from_fields(config, "schedule", PenaltySchedule, "config")
+        try:
+            PenaltySchedule(**config["schedule"])
+        except (KeyError, TypeError, ValueError):
+            fields = ", ".join(PenaltySchedule.__dataclass_fields__)
+            raise ProblemFormatError("config.schedule", f"expected an object with fields {fields}") from None
         n, m1, m2 = (_get_vector(config, key, parent="config").shape[0]
                      for key in ("x0", "p0_lam", "p0_mu"))
         sizes = {"x": n, "y": n, "lam": m1, "mu": m2, "w": n, "u": m1 + m2, "delta_p": m1 + m2}
         vec = {key: _stacked(records, key, size) for key, size in sizes.items()}
         out = []
-        for i, rec in enumerate(records):
+        for i, rec in enumerate(records):  # _stacked has found every record an object
             parent = f"records[{i}]"
-            for key, kinds, kind in _RECORD_SCALARS:
-                _typed(rec, key, kinds, kind, parent)
-            if not (math.isfinite(rec["c"]) and rec["c"] > 0):
-                raise ProblemFormatError(f"{parent}.c", f"must be positive and finite, got {rec['c']!r}")
+            c = _get_number(rec, "c", parent)
+            if not c > 0:
+                raise ProblemFormatError(f"{parent}.c", f"must be positive, got {c!r}")
             out.append(IterationRecord(
-                k=rec["k"], c=rec["c"],
+                k=_get_int(rec, "k", parent), c=c,
                 x=vec["x"][i], y=vec["y"][i], p=DualPoint(vec["lam"][i], vec["mu"][i]),
                 w=vec["w"][i], u=vec["u"][i], delta_p=vec["delta_p"][i],
-                criterion=_from_fields(rec, "criterion", CriterionReport, parent),
-                kkt=_from_fields(rec, "kkt", KktResidual, parent),
-                inner_iters=rec["inner_iters"], backtracks=rec["backtracks"],
-                f_val=rec["f_val"], auglag_val=rec["auglag_val"],
+                criterion=_record_part(rec, "criterion", CriterionReport, parent),
+                kkt=_record_part(rec, "kkt", KktResidual, parent),
+                inner_iters=_get_int(rec, "inner_iters", parent),
+                backtracks=_get_int(rec, "backtracks", parent),
+                f_val=_get_number(rec, "f_val", parent),
+                auglag_val=_get_number(rec, "auglag_val", parent),
             ))
         return cls(records=out, status=status, config=config, failure=doc.get("failure", ""))
 
 
-# scalar fields of a trace record: (key, accepted types, what the error expects)
-_RECORD_SCALARS = (
-    ("k", int, "an integer"), ("inner_iters", int, "an integer"), ("backtracks", int, "an integer"),
-    ("c", (int, float), "a number"), ("f_val", (int, float), "a number"),
-    ("auglag_val", (int, float), "a number"),
-)
-
-
-def _typed(doc, key, kinds, kind, parent=None):
-    """doc[key] when it is an instance of kinds (never a bool)."""
+def _container(doc, key, kind, what):
+    """doc[key] when it is a kind."""
     v = doc.get(key)
-    if isinstance(v, kinds) and not isinstance(v, bool):
+    if isinstance(v, kind):
         return v
-    name = f"{parent}.{key}" if parent else key
-    raise ProblemFormatError(name, "missing" if key not in doc else f"expected {kind}, got {v!r}")
+    raise ProblemFormatError(key, "missing" if key not in doc else f"expected {what}, got {v!r}")
 
 
 def _stacked(records, key, size):
@@ -252,13 +249,23 @@ def _stacked(records, key, size):
     return np.empty((0, size))
 
 
-def _from_fields(doc, key, data_cls, parent):
-    """data_cls built from the object doc[key], which passes data_cls's own checks."""
-    try:
-        return data_cls(**doc[key])
-    except (KeyError, TypeError, ValueError):
-        fields = ", ".join(data_cls.__dataclass_fields__)
-        raise ProblemFormatError(f"{parent}.{key}", f"expected an object with fields {fields}") from None
+def _record_part(rec, key, data_cls, parent):
+    """data_cls built from the object rec[key]: exactly its fields, the bool
+    ones true or false and every other one a finite number."""
+    name = f"{parent}.{key}"
+    part = rec.get(key)
+    fields = data_cls.__dataclass_fields__
+    if not isinstance(part, dict) or part.keys() != fields.keys():
+        raise ProblemFormatError(name, f"expected an object with fields {', '.join(fields)}")
+    values = {}
+    for field, spec in fields.items():
+        if spec.type not in (bool, "bool"):
+            values[field] = _get_number(part, field, name)
+        elif isinstance(part[field], bool):
+            values[field] = part[field]
+        else:
+            raise ProblemFormatError(f"{name}.{field}", f"expected true or false, got {part[field]!r}")
+    return data_cls(**values)
 
 
 def _fmt(v: float) -> str:

@@ -13,6 +13,7 @@ Generated form: {"generator": {"family": ..., "n": ..., "m1": ..., "m2": ...,
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -111,14 +112,12 @@ def _generator_spec(d) -> GeneratorSpec:
 
 
 def _get_int(doc, field, parent=None):
-    name = f"{parent}.{field}" if parent else field
-    if field not in doc:
-        raise ProblemFormatError(name, "missing")
-    v = doc[field]
+    v = doc.get(field)
     # JSON true/false load as bool, a subclass of int; 1.0 and "1" are not integers
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
-        raise ProblemFormatError(name, f"expected an integer, got {v!r}")
-    return int(v)
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    name = f"{parent}.{field}" if parent else field
+    raise ProblemFormatError(name, "missing" if field not in doc else f"expected an integer, got {v!r}")
 
 
 def _get_array(doc, field, kind, parent=None, allow_inf=False):
@@ -137,6 +136,9 @@ def _get_array(doc, field, kind, parent=None, allow_inf=False):
 
 
 def _get_number(doc, field, parent=None):
+    v = doc.get(field)
+    if type(v) is float and math.isfinite(v):  # what JSON floats load as; skips the array round trip
+        return v
     name, a = _get_array(doc, field, "a number", parent)
     if a.ndim != 0:
         raise ProblemFormatError(name, "expected a number")

@@ -276,12 +276,19 @@ class TestRatesCommand:
         ("records[2].x", lambda doc: doc["records"][2].update(x=[1.0, 2.0])),
         ("records[1].lam", lambda doc: doc["records"][1].update(lam=[float("nan")])),
         ("records[4].u", lambda doc: doc["records"][4].pop("u")),
-        ("records[0].c", lambda doc: doc["records"][0].update(c="2")),
+        ("records[0].c", lambda doc: doc["records"][0].update(c="abc")),
+        ("records[0].c", lambda doc: doc["records"][0].update(c=-1.0)),
         ("records[5].k", lambda doc: doc["records"][5].update(k=1.5)),
+        ("records[2].f_val", lambda doc: doc["records"][2].update(f_val=float("inf"))),
         ("records[6].criterion", lambda doc: doc["records"][6].update(criterion={})),
+        ("records[6].criterion.lhs", lambda doc: doc["records"][6]["criterion"].update(lhs="abc")),
+        ("records[6].criterion.satisfied",
+         lambda doc: doc["records"][6]["criterion"].update(satisfied=1)),
+        ("records[1].kkt.comp", lambda doc: doc["records"][1]["kkt"].update(comp=float("nan"))),
     ], ids=["empty-object", "missing-sigma", "string-x0", "string-schedule", "string-growth",
             "records-not-a-list", "string-mu", "x-length", "nan-lam", "missing-u", "string-c",
-            "float-k", "empty-criterion"])
+            "negative-c", "float-k", "inf-f_val", "empty-criterion", "string-criterion-lhs",
+            "int-satisfied", "nan-kkt"])
     def test_malformed_trace_names_the_field(self, trace, tmp_path, capsys, field, edit):
         doc = json.loads(trace.read_text())
         edit(doc)

@@ -145,6 +145,9 @@ def cmd_solve(args) -> int:
         if not math.isfinite(getattr(args, flag)):
             print(f"error: --{flag} must be finite, got {getattr(args, flag):g}", file=sys.stderr)
             return EXIT_INPUT
+    if args.max_outer < 1:
+        print(f"error: --max-outer must be >= 1, got {args.max_outer}", file=sys.stderr)
+        return EXIT_INPUT
     if math.isnan(args.cmax):
         print("error: --cmax must be a number (<= 0 means no cap), got nan", file=sys.stderr)
         return EXIT_INPUT

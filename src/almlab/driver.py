@@ -24,7 +24,7 @@ import numpy as np
 from .auglag import CriterionReport, aux_update, multiplier_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
-from .io import _get_array, _get_int, _get_number, _get_vector
+from .io import _get_array, _get_int, _get_number, _get_vector, _json_object
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
 
 CONVERGED = "Converged"
@@ -174,16 +174,7 @@ class RunHistory:
         finite, and every record vector must have the length that
         ``config.x0``, ``p0_lam`` and ``p0_mu`` imply.
         """
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            with open(source) as fh:
-                try:
-                    doc = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ProblemFormatError("<document>", f"invalid JSON: {exc}") from exc
-        else:
-            doc = source
-        if not isinstance(doc, dict):
-            raise ProblemFormatError("<document>", "expected a JSON object")
+        doc = _json_object(source)
         config = _container(doc, "config", dict, "an object")
         status = _container(doc, "status", str, "a string")
         records = _container(doc, "records", list, "a list")
@@ -325,7 +316,7 @@ def run(
     tol : float
         Stopping tolerance on max(||(y, u)||, ||h||, ||max(0, g)||).
     max_outer : int
-        Outer iteration cap.
+        Outer iteration cap, at least 1.
     inner : InnerOptions
         Subproblem solver options (exact mode, iteration caps, ...).
 
@@ -337,6 +328,8 @@ def run(
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be >= 1, got {max_outer!r}")
     p = p0 if p0 is not None else DualPoint.zeros(prog.m1, prog.m2)
     if (p.mu < 0).any():
         raise ValueError("initial mu must be nonnegative")

@@ -30,17 +30,26 @@ from .problems import GeneratorSpec, generate
 
 
 def load_problem(path) -> ConvexProgram:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError("<document>", f"invalid JSON: {exc}") from exc
-    return problem_from_dict(doc)
+    return problem_from_dict(_json_object(path))
+
+
+def _json_object(source) -> dict:
+    """The JSON object in the file at path source, or source itself when it
+    is already a document; anything else raises a ProblemFormatError
+    naming '<document>'."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source) as fh:
+            try:
+                source = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise ProblemFormatError("<document>", f"invalid JSON: {exc}") from exc
+    if not isinstance(source, dict):
+        raise ProblemFormatError("<document>", "expected a JSON object")
+    return source
 
 
 def problem_from_dict(doc) -> ConvexProgram:
-    if not isinstance(doc, dict):
-        raise ProblemFormatError("<document>", "expected a JSON object")
+    doc = _json_object(doc)
     if "generator" in doc:
         return generate(_generator_spec(doc["generator"]))
     n = _get_int(doc, "n")

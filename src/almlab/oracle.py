@@ -31,7 +31,7 @@ from .errors import (
     ProblemFormatError,
     UnboundedError,
 )
-from .io import _get_matrix, _get_vector
+from .io import _get_matrix, _get_vector, _json_object
 from .problem import ConvexProgram, as_vector
 
 _ENUM_CAP = 20
@@ -218,13 +218,7 @@ class SolutionSetOracle:
     def from_json(cls, source) -> "SolutionSetOracle":
         """Read to_json's document, from a path or as a dict; every field is
         checked, and a malformed one raises :class:`ProblemFormatError`."""
-        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            with open(source) as fh:
-                doc = json.load(fh)
-        else:
-            doc = source
-        if not isinstance(doc, dict):
-            raise ProblemFormatError("<document>", "expected a JSON object")
+        doc = _json_object(source)
         point = _get_vector(doc, "primal_point")
         basis = _get_matrix(doc, "primal_basis", point.size, None)
         if "dual" not in doc:

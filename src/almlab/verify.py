@@ -1,9 +1,12 @@
 """Named invariant suites run over the standard problem corpus.
 
-Each check inspects generated problems, recorded runs, or oracle solutions
-and yields failure records; ``run_verification`` executes a selection and
-returns everything that failed. The CLI wraps this with a machine-readable
-report.
+Seven checks are functions of (program, trace) that return the message for
+the first failing record, or None; ``_over_corpus`` runs each on every
+corpus run. Criterion identity also recomputes delta_p and both sides of
+the criterion from the recorded iterates. The other five checks inspect
+generated problems, oracle solutions or fresh solves and yield failures
+themselves. ``run_verification`` executes a selection and returns
+everything that failed. The CLI wraps this with a machine-readable report.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auglag import auglag_eval
+from .auglag import auglag_eval, criterion_eval, multiplier_update
 from .driver import CONVERGED, PenaltySchedule, run
 from .inner import InnerOptions, solve_subproblem
 from .oracle import project_dual, solve_qp_exact
@@ -101,117 +104,119 @@ def _check_convexity(ctx, triples=100, slack=1e-10):
                     break
 
 
-def _check_criterion_identity(ctx, rel_tol=1e-10):
-    """c^2 (||h||^2 + ||min(mu_prev/c, -g)||^2) equals ||p_prev - p_new||^2."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        for rec in hist.records:
-            a, b = rec.criterion.rhs_raw, rec.criterion.rhs_rewritten
-            if abs(a - b) > rel_tol * max(abs(a), abs(b), 1e-300):
-                yield Failure("criterion-identity", prog.name,
-                              f"k={rec.k}: raw {a:.17g} vs rewritten {b:.17g}")
-                break
+def _walk(hist):
+    """(p_prev, w_prev, record) for every record, starting from the
+    initial point the config echoes."""
+    p_prev = DualPoint(np.array(hist.config["p0_lam"]), np.array(hist.config["p0_mu"]))
+    w_prev = np.array(hist.config["w0"])
+    for rec in hist.records:
+        yield p_prev, w_prev, rec
+        p_prev, w_prev = rec.p, rec.w
 
 
-def _check_yp2(ctx, slack=1e-12):
+def _far(a, b, rel_tol):
+    """Some entry of a - b exceeds rel_tol times the larger of |a|, |b|."""
+    return bool((np.abs(a - b) > rel_tol * np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)).any())
+
+
+def _criterion_identity(prog, hist, rel_tol=1e-10):
+    """c^2 (||h||^2 + ||min(mu_prev/c, -g)||^2) equals ||p_prev - p_new||^2,
+    and delta_p and the criterion recompute from the recorded x, y, c and
+    the previous state."""
+    sigma = hist.config["sigma"]
+    for p_prev, w_prev, rec in _walk(hist):
+        crit = rec.criterion
+        if _far(crit.rhs_raw, crit.rhs_rewritten, rel_tol):
+            return f"k={rec.k}: raw {crit.rhs_raw:.17g} vs rewritten {crit.rhs_rewritten:.17g}"
+        ev = auglag_eval(prog, rec.x, p_prev, rec.c)
+        _, delta_p = multiplier_update(p_prev, rec.c, ev.h, ev.g)
+        ref = criterion_eval(rec.c, sigma, w_prev, rec.x, rec.y, ev.h, ev.g, p_prev.mu, delta_p)
+        recomputed = {"delta_p": delta_p, **ref.as_dict()}
+        for field, value in {"delta_p": rec.delta_p, **crit.as_dict()}.items():
+            if _far(value, recomputed[field], rel_tol):
+                return f"k={rec.k}: recorded {field} differs from its recomputation"
+
+
+def _yp2(prog, hist, slack=1e-12):
     """||y|| <= sqrt(sigma)/c * ||p_prev - p_new|| at every accepted iterate."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        sigma = hist.config["sigma"]
-        for rec in hist.records:
-            lhs = float(np.linalg.norm(rec.y))
-            rhs = math.sqrt(sigma) / rec.c * float(np.linalg.norm(rec.delta_p))
-            if lhs > rhs + slack:
-                yield Failure("yp2", prog.name, f"k={rec.k}: ||y||={lhs:.3e} > {rhs:.3e}")
-                break
+    sigma = hist.config["sigma"]
+    for rec in hist.records:
+        lhs = float(np.linalg.norm(rec.y))
+        rhs = math.sqrt(sigma) / rec.c * float(np.linalg.norm(rec.delta_p))
+        if lhs > rhs + slack:
+            return f"k={rec.k}: ||y||={lhs:.3e} > {rhs:.3e}"
 
 
-def _check_subgradient_transfer(ctx, tol=1e-9):
+def _subgradient_transfer(prog, hist, tol=1e-9):
     """For smooth problems, y equals the Lagrangian gradient at the updated
     multipliers (the identity putting (y, u) in the joint subdifferential)."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        if not prog.is_smooth:
-            continue
-        for rec in hist.records:
-            gap = float(np.linalg.norm(rec.y - lagrangian_grad(prog, rec.x, rec.p)))
-            if gap > tol:
-                yield Failure("subgradient-transfer", prog.name, f"k={rec.k}: gap {gap:.3e}")
-                break
+    if not prog.is_smooth:
+        return None
+    for rec in hist.records:
+        gap = float(np.linalg.norm(rec.y - lagrangian_grad(prog, rec.x, rec.p)))
+        if gap > tol:
+            return f"k={rec.k}: gap {gap:.3e}"
 
 
-def _check_certificate_validity(ctx, tol=1e-10):
+def _certificate_validity(prog, hist, tol=1e-10):
     """y matches the smooth gradient of L_c at (x, p_prev) for smooth
     problems; for composite ones the prox residual lies in the
     subdifferential of the nonsmooth part."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        p_prev = DualPoint(
-            np.array(hist.config["p0_lam"]), np.array(hist.config["p0_mu"])
-        )
-        for rec in hist.records:
-            ev = auglag_eval(prog, rec.x, p_prev, rec.c)
-            if prog.is_smooth:
-                gap = float(np.linalg.norm(rec.y - ev.smooth_grad))
-                # a declared-exact certificate (y = 0) may sit at the
-                # evaluation noise floor rather than at exact zero
-                limit = tol if rec.y.any() else 1e-9
-                if gap > limit:
-                    yield Failure("certificate-validity", prog.name,
-                                  f"k={rec.k}: smooth gap {gap:.3e}")
-                    break
-            else:
-                resid = rec.y - ev.smooth_grad
-                if not prog.nonsmooth.contains_subgradient(rec.x, resid, tol=1e-8):
-                    yield Failure("certificate-validity", prog.name,
-                                  f"k={rec.k}: prox residual outside the subdifferential")
-                    break
-            p_prev = rec.p
+    for p_prev, _, rec in _walk(hist):
+        ev = auglag_eval(prog, rec.x, p_prev, rec.c)
+        if prog.is_smooth:
+            gap = float(np.linalg.norm(rec.y - ev.smooth_grad))
+            # a declared-exact certificate (y = 0) may sit at the
+            # evaluation noise floor rather than at exact zero
+            if gap > (tol if rec.y.any() else 1e-9):
+                return f"k={rec.k}: smooth gap {gap:.3e}"
+        elif not prog.nonsmooth.contains_subgradient(rec.x, rec.y - ev.smooth_grad, tol=1e-8):
+            return f"k={rec.k}: prox residual outside the subdifferential"
 
 
-def _check_step2_exactness(ctx, tol=1e-14):
+def _step2_exactness(prog, hist, tol=1e-14):
     """Multiplier and auxiliary updates reproduce from the recorded state."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        p_prev = DualPoint(np.array(hist.config["p0_lam"]), np.array(hist.config["p0_mu"]))
-        w_prev = np.array(hist.config["w0"])
-        for rec in hist.records:
-            h = prog.eval_h(rec.x)
-            g = prog.eval_g(rec.x)
-            scale = 1.0 + float(np.linalg.norm(rec.p.as_vector()))
-            lam_gap = np.linalg.norm(rec.p.lam - (p_prev.lam + rec.c * h))
-            mu_gap = np.linalg.norm(rec.p.mu - np.maximum(0.0, p_prev.mu + rec.c * g))
-            w_gap = np.linalg.norm(rec.w - (w_prev - rec.c * rec.y))
-            u_gap = np.linalg.norm(rec.u * rec.c + rec.p.as_vector() - p_prev.as_vector())
-            if max(lam_gap, mu_gap, w_gap, u_gap) > tol * rec.c * scale:
-                yield Failure("step2-exactness", prog.name,
-                              f"k={rec.k}: update gaps ({lam_gap:.2e},{mu_gap:.2e},{w_gap:.2e},{u_gap:.2e})")
-                break
-            p_prev, w_prev = rec.p, rec.w
+    for p_prev, w_prev, rec in _walk(hist):
+        h, g = prog.eval_h(rec.x), prog.eval_g(rec.x)
+        scale = 1.0 + float(np.linalg.norm(rec.p.as_vector()))
+        lam_gap = np.linalg.norm(rec.p.lam - (p_prev.lam + rec.c * h))
+        mu_gap = np.linalg.norm(rec.p.mu - np.maximum(0.0, p_prev.mu + rec.c * g))
+        w_gap = np.linalg.norm(rec.w - (w_prev - rec.c * rec.y))
+        u_gap = np.linalg.norm(rec.u * rec.c + rec.p.as_vector() - p_prev.as_vector())
+        if max(lam_gap, mu_gap, w_gap, u_gap) > tol * rec.c * scale:
+            return f"k={rec.k}: update gaps ({lam_gap:.2e},{mu_gap:.2e},{w_gap:.2e},{u_gap:.2e})"
 
 
-def _check_vanishing_residuals(ctx):
+def _vanishing_residuals(prog, hist):
     """Converged runs end with ||u|| and ||y|| at or below the tolerance."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        if hist.status != CONVERGED:
-            yield Failure("vanishing-residuals", prog.name, f"status {hist.status}")
-            continue
-        rec = hist.final()
-        tol = hist.config["tol"]
-        ny, nu = float(np.linalg.norm(rec.y)), float(np.linalg.norm(rec.u))
-        if max(ny, nu) > tol:
-            yield Failure("vanishing-residuals", prog.name,
-                          f"final ||y||={ny:.3e}, ||u||={nu:.3e} above tol {tol:g}")
+    if hist.status != CONVERGED:
+        return f"status {hist.status}"
+    rec, tol = hist.final(), hist.config["tol"]
+    ny, nu = float(np.linalg.norm(rec.y)), float(np.linalg.norm(rec.u))
+    if max(ny, nu) > tol:
+        return f"final ||y||={ny:.3e}, ||u||={nu:.3e} above tol {tol:g}"
 
 
-def _check_dual_convergence(ctx, slack=1e-12):
+def _dual_convergence(prog, hist, slack=1e-12):
     """||p_k - p_N|| decreases monotonically over the final quartile."""
-    for prog, hist in zip(ctx.problems, ctx.runs):
-        if hist.status != CONVERGED or len(hist.records) < 8:
-            continue
-        p_final = hist.final().p.as_vector()
-        dists = [float(np.linalg.norm(r.p.as_vector() - p_final)) for r in hist.records]
-        tail = dists[len(dists) - max(2, len(dists) // 4):-1]
-        for a, b in zip(tail, tail[1:]):
-            if b > a + slack * (1.0 + a):
-                yield Failure("dual-convergence", prog.name,
-                              f"tail distance rose from {a:.3e} to {b:.3e}")
-                break
+    if hist.status != CONVERGED or len(hist.records) < 8:
+        return None
+    p_final = hist.final().p.as_vector()
+    dists = [float(np.linalg.norm(r.p.as_vector() - p_final)) for r in hist.records]
+    tail = dists[len(dists) - max(2, len(dists) // 4):-1]
+    for a, b in zip(tail, tail[1:]):
+        if b > a + slack * (1.0 + a):
+            return f"tail distance rose from {a:.3e} to {b:.3e}"
+
+
+def _over_corpus(name, check):
+    """The CHECKS entry running a trace check on every corpus run."""
+    def over_corpus(ctx):
+        for prog, hist in zip(ctx.problems, ctx.runs):
+            message = check(prog, hist)
+            if message is not None:
+                yield Failure(name, prog.name, message)
+    return over_corpus
 
 
 def _check_oracle_kkt(ctx, tol=1e-10):
@@ -249,11 +254,9 @@ def _closed_form_dual_step(prog, lam, c):
     """One proximal step on the dual of an equality-constrained QP."""
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
-    Qinv_AT = np.linalg.solve(Q, A.T)
-    M = A @ Qinv_AT
+    M = A @ np.linalg.solve(Q, A.T)
     v = -(A @ np.linalg.solve(Q, q) + b)
-    m = M.shape[0]
-    return np.linalg.solve(c * M + np.eye(m), c * v + lam)
+    return np.linalg.solve(c * M + np.eye(M.shape[0]), c * v + lam)
 
 
 def _check_ppa_equivalence(ctx, tol=1e-9, iters=8, c=10.0):
@@ -276,13 +279,13 @@ def _check_ppa_equivalence(ctx, tol=1e-9, iters=8, c=10.0):
 CHECKS = {
     "gradient-consistency": _check_gradient_consistency,
     "convexity": _check_convexity,
-    "criterion-identity": _check_criterion_identity,
-    "yp2": _check_yp2,
-    "subgradient-transfer": _check_subgradient_transfer,
-    "certificate-validity": _check_certificate_validity,
-    "step2-exactness": _check_step2_exactness,
-    "vanishing-residuals": _check_vanishing_residuals,
-    "dual-convergence": _check_dual_convergence,
+    "criterion-identity": _over_corpus("criterion-identity", _criterion_identity),
+    "yp2": _over_corpus("yp2", _yp2),
+    "subgradient-transfer": _over_corpus("subgradient-transfer", _subgradient_transfer),
+    "certificate-validity": _over_corpus("certificate-validity", _certificate_validity),
+    "step2-exactness": _over_corpus("step2-exactness", _step2_exactness),
+    "vanishing-residuals": _over_corpus("vanishing-residuals", _vanishing_residuals),
+    "dual-convergence": _over_corpus("dual-convergence", _dual_convergence),
     "oracle-kkt": _check_oracle_kkt,
     "descent": _check_descent,
     "ppa-equivalence": _check_ppa_equivalence,
@@ -291,15 +294,8 @@ CHECKS = {
 
 def run_verification(problems=None, only=None):
     """Run the selected invariant checks; returns the list of failures."""
-    if only:
-        unknown = [name for name in only if name not in CHECKS]
-        if unknown:
-            raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(sorted(CHECKS))})")
-        names = [name for name in CHECKS if name in only]
-    else:
-        names = list(CHECKS)
+    unknown = [name for name in only or () if name not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown checks: {', '.join(unknown)} (known: {', '.join(sorted(CHECKS))})")
     ctx = VerifyContext(problems)
-    failures = []
-    for name in names:
-        failures.extend(CHECKS[name](ctx))
-    return failures
+    return [failure for name in CHECKS if not only or name in only for failure in CHECKS[name](ctx)]

@@ -125,6 +125,8 @@ class TestSolveCommand:
     @pytest.mark.parametrize("flag, value", [
         ("--max-inner", "-1"),
         ("--cmax", "nan"),
+        ("--max-outer", "-3"),
+        ("--max-outer", "0"),
     ])
     def test_invalid_solver_flag_rejected(self, tmp_path, capsys, flag, value):
         code = main([
@@ -302,12 +304,16 @@ class TestRatesCommand:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("*.rates.*"))
 
-    @pytest.mark.parametrize("text", ["{", "[1, 2]"], ids=["invalid-json", "not-an-object"])
-    def test_unreadable_trace_names_the_document(self, tmp_path, capsys, text):
-        bad = tmp_path / "bad.trace.json"
+    @pytest.mark.parametrize("unreadable, text", [
+        ("trace", "{"), ("trace", "[1, 2]"), ("oracle", "{bad"), ("oracle", "[1, 2]"),
+    ], ids=["invalid-json", "not-an-object", "oracle-invalid-json", "oracle-not-an-object"])
+    def test_unreadable_trace_names_the_document(self, trace, tmp_path, capsys, unreadable, text):
+        bad = tmp_path / "bad.json"
         bad.write_text(text)
-        code = main(["rates", "--trace", str(bad), "--generator", "reference1d",
-                     "--out", str(tmp_path)])
+        source = ["--trace", str(bad), "--generator", "reference1d"]
+        if unreadable == "oracle":
+            source = ["--trace", str(trace), "--oracle", str(bad)]
+        code = main(["rates", *source, "--out", str(tmp_path)])
         assert code == 1
         assert "field '<document>'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.rates.*"))

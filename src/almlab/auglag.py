@@ -39,28 +39,47 @@ class AugLagEval:
 
 def auglag_eval(prog: ConvexProgram, x, p: DualPoint, c: float) -> AugLagEval:
     """Evaluate L_c(x, p), nonsmooth term included, and the gradient of its
-    smooth part. This is the one evaluation of L_c: the inner solver, the
-    driver and the checks all read it."""
+    smooth part: ``lc_evaluator(prog, p, c)`` at one checked x."""
     if c <= 0:
         raise ValueError("penalty parameter c must be positive")
-    x = as_vector(x, prog.n)
-    h = prog.eval_h(x)
-    g = prog.eval_g(x)
-    shifted = np.maximum(0.0, p.mu + c * g)
-    value = (
-        prog.smooth.value(x)
-        + float(p.lam @ h)
-        + 0.5 * c * float(h @ h)
-        + (float(shifted @ shifted) - float(p.mu @ p.mu)) / (2.0 * c)
-    )
-    if prog.nonsmooth is not None:
-        value += prog.nonsmooth.value(x)
-    grad = prog.smooth.grad(x)
-    if prog.m1:
-        grad = grad + prog.eq_matrix().T @ (p.lam + c * h)
-    if prog.m2:
-        grad = grad + prog.grad_g(x) @ shifted
-    return AugLagEval(value=value, smooth_grad=grad, shifted_mu=shifted, h=h, g=g)
+    return lc_evaluator(prog, p, c)(as_vector(x, prog.n))
+
+
+def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
+    """The map x -> AugLagEval of L_c(x, p) with (prog, p, c) bound, for a
+    float vector x of length prog.n; c > 0 is the caller's to check.
+
+    This is the one formula of L_c: ``auglag_eval``, the inner solver, the
+    driver and the checks all read it. What does not depend on x (||mu||^2,
+    A^T, which blocks exist, the nonsmooth term) is fixed once here, so a
+    subproblem solve binds it once and evaluates it per trial point.
+    """
+    smooth, nonsmooth = prog.smooth, prog.nonsmooth
+    lam, mu = p.lam, p.mu
+    mu_sq = float(mu @ mu)
+    At = prog.eq_matrix().T if prog.m1 else None
+    has_g = bool(prog.m2)
+
+    def evaluate(x) -> AugLagEval:
+        h = prog.eval_h(x)
+        g = prog.eval_g(x)
+        shifted = np.maximum(0.0, mu + c * g)
+        value = (
+            smooth.value(x)
+            + float(lam @ h)
+            + 0.5 * c * float(h @ h)
+            + (float(shifted @ shifted) - mu_sq) / (2.0 * c)
+        )
+        if nonsmooth is not None:
+            value += nonsmooth.value(x)
+        grad = smooth.grad(x)
+        if At is not None:
+            grad = grad + At @ (lam + c * h)
+        if has_g:
+            grad = grad + prog.grad_g(x) @ shifted
+        return AugLagEval(value=value, smooth_grad=grad, shifted_mu=shifted, h=h, g=g)
+
+    return evaluate
 
 
 def multiplier_update(p_prev: DualPoint, c: float, h_val, g_val):
@@ -121,8 +140,17 @@ def criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p) -> Cr
     h_val = np.asarray(h_val, dtype=float)
     delta_p = np.asarray(delta_p, dtype=float)
 
+    lhs, rhs_raw = criterion_sides(c, sigma, w_prev, x, y, h_val, g_val, mu_prev)
+    rhs_rewritten = (sigma / (c * c)) * float(delta_p @ delta_p)
+    return CriterionReport(lhs=lhs, rhs_raw=rhs_raw, rhs_rewritten=rhs_rewritten, satisfied=lhs <= rhs_raw)
+
+
+def criterion_sides(c, sigma, w_prev, x, y, h_val, g_val, mu_prev):
+    """(lhs, rhs_raw) of the relative error criterion for float vectors,
+    unchecked: the two numbers the acceptance test compares. The inner
+    solver tests every candidate with this and builds the full report with
+    ``criterion_eval`` only for the one it accepts."""
     lhs = (2.0 / c) * abs(float((w_prev - x) @ y)) + float(y @ y)
     shifted_min = np.minimum(mu_prev / c, -g_val)
     rhs_raw = sigma * (float(h_val @ h_val) + float(shifted_min @ shifted_min))
-    rhs_rewritten = (sigma / (c * c)) * float(delta_p @ delta_p)
-    return CriterionReport(lhs=lhs, rhs_raw=rhs_raw, rhs_rewritten=rhs_rewritten, satisfied=lhs <= rhs_raw)
+    return lhs, rhs_raw

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .auglag import CriterionReport, aux_update, multiplier_update
+from .auglag import CriterionReport, aux_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
 from .io import _get_array, _get_int, _get_number, _get_vector, _json_object
@@ -362,7 +362,8 @@ def run(
             history.failure = f"iteration {k}: {exc}"
             break
         x, y = sub.x, sub.y
-        p_new, delta_p = multiplier_update(p, c, sub.lc.h, sub.lc.g)
+        # the multiplier step the subproblem solver took to accept x
+        p_new, delta_p = sub.p_new, sub.delta_p
         w = aux_update(w, c, y)
         u = delta_p / c
         kkt = kkt_residual(prog, x, p_new, y)

@@ -11,9 +11,13 @@ lies in the x-subdifferential of L_c at x+, because the second term is a
 subgradient of the nonsmooth part r at x+. For smooth problems the second
 term vanishes identically and y is the exact gradient.
 
-Every value and gradient of L_c comes from ``auglag.auglag_eval``. The
-evaluation at the accepted x is returned as ``SubproblemResult.lc``, so the
-multiplier update and the recorded L_c value need no second evaluation.
+Every value and gradient of L_c comes from ``auglag.lc_evaluator``, bound
+once per subproblem to (prog, p_prev, c). A candidate is tested on the two
+sides of the criterion alone (``auglag.criterion_sides``); the multiplier
+update and the full ``CriterionReport`` are built only for the candidate
+that passes. The result carries them with the evaluation of L_c at the
+accepted x (``SubproblemResult.lc``), so the driver needs no second
+evaluation and no second multiplier update.
 """
 from __future__ import annotations
 
@@ -22,7 +26,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .auglag import AugLagEval, CriterionReport, auglag_eval, criterion_eval, multiplier_update
+from .auglag import (
+    AugLagEval,
+    CriterionReport,
+    auglag_eval,
+    criterion_eval,
+    criterion_sides,
+    lc_evaluator,
+    multiplier_update,
+)
 from .errors import MaxInnerIterationsError, NonFiniteError
 from .problem import ConvexProgram, DualPoint, QuadraticObjective, as_vector
 
@@ -64,6 +76,9 @@ class SubproblemResult:
     lc: AugLagEval = None
     # L_c at each inner iterate, the start point first; empty in exact mode
     values: list = field(default_factory=list)
+    # multiplier_update(p_prev, c, lc.h, lc.g) at the accepted x
+    p_new: DualPoint = None
+    delta_p: np.ndarray = None
 
 
 _EPS = float(np.finfo(float).eps)
@@ -133,6 +148,8 @@ def solve_subproblem(
     if opts.exact:
         return _solve_exact(prog, p_prev, c, sigma, w_prev, x)
 
+    n = prog.n
+    lc_at = lc_evaluator(prog, p_prev, c)
     curv = smooth_curvature_bound(prog, c)
     # steps no longer than 1/curv are certified descent steps for the
     # composite objective and are accepted without a function-value test,
@@ -141,9 +158,9 @@ def solve_subproblem(
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
     snap_at = _certificate_floor(prog, x, p_prev, c)
-    cur = auglag_eval(prog, x, p_prev, c)
+    cur = lc_at(x)
     if not np.isfinite(cur.smooth_grad).all():
-        raise NonFiniteError("non-finite gradient at the initial point")
+        raise NonFiniteError("non-finite gradient at the initial point; no trial step taken, 0 backtracks")
     backtracks = 0
     values = [cur.value]
     prev_dx = prev_dgrad = None
@@ -153,11 +170,11 @@ def solve_subproblem(
 
     for i in range(opts.max_inner + 1):
         t_try = _trial_step(prev_dx, prev_dgrad, t, t0)
-        x_next, y, nxt, t, bt = _line_search(prog, p_prev, c, x, cur, t_try, t_safe)
+        x_next, y, nxt, t, bt = _line_search(lc_at, prog.nonsmooth, x, cur, t_try, t_safe)
         backtracks += bt
-        y_norm = float(np.linalg.norm(y))
+        y_norm = math.sqrt(float(y @ y))
         if y_norm <= snap_at:
-            y = np.zeros(prog.n)
+            y = np.zeros(n)
         lc = nxt
         if y_norm < 0.75 * best_norm:
             best_norm, best_state, last_improve = y_norm, (x_next, nxt), i
@@ -165,19 +182,16 @@ def solve_subproblem(
             # the certificate norm has stopped improving at the solver's own
             # floating-point floor: declare the best candidate an exact solve
             x_next, lc = best_state
-            y = np.zeros(prog.n)
-        _, delta_p = multiplier_update(p_prev, c, lc.h, lc.g)
-        report = criterion_eval(c, sigma, w_prev, x_next, y, lc.h, lc.g, p_prev.mu, delta_p)
-        if report.satisfied:
-            return SubproblemResult(
-                x=x_next, y=y, inner_iters=i, criterion=report,
-                backtracks=backtracks, lc=lc, values=values,
-            )
+            y = np.zeros(n)
+        lhs, rhs_raw = criterion_sides(c, sigma, w_prev, x_next, y, lc.h, lc.g, p_prev.mu)
+        if lhs <= rhs_raw:
+            return _accepted(p_prev, c, sigma, w_prev, x_next, y, lc, i, backtracks, values)
         frozen = frozen + 1 if not (x_next - x).any() else 0
         if frozen >= 400:
             raise MaxInnerIterationsError(
                 f"inner iterates frozen at the floating-point floor with "
                 f"certificate norm {best_norm:.3e} (c={c:g}, sigma={sigma:g})"
+                + _last_step(t, backtracks)
             )
         prev_dx = x_next - x
         prev_dgrad = nxt.smooth_grad - cur.smooth_grad
@@ -186,6 +200,23 @@ def solve_subproblem(
     raise MaxInnerIterationsError(
         f"criterion not met within {opts.max_inner} inner iterations "
         f"(c={c:g}, sigma={sigma:g}); the subproblem may be ill-posed"
+        + _last_step(t, backtracks)
+    )
+
+
+def _last_step(t, backtracks):
+    # tail of a failure message: where the line search stood
+    return f"; last trial step {t:.3e}, {backtracks} backtracks"
+
+
+def _accepted(p_prev, c, sigma, w_prev, x, y, lc, inner_iters, backtracks, values):
+    """The result for an accepted candidate: the multiplier update and the
+    full criterion report are built here, once per subproblem."""
+    p_new, delta_p = multiplier_update(p_prev, c, lc.h, lc.g)
+    report = criterion_eval(c, sigma, w_prev, x, y, lc.h, lc.g, p_prev.mu, delta_p)
+    return SubproblemResult(
+        x=x, y=y, inner_iters=inner_iters, criterion=report, backtracks=backtracks,
+        lc=lc, values=values, p_new=p_new, delta_p=delta_p,
     )
 
 
@@ -201,21 +232,23 @@ def _trial_step(prev_dx, prev_dgrad, t_last, t0):
     return min(max(t_bb, 1e-14), 1e12)
 
 
-def _line_search(prog, p, c, x, cur, t_try, t_safe):
+def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
     """Armijo backtracking on the composite value along the prox-gradient arc.
 
-    ``cur`` is the evaluation of L_c at x. Returns (x_next, y, evaluation at
-    x_next, step, backtracks). Steps at or below t_safe (the inverse
-    curvature bound, when one exists) satisfy the sufficient-decrease
-    condition by construction and skip the value comparison, so roundoff in
-    the value cannot block them.
+    ``lc_at`` is the bound evaluator of L_c (``auglag.lc_evaluator``),
+    ``nonsmooth`` the program's nonsmooth term or None, and ``cur`` the
+    evaluation at x. Returns (x_next, y, evaluation at x_next, step,
+    backtracks). Steps at or below t_safe (the inverse curvature bound,
+    when one exists) satisfy the sufficient-decrease condition by
+    construction and skip the value comparison, so roundoff in the value
+    cannot block them.
     """
     slack = 5e-16 * (1.0 + abs(cur.value))
     for bt in range(_MAX_BACKTRACKS):
         v = x - t_try * cur.smooth_grad
-        x_next = prog.nonsmooth.prox(v, t_try) if prog.nonsmooth is not None else v
-        nxt = auglag_eval(prog, x_next, p, c)
-        if not (np.isfinite(nxt.value) and np.isfinite(nxt.smooth_grad).all()):
+        x_next = nonsmooth.prox(v, t_try) if nonsmooth is not None else v
+        nxt = lc_at(x_next)
+        if not (math.isfinite(nxt.value) and np.isfinite(nxt.smooth_grad).all()):
             t_try *= _ARMIJO_FACTOR
             continue
         dx = x_next - x
@@ -227,6 +260,8 @@ def _line_search(prog, p, c, x, cur, t_try, t_safe):
     raise NonFiniteError(
         "line search failed to find a finite decreasing step; "
         "the subproblem value may be unbounded below"
+        # t_try has been shrunk once more after the last step tried
+        + _last_step(t_try / _ARMIJO_FACTOR, _MAX_BACKTRACKS)
     )
 
 
@@ -296,7 +331,4 @@ def _solve_exact(prog, p, c, sigma, w_prev, x_init):
             )
         x, lc = best
 
-    y = np.zeros(prog.n)
-    _, delta_p = multiplier_update(p, c, lc.h, lc.g)
-    report = criterion_eval(c, sigma, w_prev, x, y, lc.h, lc.g, p.mu, delta_p)
-    return SubproblemResult(x=x, y=y, inner_iters=iters, criterion=report, backtracks=0, lc=lc)
+    return _accepted(p, c, sigma, w_prev, x, np.zeros(prog.n), lc, iters, 0, [])

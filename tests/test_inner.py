@@ -14,6 +14,7 @@ from almlab import (
     solve_subproblem,
 )
 from almlab import inner as inner_mod
+from almlab.auglag import lc_evaluator
 from almlab.errors import MaxInnerIterationsError, NonFiniteError
 
 
@@ -128,6 +129,45 @@ class TestSolveSubproblem:
         assert res.inner_iters <= 10000
 
 
+class TestFailureMessages:
+    """Each failure of the inexact solver keeps its text and appends the
+    last trial step and the backtrack count."""
+
+    TAIL = r"; last trial step \d\.\d{3}e[+-]\d+, \d+ backtracks$"
+
+    def test_non_finite_initial_gradient(self):
+        prog = ConvexProgram(smooth=QuadraticObjective(np.eye(1), np.zeros(1)))
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteError, match=r"^non-finite gradient at the initial point; "
+                                      r"no trial step taken, 0 backtracks$"):
+            solve_subproblem(prog, DualPoint.zeros(0, 0), 1.0, 0.5, np.zeros(1), np.array([np.inf]))
+
+    def test_line_search_failure(self):
+        # q'x overflows to -inf at every step down to 2^-59
+        prog = ConvexProgram(smooth=QuadraticObjective(np.zeros((1, 1)), np.array([-1e308])))
+        with np.errstate(over="ignore"), pytest.raises(
+                NonFiniteError, match=r"^line search failed to find a finite decreasing step; "
+                                      r"the subproblem value may be unbounded below; "
+                                      r"last trial step 1\.735e-18, 60 backtracks$"):
+            solve_subproblem(prog, DualPoint.zeros(0, 0), 1.0, 0.5, np.zeros(1), np.zeros(1))
+
+    def test_frozen_iterates(self):
+        # the certified step 1e-8 moves x2 = 1e10 by less than half an ulp,
+        # while the gradient in x2 stays 1 and the criterion needs y = 0
+        prog = ConvexProgram(smooth=QuadraticObjective(np.diag([1e8, 1.0]), np.array([0.0, -(1e10 - 1)])))
+        with pytest.raises(MaxInnerIterationsError,
+                           match=r"^inner iterates frozen at the floating-point floor with certificate "
+                                 r"norm 1\.000e\+00 \(c=1, sigma=0\.5\); last trial step 1\.000e-08, 0 backtracks$"):
+            solve_subproblem(prog, DualPoint.zeros(0, 0), 1.0, 0.5, np.zeros(2), np.array([0.0, 1e10]))
+
+    def test_criterion_not_met(self, sc_qp7):
+        with pytest.raises(MaxInnerIterationsError,
+                           match=r"^criterion not met within 1 inner iterations \(c=10, sigma=0\.01\); "
+                                 r"the subproblem may be ill-posed" + self.TAIL):
+            solve_subproblem(sc_qp7, DualPoint.zeros(2, 3), 10.0, 0.01, np.zeros(6), np.full(6, 5.0),
+                             InnerOptions(max_inner=1))
+
+
 class TestInnerOptions:
     def test_defaults_are_valid(self):
         InnerOptions()
@@ -146,10 +186,10 @@ class TestLineSearchStep:
 
     @staticmethod
     def step(prog, p, c, x, t):
-        cur = auglag_eval(prog, x, p, c)
+        lc_at = lc_evaluator(prog, p, c)
         curv = inner_mod.smooth_curvature_bound(prog, c)
         t_safe = 1.0 / curv if curv else None
-        return inner_mod._line_search(prog, p, c, x, cur, t, t_safe)
+        return inner_mod._line_search(lc_at, prog.nonsmooth, x, lc_at(x), t, t_safe)
 
     def test_smooth_certificate_is_gradient(self, sc_qp7):
         p = DualPoint.zeros(2, 3)

@@ -38,7 +38,10 @@ class UnboundedError(AlmlabError):
 
 
 class EnumerationLimitError(AlmlabError):
-    """Too many inequality constraints for exhaustive active-set enumeration."""
+    """An oracle face search hit its cap: more than 20 inequality rows for
+    the 2^m2 enumeration (Q PSD but not positive definite), or more than
+    10 (m2 + 1) face solves for the dual active-set search (Q positive
+    definite)."""
 
 
 class NoValidSamplesError(AlmlabError):

@@ -1,18 +1,29 @@
 """Exact primal/dual solution sets for affine-constrained QPs.
 
-Both sets come from one face solver, ``_first_kkt_face``, which finds the
-minimizer of a convex QP by active-set enumeration: subsets of the
-inequality rows are tried as the active set in subset-index order, each
-equality-constrained KKT linear system is solved, and the search stops at
-the first candidate passing primal feasibility and multiplier sign checks,
-both scaled with the data. Each face is first tested for a feasible descent
-ray, unless Q is positive definite and no face can carry one. The worst case
-is 2^m2 faces. The dual solution set is the polyhedron
+Both sets come from a face search. It finds the minimizer of a convex QP
+as the KKT point of a face, a set of inequality rows taken as active, and
+every face it visits is solved and tested by one helper, ``_solve_face``:
+an equality-KKT least-squares solve, then primal feasibility and
+multiplier sign tests scaled with the data. Which faces are visited
+depends on Q:
+
+* positive definite Q (every dual projection, and every program whose
+  cached spectrum certifies it) runs the dual active-set search of
+  Goldfarb & Idnani (1983). It starts at the face with no inequality row
+  and adds violated rows one at a time, typically one face solve per active
+  row plus one. Its cap is _SEARCH_CAP * (m2 + 1) face solves.
+* any other PSD Q runs the enumeration: faces in subset-index order, each
+  first tested for a feasible descent ray, up to the first consistent one.
+  Its worst case is 2^m2 faces, and it refuses more than _ENUM_CAP rows.
+
+Both return the same x bit for bit whenever they stop at the same face. A Q
+that is not symmetric or not PSD is refused. The dual solution set is the
+polyhedron
 
     { p = (lam, mu) : A' lam + G' mu = -grad s(x*),
       mu_i = 0 for inactive i, mu_j >= 0 for active j }
 
-and its Euclidean projection is the same face solver run with Q = I.
+and its Euclidean projection is the dual active-set search run with Q = I.
 """
 from __future__ import annotations
 
@@ -35,8 +46,10 @@ from .io import _get_matrix, _get_vector, _json_object
 from .problem import ConvexProgram, as_vector
 
 _ENUM_CAP = 20
+# face solves per row of G (plus one) before the dual active-set search gives up
+_SEARCH_CAP = 10
 # feasibility and multiplier-sign tolerances of a face's KKT point, at unit
-# data scale; _first_kkt_face scales them up for larger data
+# data scale; _tolerances scales them up for larger data
 _FEAS_TOL = 1e-10
 _MU_TOL = 1e-12
 # rows with g_i(x*) >= -_ACTIVE_TOL are active at x*
@@ -54,51 +67,146 @@ def _null_space(M, rtol=1e-10):
     return vh[rank:].T
 
 
-def _first_kkt_face(Q, q, A, b, G, d, check_rays):
-    """The x minimizing 0.5 x'Qx + q'x s.t. Ax = b, Gx <= d, Q PSD.
-
-    Tries the active sets of the rows of G in subset-index order, solving
-    each equality-KKT system by least squares (rank-deficient systems from
-    duplicated rows are handled), and returns the first point that is
-    feasible and whose inequality multipliers are nonnegative. Feasibility is
-    tested against _FEAS_TOL * max(1, |b|, |d|) and the sign against
-    _MU_TOL * max(1, |q|), so both tests keep their meaning when the data
-    is scaled up. With check_rays every face visited is first tested for a
-    feasible descent ray (:class:`UnboundedError`); positive definite Q
-    needs no test. Raises :class:`InfeasibleError` when no face passes and
-    :class:`EnumerationLimitError` for more than _ENUM_CAP rows in G.
-    """
-    n, m1, m2 = Q.shape[0], A.shape[0], G.shape[0]
-    if m2 > _ENUM_CAP:
-        raise EnumerationLimitError(f"{m2} inequality rows exceed the enumeration cap of {_ENUM_CAP}")
+def _tolerances(q, b, d):
+    """(feas_tol, mu_tol) for a face's KKT point: _FEAS_TOL * max(1, |b|, |d|)
+    for primal feasibility and _MU_TOL * max(1, |q|) for multiplier signs, so
+    both tests keep their meaning when the data is scaled up."""
     feas_tol = _FEAS_TOL * max(1.0, np.abs(b).max(initial=0.0), np.abs(d).max(initial=0.0))
     mu_tol = _MU_TOL * max(1.0, np.abs(q).max(initial=0.0))
+    return feas_tol, mu_tol
+
+
+def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol, check_rays=False):
+    """Solve and test the face on which the rows S of G (ascending) are active.
+
+    The equality-KKT system of the rows of A and G[S] is solved by least
+    squares, so rank-deficient systems from duplicated rows are handled.
+    Returns (x, mu, consistent): x is None when the face has no KKT point,
+    that is when the residual exceeds 1e-8 relative or the least-squares
+    solution leaves a row of A or of G[S] violated by more than feas_tol (a
+    compromise between nearly dependent rows that cannot all hold); mu
+    carries the multipliers of S at their row indices and zeros elsewhere,
+    and consistent says that x is feasible to feas_tol and mu >= -mu_tol.
+    With check_rays the face is first tested for a feasible descent ray
+    (:func:`_check_face_unbounded`).
+    """
+    n, m1, m2 = Q.shape[0], A.shape[0], G.shape[0]
+    C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
+    rhs_c = np.concatenate([b, d[S]])
+    if check_rays:
+        _check_face_unbounded(Q, q, A, G, C, rhs_c)
+    k = C.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = Q
+    kkt[:n, n:] = C.T
+    kkt[n:, :n] = C
+    rhs = np.concatenate([-q, rhs_c])
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+        return None, None, False
+    x = sol[:n]
+    if m1 and np.max(np.abs(A @ x - b)) > feas_tol:
+        return None, None, False
+    slack = G @ x - d
+    infeasible = m2 and np.max(slack) > feas_tol
+    if infeasible and S and np.max(slack[S]) > feas_tol:
+        return None, None, False
+    mu = np.zeros(m2)
+    mu[S] = sol[n + m1:]
+    consistent = not (infeasible or (mu < -mu_tol).any())
+    return x, mu, consistent
+
+
+def _first_kkt_face(Q, q, A, b, G, d):
+    """The first consistent face in subset-index order, for PSD Q.
+
+    Every face visited is solved and tested by :func:`_solve_face`, after a
+    test for a feasible descent ray (:class:`UnboundedError`). The worst
+    case is 2^m2 faces, so more than _ENUM_CAP rows in G raise
+    :class:`EnumerationLimitError`; no consistent face raises
+    :class:`InfeasibleError`.
+    """
+    m2 = G.shape[0]
+    if m2 > _ENUM_CAP:
+        raise EnumerationLimitError(f"{m2} inequality rows exceed the enumeration cap of {_ENUM_CAP}")
+    feas_tol, mu_tol = _tolerances(q, b, d)
     for mask in range(1 << m2):
         S = [i for i in range(m2) if mask >> i & 1]
-        C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
-        rhs_c = np.concatenate([b, d[S]])
-        if check_rays:
-            _check_face_unbounded(Q, q, A, G, C, rhs_c)
-        k = C.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = Q
-        kkt[:n, n:] = C.T
-        kkt[n:, :n] = C
-        rhs = np.concatenate([-q, rhs_c])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
-            continue
-        x = sol[:n]
-        mu = np.zeros(m2)
-        mu[S] = sol[n + m1:]
-        if m1 and np.max(np.abs(A @ x - b)) > feas_tol:
-            continue
-        if m2 and np.max(G @ x - d) > feas_tol:
-            continue
-        if (mu < -mu_tol).any():
-            continue
-        return x
+        x, _, consistent = _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol, check_rays=True)
+        if consistent:
+            return x
     raise InfeasibleError("no active set yields a KKT-consistent feasible point")
+
+
+def _dual_active_set_face(Q, q, A, b, G, d):
+    """The consistent face of a strictly convex QP by a dual active-set search.
+
+    Goldfarb & Idnani (1983, Math. Program. 27): starting from the
+    minimizer on the equality rows alone (the face S = {}), add the most
+    violated row p. A full step solves the face W + {p} directly; when that
+    face's multipliers on W go negative, a partial step moves mu along the
+    line to it until the first of them reaches zero and drops that row.
+    When the face W + {p} has no KKT point (G_p depends on the active
+    normals, and the face's rows cannot all hold to the feasibility
+    tolerance), x stays and the multipliers move along the expansion of G_p
+    in the active normals instead; a G_p that no active row can give way to
+    proves the program infeasible (:class:`InfeasibleError`). A face with no
+    KKT point although G_p is independent of the active normals is a failed
+    solve, and raises :class:`InfeasibleError` as the enumeration, finding
+    no consistent face, would. Every face is solved and tested by
+    :func:`_solve_face`, and the search returns the first face that passes,
+    so its x is the enumeration's bit for bit whenever both land on the same
+    face. A face costs one solve; most searches take one per active row plus
+    one, and more than _SEARCH_CAP * (m2 + 1) solves raise
+    :class:`EnumerationLimitError`.
+    """
+    m1, m2 = A.shape[0], G.shape[0]
+    feas_tol, mu_tol = _tolerances(q, b, d)
+    cap = _SEARCH_CAP * (m2 + 1)
+    W = []
+    x, mu, consistent = _solve_face(Q, q, A, b, G, d, W, feas_tol, mu_tol)
+    if x is None:
+        raise InfeasibleError("the equality rows are inconsistent")
+    solves = 1
+    while not consistent:
+        slack = G @ x - d
+        slack[W] = -np.inf
+        if not (m2 and slack.max() > feas_tol):
+            raise InfeasibleError(f"face {W} fails its KKT tests with no violated row left to add")
+        p = int(np.argmax(slack))
+        while True:
+            if solves >= cap:
+                raise EnumerationLimitError(f"the dual active-set search exceeded its cap of {cap} face solves")
+            S = sorted(W + [p])
+            x_new, mu_new, consistent = _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol)
+            solves += 1
+            if x_new is None:
+                # G_p = A'r_A + G_W'r over the active normals: raising mu_p
+                # by t lowers mu_W by t r, and the first row to reach zero
+                # leaves; with no r_i > 0 row p contradicts the active rows
+                N = np.vstack([A, G[W]]).T
+                r = np.linalg.lstsq(N, G[p], rcond=None)[0]
+                if np.linalg.norm(N @ r - G[p]) > 1e-8 * (1.0 + np.linalg.norm(G[p])):
+                    raise InfeasibleError(f"face {S} has no KKT point, yet row {p} is independent "
+                                          "of the active rows")
+                r = r[m1:]
+                give = [(mu[i] / ri, i) for i, ri in zip(W, r) if ri > 1e-12 * max(1.0, np.abs(r).max())]
+                if not give:
+                    raise InfeasibleError(f"inequality row {p} cannot hold together with the active rows")
+                t, j = min(give)
+                mu[W] -= t * r
+            else:
+                neg = [i for i in W if mu_new[i] < -mu_tol]
+                if not neg:
+                    x, mu, W = x_new, mu_new, S
+                    break
+                # x moves along the same line, but nothing reads it before
+                # the next full step replaces it
+                theta, j = min((mu[i] / (mu[i] - mu_new[i]), i) for i in neg)
+                mu[W] += max(theta, 0.0) * (mu_new[W] - mu[W])
+            mu[j] = 0.0
+            W.remove(j)
+    return x
 
 
 @dataclass
@@ -127,8 +235,8 @@ class DualPolyhedron:
 
         The projection minimizes 0.5||z - p||^2 over the coordinates not
         pinned to zero, subject to the equality rows and z_j >= 0 on the
-        sign-constrained ones: a QP with Q = I, solved exactly by the first
-        KKT-consistent face of _first_kkt_face. Sign-constrained entries are
+        sign-constrained ones: a QP with Q = I, solved exactly by
+        :func:`_dual_active_set_face`. Sign-constrained entries are
         clipped at zero, so the lstsq residue cannot leave them negative.
         """
         p = as_vector(p, self.m, "p")
@@ -137,8 +245,7 @@ class DualPolyhedron:
         signs = list(self.nonneg_idx)
         eye = np.eye(len(keep))
         G = -eye[[keep.index(j) for j in signs]]
-        x = _first_kkt_face(eye, -p[keep], self.eq_mat[:, keep], self.eq_rhs,
-                            G, np.zeros(len(signs)), check_rays=False)
+        x = _dual_active_set_face(eye, -p[keep], self.eq_mat[:, keep], self.eq_rhs, G, np.zeros(len(signs)))
         z = np.zeros(self.m)
         z[keep] = x
         z[signs] = np.maximum(z[signs], 0.0)
@@ -233,15 +340,23 @@ class SolutionSetOracle:
 
 
 def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
-    """Exact solution sets of an affine-constrained QP by enumeration.
+    """Exact solution sets of an affine-constrained QP.
 
-    x* and the active set come from _first_kkt_face: the first active set in
-    subset-index order whose KKT point is feasible with mu >= 0. Raises
+    x* and the active set come from the dual active-set search
+    (:func:`_dual_active_set_face`) when the program's cached spectrum
+    certifies Q positive definite, else from the enumeration
+    (:func:`_first_kkt_face`): the first active set in subset-index order
+    whose KKT point is feasible with mu >= 0. Raises
     :class:`ProblemFormatError` naming a non-finite Q, q, A, b, G or d
-    before any factorization, :class:`UnboundedError` when a face visited
-    before it carries a feasible descent ray (the test is skipped when Q is
-    positive definite, where it cannot fire), :class:`InfeasibleError` when
-    no active set passes, and :class:`EnumerationLimitError` for m2 > 20.
+    before any factorization, and naming a Q that is not symmetric
+    (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
+    below -2e-10 max(1, largest)), on which no face is exact.
+    Raises :class:`UnboundedError` when a face the enumeration visits
+    carries a feasible descent ray (positive definite Q has none),
+    :class:`InfeasibleError` when no face passes, and
+    :class:`EnumerationLimitError` past either search's cap: m2 > _ENUM_CAP
+    = 20 rows for the enumeration, _SEARCH_CAP (m2 + 1) = 10 (m2 + 1) face
+    solves for the search.
     """
     if not prog.is_affine_qp():
         raise ValueError("the oracle requires a quadratic objective with affine constraints")
@@ -252,12 +367,19 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     for name, arr in (("Q", Q), ("q", q), ("A", A), ("b", b), ("G", G), ("d", d)):
         if not np.isfinite(arr).all():
             raise ProblemFormatError(name, "must be finite")
+    skew = float(np.abs(Q - Q.T).max(initial=0.0))
+    if skew > 1e-10 * max(1.0, float(np.abs(Q).max(initial=0.0))):
+        raise ProblemFormatError("Q", f"must be symmetric, but max |Q - Q'| = {skew:.3g}")
+    ev = prog.q_spectrum
+    if ev[0] < -2e-10 * max(1.0, float(ev[-1])):
+        raise ProblemFormatError("Q", f"must be positive semidefinite, but its least eigenvalue is {ev[0]:.3g}")
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
-    # positive definite Q leaves no face a flat direction to test.
-    ev = prog.q_spectrum
+    # positive definite Q leaves no face a flat direction: the program is
+    # strictly convex, and the dual active-set search needs no ray test.
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
-    x_star = _first_kkt_face(Q, q, A, b, G, d, check_rays=not positive_definite)
+    search = _dual_active_set_face if positive_definite else _first_kkt_face
+    x_star = search(Q, q, A, b, G, d)
 
     primal_basis = _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q

@@ -76,11 +76,25 @@ class TestSolveQpExact:
         with pytest.raises(UnboundedError):
             solve_qp_exact(prog)
 
-    def test_enumeration_limit(self):
+    def test_many_rows_with_definite_q_are_searched(self):
+        # 21 rows exceed the enumeration cap, but Q = I goes to the dual
+        # active-set search, which stops at the empty face
         n = 21
         ineqs = tuple(AffineInequality(e, 1.0) for e in np.eye(n))
         prog = ConvexProgram(smooth=QuadraticObjective(np.eye(n), np.zeros(n)), ineqs=ineqs)
-        with pytest.raises(EnumerationLimitError):
+        orc = solve_qp_exact(prog)
+        assert np.array_equal(orc.primal_point, np.zeros(n))
+        member, dist = project_dual(orc, np.zeros(orc.dual.m))
+        assert np.array_equal(member, np.zeros(n))
+        assert dist == 0.0
+
+    def test_enumeration_limit(self):
+        # a flat direction sends the same rows to the enumeration and its cap
+        n = 21
+        ineqs = tuple(AffineInequality(e, 1.0) for e in np.eye(n))
+        Q = np.diag([1.0] * (n - 1) + [0.0])
+        prog = ConvexProgram(smooth=QuadraticObjective(Q, np.zeros(n)), ineqs=ineqs)
+        with pytest.raises(EnumerationLimitError, match="enumeration cap of 20"):
             solve_qp_exact(prog)
 
     def test_requires_affine_qp(self):

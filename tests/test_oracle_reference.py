@@ -74,7 +74,7 @@ def assert_bitwise_equal(got, ref):
     assert got.fingerprint == ref.fingerprint
 
 
-LADDER = [GeneratorSpec("sc_qp", n=20, m1=4, m2=m2, seed=s) for m2 in (3, 6, 8) for s in range(10)]
+LADDER = [GeneratorSpec("sc_qp", n=20, m1=4, m2=m2, seed=s) for m2 in (3, 6, 8, 10) for s in range(10)]
 # every sc_qp, reference1d and degenerate_dual_qp (seeds 0-4) of the corpus
 CORPUS_QPS = [prog for prog in standard_corpus() if prog.is_affine_qp()]
 

@@ -69,7 +69,7 @@ def reference_project(poly, p):
 # the oracle ladder, and degenerate dual sets at seeds 0-9
 PROGRAMS = [prog for prog in standard_corpus() if prog.is_affine_qp()]
 PROGRAMS += [generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=m2, seed=s))
-             for m2 in (3, 6, 8) for s in range(10)]
+             for m2 in (3, 6, 8, 10) for s in range(10)]
 PROGRAMS += [generate(GeneratorSpec("degenerate_dual_qp", seed=s)) for s in range(10)]
 IDS = [f"{i}-{prog.name}" for i, prog in enumerate(PROGRAMS)]
 

@@ -204,7 +204,7 @@ def _write_summary(path, hist: RunHistory):
             "mu": final.p.mu.tolist(),
         }
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(json.dumps(doc, indent=1))
 
 
 def cmd_rates(args) -> int:

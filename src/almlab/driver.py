@@ -162,7 +162,7 @@ class RunHistory:
         }
         if path is not None:
             with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1)
+                fh.write(json.dumps(doc, indent=1))
         return doc
 
     @classmethod

@@ -24,13 +24,20 @@ polyhedron
       mu_i = 0 for inactive i, mu_j >= 0 for active j }
 
 and its Euclidean projection is the dual active-set search run with Q = I.
+A DualPolyhedron keeps its data read-only and is prepared once, on its
+first projection: the coordinates pinned to zero are dropped and the n
+equality rows are replaced by an orthonormal row basis of their rank r
+(at most m1 + m2), so each face solve carries r rows instead of n. Each
+distinct point is projected once; a repeated point returns the same
+read-only result.
 """
 from __future__ import annotations
 
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,15 +63,19 @@ _MU_TOL = 1e-12
 _ACTIVE_TOL = 1e-8
 
 
-def _null_space(M, rtol=1e-10):
+def _rank(s, rtol=1e-10):
+    """Numerical rank from the singular values s (descending): how many
+    exceed rtol times the largest."""
+    return int(np.sum(s > rtol * (s[0] if s.size else 1.0)))
+
+
+def _null_space(M):
     """Orthonormal basis of the null space of M (n columns); n x k array."""
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.shape[0] == 0:
         return np.eye(M.shape[1])
     _, s, vh = np.linalg.svd(M)
-    cutoff = rtol * (s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cutoff))
-    return vh[rank:].T
+    return vh[_rank(s):].T
 
 
 def _tolerances(q, b, d):
@@ -209,14 +220,29 @@ def _dual_active_set_face(Q, q, A, b, G, d):
     return x
 
 
-@dataclass
+@dataclass(frozen=True)
 class DualPolyhedron:
-    """{p : eq_mat p = eq_rhs, p_i = 0 (i in zero_idx), p_j >= 0 (j in nonneg_idx)}."""
+    """{p : eq_mat p = eq_rhs, p_i = 0 (i in zero_idx), p_j >= 0 (j in nonneg_idx)}.
+
+    The arrays are copied read-only and the index lists frozen to tuples at
+    construction, so the row basis and the projections it keeps cannot go
+    stale.
+    """
 
     eq_mat: np.ndarray
     eq_rhs: np.ndarray
     zero_idx: tuple
     nonneg_idx: tuple
+    # p.tobytes() -> project(p), for every point projected so far
+    _projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("eq_mat", "eq_rhs"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        for name in ("zero_idx", "nonneg_idx"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def m(self) -> int:
@@ -230,26 +256,52 @@ class DualPolyhedron:
             return False
         return all(p[j] >= -tol for j in self.nonneg_idx)
 
+    @cached_property
+    def _reduced(self):
+        """(keep, B, beta, G) for the projection QP, built on first use.
+
+        keep lists the coordinates not pinned to zero. On them the equality
+        rows E_k = eq_mat[:, keep] (n x k) become B = V_r' (r x k), the
+        orthonormal row basis of an SVD E_k = U S V' with r singular values
+        above 1e-10 relative (the cutoff of _null_space), and eq_rhs
+        becomes beta = S_r^-1 U_r' eq_rhs. G = -I on the sign-constrained
+        coordinates. Raises :class:`InfeasibleError` when eq_rhs has a
+        component outside the range of E_k above 1e-8 (1 + |eq_rhs|).
+        """
+        zero = set(self.zero_idx)
+        keep = [i for i in range(self.m) if i not in zero]
+        U, s, vh = np.linalg.svd(self.eq_mat[:, keep], full_matrices=False)
+        r = _rank(s)
+        e_r = U[:, :r].T @ self.eq_rhs
+        if np.linalg.norm(self.eq_rhs - U[:, :r] @ e_r) > 1e-8 * (1.0 + np.linalg.norm(self.eq_rhs)):
+            raise InfeasibleError("the equality rows are inconsistent")
+        G = -np.eye(len(keep))[[keep.index(j) for j in self.nonneg_idx]]
+        return keep, vh[:r], e_r / s[:r], G
+
     def project(self, p):
         """(z, ||z - p||) for the Euclidean projection z of p.
 
         The projection minimizes 0.5||z - p||^2 over the coordinates not
-        pinned to zero, subject to the equality rows and z_j >= 0 on the
-        sign-constrained ones: a QP with Q = I, solved exactly by
-        :func:`_dual_active_set_face`. Sign-constrained entries are
-        clipped at zero, so the lstsq residue cannot leave them negative.
+        pinned to zero, subject to the row basis of the equality rows
+        (:attr:`_reduced`) and z_j >= 0 on the sign-constrained ones: a QP
+        with Q = I, solved exactly by :func:`_dual_active_set_face`.
+        Sign-constrained entries are clipped at zero, so the lstsq residue
+        cannot leave them negative. The result is kept: projecting the same
+        p again returns the same tuple, whose z is read-only.
         """
         p = as_vector(p, self.m, "p")
-        zero = set(self.zero_idx)
-        keep = [i for i in range(self.m) if i not in zero]
+        key = p.tobytes()
+        if key in self._projections:
+            return self._projections[key]
+        keep, B, beta, G = self._reduced
         signs = list(self.nonneg_idx)
-        eye = np.eye(len(keep))
-        G = -eye[[keep.index(j) for j in signs]]
-        x = _dual_active_set_face(eye, -p[keep], self.eq_mat[:, keep], self.eq_rhs, G, np.zeros(len(signs)))
+        x = _dual_active_set_face(np.eye(len(keep)), -p[keep], B, beta, G, np.zeros(len(signs)))
         z = np.zeros(self.m)
         z[keep] = x
         z[signs] = np.maximum(z[signs], 0.0)
-        return z, float(np.linalg.norm(z - p))
+        z.setflags(write=False)
+        result = self._projections[key] = (z, float(np.linalg.norm(z - p)))
+        return result
 
     def as_dict(self):
         return {
@@ -318,7 +370,7 @@ class SolutionSetOracle:
         }
         if path is not None:
             with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1)
+                fh.write(json.dumps(doc, indent=1))
         return doc
 
     @classmethod
@@ -376,12 +428,13 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
     # positive definite Q leaves no face a flat direction: the program is
-    # strictly convex, and the dual active-set search needs no ray test.
+    # strictly convex, X* is the single point x*, and the dual active-set
+    # search needs no ray test.
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
     search = _dual_active_set_face if positive_definite else _first_kkt_face
     x_star = search(Q, q, A, b, G, d)
 
-    primal_basis = _null_space(np.vstack([Q, A, G]))
+    primal_basis = np.zeros((n, 0)) if positive_definite else _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q
     g_star = G @ x_star - d if m2 else np.zeros(0)
     active = [i for i in range(m2) if g_star[i] >= -_ACTIVE_TOL]

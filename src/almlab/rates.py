@@ -91,7 +91,7 @@ class RateReport:
             doc["probe"] = self.probe
         if path is not None:
             with open(path, "w") as fh:
-                json.dump(doc, fh, indent=1, default=_json_default)
+                fh.write(json.dumps(doc, indent=1, default=_json_default))
         return doc
 
 

@@ -1,3 +1,4 @@
+import io
 import json
 import threading
 
@@ -317,6 +318,29 @@ class TestRatesCommand:
         assert code == 1
         assert "field '<document>'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.rates.*"))
+
+
+def test_json_files_match_json_dump(tmp_path):
+    # each JSON file is written in one piece; its bytes are what json.dump
+    # with indent=1 writes for the same document
+    from almlab import GeneratorSpec, generate, solve_qp_exact
+
+    main(["solve", "--generator", "sc_qp", "--seed", "3", "--sigma", "0.1", "--sigma", "0.5",
+          "--schedule", "fixed", "--schedule", "geometric", "--c0", "10", "--tol", "1e-8",
+          "--out", str(tmp_path)])
+    oracle_path = tmp_path / "oracle.json"
+    solve_qp_exact(generate(GeneratorSpec("sc_qp", seed=3))).to_json(oracle_path)
+    traces = sorted(tmp_path.glob("*.trace.json"))
+    for trace in traces:
+        main(["rates", "--trace", str(trace), "--oracle", str(oracle_path), "--probe",
+              "--out", str(tmp_path)])
+    files = sorted(tmp_path.glob("*.json"))
+    assert len(files) == 1 + 3 * len(traces) and len(traces) == 4
+    for path in files:
+        text = path.read_text()
+        buf = io.StringIO()
+        json.dump(json.loads(text), buf, indent=1)
+        assert buf.getvalue() == text, path.name
 
 
 class TestUsageErrors:

@@ -4,8 +4,11 @@ Each face the search visits is solved by ``oracle._solve_face``; the tests
 count those solves, watch which faces are visited, and check the result
 against the full enumeration of test_oracle_reference.py, bit for bit
 wherever the first consistent face is unique. They also cover the Q the
-oracle refuses: an indefinite or asymmetric one.
+oracle refuses, an indefinite or asymmetric one, and how a DualPolyhedron
+serves its projections: one search per distinct point, on the row basis of
+its equality rows.
 """
+import dataclasses
 import json
 
 import numpy as np
@@ -17,12 +20,18 @@ from almlab import (
     ConvexProgram,
     DualPoint,
     GeneratorSpec,
+    InnerOptions,
+    PenaltySchedule,
     QuadraticObjective,
+    estimate_kappa,
     generate,
     kkt_residual,
     project_dual,
+    rate_report,
+    run,
     solve_qp_exact,
     standard_corpus,
+    superlinearity_probe,
 )
 from almlab import oracle as oracle_mod
 from almlab.cli import main
@@ -79,6 +88,14 @@ def test_unconstrained_minimum_costs_one_solve(faces):
     orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=0, seed=0)))
     assert faces == [([], True)]
     assert orc.primal_is_singleton()
+
+
+def test_definite_q_has_a_single_point_primal_set():
+    # Q = diag(1, 1e-9) is positive definite, but [Q; G] with G = (100, 0)
+    # has a singular value below 1e-10 of its largest: a null-space SVD of
+    # the stack would give a direction along which the minimizer is unique
+    prog = _qp(np.diag([1.0, 1e-9]), [-1.0, 0.0], rows=[[100.0, 0.0]], offsets=[50.0])
+    assert solve_qp_exact(prog).primal_basis.shape == (2, 0)
 
 
 class TestDegenerateBranches:
@@ -254,9 +271,11 @@ class TestDegenerateBranches:
         poly = DualPolyhedron(E, e, (), (0, 1, 2, 3))
         z, dist = poly.project(p)
         assert _drops_a_row(faces)
-        assert np.array_equal(z, orc.primal_point)
+        # the projection searches the row basis of E, not E itself, so it
+        # meets the program's x* only to roundoff
         z_ref, dist_ref = reference_project(poly, p)
         scale = np.linalg.norm(z_ref) + np.linalg.norm(p)
+        assert np.linalg.norm(z - orc.primal_point) <= 1e-12 * scale
         assert np.linalg.norm(z - z_ref) <= 1e-12 * scale
         assert abs(dist - dist_ref) <= 1e-12 * scale
 
@@ -300,3 +319,99 @@ class TestRefusedQ:
             Q, ev = prog.smooth.Q, prog.q_spectrum
             assert np.abs(Q - Q.T).max() <= 1e-10 * max(1.0, np.abs(Q).max()), prog.name
             assert ev[0] >= -2e-10 * max(1.0, ev[-1]), prog.name
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The linear term -p[keep] of every dual active-set search, in order."""
+    calls = []
+    real = oracle_mod._dual_active_set_face
+
+    def spy(Q, q, *args):
+        calls.append(q.copy())
+        return real(Q, q, *args)
+
+    monkeypatch.setattr(oracle_mod, "_dual_active_set_face", spy)
+    return calls
+
+
+def _fresh(poly):
+    return DualPolyhedron(poly.eq_mat, poly.eq_rhs, poly.zero_idx, poly.nonneg_idx)
+
+
+class TestProjectionMemo:
+    def test_same_point_runs_one_search(self, searches):
+        orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=8, seed=0)))
+        searches.clear()
+        p = np.random.default_rng(0).normal(size=orc.dual.m)
+        z, dist = project_dual(orc, p)
+        again = project_dual(orc, p.copy())
+        assert len(searches) == 1
+        assert again[0] is z and again[1] == dist
+
+    def test_projection_and_data_are_read_only(self):
+        E, e = np.array([[1.0, 1.0]]), np.array([1.0])
+        poly = DualPolyhedron(E, e, (), (1,))
+        z, _ = poly.project(np.array([2.0, -1.0]))
+        for arr in (z, poly.eq_mat, poly.eq_rhs):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+        E[0, 0], e[0] = 5.0, 5.0
+        assert poly.eq_mat[0, 0] == 1.0 and poly.eq_rhs[0] == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            poly.eq_rhs = e
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_warm_result_equals_cold(self, seed):
+        poly = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=8, seed=seed))).dual
+        rng = np.random.default_rng(seed)
+        pts = [rng.normal(size=poly.m) for _ in range(4)]
+        for q in pts:
+            poly.project(q)
+        for q in pts:
+            z, dist = poly.project(q)
+            z_cold, dist_cold = _fresh(poly).project(q)
+            assert np.array_equal(z, z_cold) and dist == dist_cold
+
+    def test_rates_pipeline_searches_each_multiplier_once(self, searches):
+        prog = generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=8, seed=1))
+        hist = run(prog, PenaltySchedule.geometric(2.0, 2.0, 1e12), sigma=0.5,
+                   tol=1e-10, max_outer=40, inner=InnerOptions(exact=True))
+        orc = solve_qp_exact(prog)
+        searches.clear()
+        kappa = estimate_kappa(hist, orc)
+        rate_report(hist, orc, kappa, 0.5)
+        superlinearity_probe(hist, orc)
+        p0 = np.concatenate([hist.config["p0_lam"], hist.config["p0_mu"]])
+        distinct = {p0.tobytes()} | {rec.p.as_vector().tobytes() for rec in hist.records}
+        assert len(hist.records) >= 8
+        assert len(searches) == len(distinct)
+
+
+class TestRowBasis:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_search_carries_rank_rows(self, monkeypatch, seed):
+        # the cli-grid shape: n = 50 equality rows of rank at most m = 5
+        orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=50, seed=seed)))
+        rows = []
+        real = oracle_mod._solve_face
+
+        def spy(Q, q, A, *args, **kwargs):
+            rows.append(A.shape[0])
+            return real(Q, q, A, *args, **kwargs)
+
+        monkeypatch.setattr(oracle_mod, "_solve_face", spy)
+        poly = orc.dual
+        keep = [i for i in range(poly.m) if i not in poly.zero_idx]
+        rank = np.linalg.matrix_rank(poly.eq_mat[:, keep])
+        poly.project(np.random.default_rng(seed).normal(size=poly.m))
+        assert poly.eq_mat.shape[0] == 50 and rank <= poly.m
+        assert rows and set(rows) == {rank}
+
+    def test_inconsistent_equality_rows_are_infeasible(self, searches):
+        # z1 = 1 and z1 = 2
+        poly = DualPolyhedron(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]), (), (1,))
+        for _ in range(2):
+            with pytest.raises(InfeasibleError, match="the equality rows are inconsistent"):
+                poly.project(np.zeros(2))
+        assert searches == []

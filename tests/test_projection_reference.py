@@ -66,11 +66,13 @@ def reference_project(poly, p):
 
 
 # every sc_qp, reference1d and degenerate_dual_qp (seeds 0-4) of the corpus,
-# the oracle ladder, and degenerate dual sets at seeds 0-9
+# the oracle ladder, degenerate dual sets at seeds 0-9, and the CLI grid's
+# shape (n = 50 equality rows of rank at most 5) at seeds 0-4
 PROGRAMS = [prog for prog in standard_corpus() if prog.is_affine_qp()]
 PROGRAMS += [generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=m2, seed=s))
              for m2 in (3, 6, 8, 10) for s in range(10)]
 PROGRAMS += [generate(GeneratorSpec("degenerate_dual_qp", seed=s)) for s in range(10)]
+PROGRAMS += [generate(GeneratorSpec("sc_qp", n=50, seed=s)) for s in range(5)]
 IDS = [f"{i}-{prog.name}" for i, prog in enumerate(PROGRAMS)]
 
 

@@ -136,6 +136,7 @@ def _run_key(prog_name: str, sigma: float, schedule: PenaltySchedule) -> str:
 
 def cmd_solve(args) -> int:
     prog = _resolve_problem(args)
+    prog.check_convex()
     sigmas = args.sigma if args.sigma else [0.5]
     for s in sigmas:
         if not 0.0 <= s < 1.0:

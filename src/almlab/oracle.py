@@ -419,12 +419,8 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     for name, arr in (("Q", Q), ("q", q), ("A", A), ("b", b), ("G", G), ("d", d)):
         if not np.isfinite(arr).all():
             raise ProblemFormatError(name, "must be finite")
-    skew = float(np.abs(Q - Q.T).max(initial=0.0))
-    if skew > 1e-10 * max(1.0, float(np.abs(Q).max(initial=0.0))):
-        raise ProblemFormatError("Q", f"must be symmetric, but max |Q - Q'| = {skew:.3g}")
+    prog.check_convex()
     ev = prog.q_spectrum
-    if ev[0] < -2e-10 * max(1.0, float(ev[-1])):
-        raise ProblemFormatError("Q", f"must be positive semidefinite, but its least eigenvalue is {ev[0]:.3g}")
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
     # positive definite Q leaves no face a flat direction: the program is

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, ProblemFormatError
 
 
 def as_vector(x, n=None, name="x"):
@@ -43,8 +43,12 @@ class QuadraticObjective:
     def n(self) -> int:
         return self.q.shape[0]
 
-    def value(self, x) -> float:
-        return float(0.5 * (x @ self.Q @ x) + self.q @ x + self.const)
+    def value(self, x):
+        """A float for x of shape (n,), one value per row for x of shape
+        (k, n); np.vecdot runs the dot kernel of x @ Q @ x, so a vector's
+        value keeps its bits."""
+        v = 0.5 * np.vecdot(x @ self.Q, x) + x @ self.q + self.const
+        return v if v.ndim else float(v)
 
     def grad(self, x):
         return self.Q @ x + self.q
@@ -138,8 +142,10 @@ class AffineInequality:
         self.coeff = as_vector(coeff, name="coeff")
         self.offset = float(offset)
 
-    def value(self, x) -> float:
-        return float(self.coeff @ x - self.offset)
+    def value(self, x):
+        """A float for x of shape (n,), one value per row for x of shape (k, n)."""
+        v = x @ self.coeff - self.offset
+        return v if v.ndim else float(v)
 
     def grad(self, x):
         return self.coeff
@@ -154,8 +160,10 @@ class QuadraticInequality:
         self.P = np.asarray(P, dtype=float).reshape(n, n)
         self.s = float(s)
 
-    def value(self, x) -> float:
-        return float(0.5 * (x @ self.P @ x) + self.r @ x + self.s)
+    def value(self, x):
+        """A float for x of shape (n,), one value per row for x of shape (k, n)."""
+        v = 0.5 * np.vecdot(x @ self.P, x) + x @ self.r + self.s
+        return v if v.ndim else float(v)
 
     def grad(self, x):
         return self.P @ x + self.r
@@ -284,11 +292,17 @@ class ConvexProgram:
 
     @cached_property
     def q_spectrum(self):
-        """Ascending eigenvalues of sym(Q), or [nan] for a non-finite Q, on
-        which eigvalsh returns zeros or fails; comparisons with NaN are
-        false, so no bound or definiteness is claimed for such a Q."""
-        Qs = 0.5 * (self.smooth.Q + self.smooth.Q.T)
-        return np.linalg.eigvalsh(Qs) if np.isfinite(Qs).all() else np.full(1, np.nan)
+        """Ascending eigenvalues of sym(Q); see :func:`_sym_spectrum`."""
+        return _sym_spectrum(self.smooth.Q)
+
+    def check_convex(self):
+        """Raise :class:`ProblemFormatError` naming Q, or the P of quadratic
+        row i as ineq[i].P, when that matrix M is not symmetric
+        (max |M - M'| > 1e-10 max(1, max |M|)) or not PSD (least eigenvalue
+        below -2e-10 max(1, largest)). Q's test reads the cached spectrum."""
+        _require_psd("Q", self.smooth.Q, self.q_spectrum)
+        for i, con in self._rows[3]:
+            _require_psd(f"ineq[{i}].P", con.P, _sym_spectrum(con.P))
 
     @cached_property
     def norms_sq(self):
@@ -317,6 +331,25 @@ class ConvexProgram:
             h.update(b"lo" + (r.lo.tobytes() if r.lo is not None else b"-"))
             h.update(b"hi" + (r.hi.tobytes() if r.hi is not None else b"-"))
         return h.hexdigest()
+
+
+def _sym_spectrum(M):
+    """Ascending eigenvalues of sym(M), or [nan] for a non-finite M, on
+    which eigvalsh returns zeros or fails; comparisons with NaN are false,
+    so no bound or definiteness is claimed for such an M."""
+    Ms = 0.5 * (M + M.T)
+    return np.linalg.eigvalsh(Ms) if np.isfinite(Ms).all() else np.full(1, np.nan)
+
+
+def _require_psd(field, M, ev):
+    """The symmetry and PSD tests of :meth:`ConvexProgram.check_convex` on
+    one matrix M with ev = _sym_spectrum(M)."""
+    sym = field.rpartition(".")[2]
+    skew = float(np.abs(M - M.T).max(initial=0.0))
+    if skew > 1e-10 * max(1.0, float(np.abs(M).max(initial=0.0))):
+        raise ProblemFormatError(field, f"must be symmetric, but max |{sym} - {sym}'| = {skew:.3g}")
+    if ev[0] < -2e-10 * max(1.0, float(ev[-1])):
+        raise ProblemFormatError(field, f"must be positive semidefinite, but its least eigenvalue is {ev[0]:.3g}")
 
 
 @dataclass

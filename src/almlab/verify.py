@@ -5,8 +5,11 @@ the first failing record, or None; ``_over_corpus`` runs each on every
 corpus run. Criterion identity also recomputes delta_p and both sides of
 the criterion from the recorded iterates. The other five checks inspect
 generated problems, oracle solutions or fresh solves and yield failures
-themselves. ``run_verification`` executes a selection and returns
-everything that failed. The CLI wraps this with a machine-readable report.
+themselves. The two sampled checks, gradient consistency and convexity,
+draw their points per problem from a fixed seed and call each function's
+production ``value`` once per problem on the stacked points.
+``run_verification`` executes a selection and returns everything that
+failed. The CLI wraps this with a machine-readable report.
 """
 from __future__ import annotations
 
@@ -67,41 +70,44 @@ class VerifyContext:
 
 def _check_gradient_consistency(ctx, points=100, step=1e-5, rel_tol=1e-6):
     """Analytic gradients of the smooth objective and every g_i match
-    central finite differences."""
+    central finite differences at ``points`` draws per problem. Each
+    function's value is called once on the stacked plus rows x + step e_j
+    and once on the minus rows, its grad once per point."""
     rng = Lcg(2024)
     for prog in ctx.problems:
+        n = prog.n
+        X = np.array([rng.normal(n) for _ in range(points)])
+        E = step * np.eye(n)
+        plus = (X[:, None, :] + E).reshape(-1, n)
+        minus = (X[:, None, :] - E).reshape(-1, n)
         worst = 0.0
-        for _ in range(points):
-            x = rng.normal(prog.n)
-            fns = [(prog.smooth.value, prog.smooth.grad)]
-            fns += [(g.value, g.grad) for g in prog.ineqs]
-            for value, grad in fns:
-                ga = np.asarray(grad(x), dtype=float)
-                gf = np.empty_like(ga)
-                for j in range(prog.n):
-                    e = np.zeros(prog.n)
-                    e[j] = step
-                    gf[j] = (value(x + e) - value(x - e)) / (2 * step)
-                worst = max(worst, np.linalg.norm(gf - ga) / max(1.0, np.linalg.norm(ga)))
+        for fn in (prog.smooth, *prog.ineqs):
+            ga = np.array([fn.grad(x) for x in X], dtype=float)
+            gf = ((fn.value(plus) - fn.value(minus)) / (2 * step)).reshape(points, n)
+            err = np.linalg.norm(gf - ga, axis=1) / np.maximum(1.0, np.linalg.norm(ga, axis=1))
+            worst = max(worst, float(err.max()))
         if worst > rel_tol:
             yield Failure("gradient-consistency", prog.name,
                           f"relative finite-difference error {worst:.3e} > {rel_tol:g}")
 
 
 def _check_convexity(ctx, triples=100, slack=1e-10):
-    """Interpolation inequality for the smooth objective and every g_i."""
+    """Interpolation inequality for the smooth objective and every g_i at
+    ``triples`` draws (x1, x2, alpha) per problem; each function's value is
+    called once on the x1 rows, once on the x2 rows and once on the
+    midpoints. One failure per failing triple, with the gap of its first
+    failing function."""
     rng = Lcg(4096)
     for prog in ctx.problems:
-        fns = [prog.smooth.value] + [g.value for g in prog.ineqs]
-        for _ in range(triples):
-            x1, x2 = rng.normal(prog.n), rng.normal(prog.n)
-            alpha = rng.uniform()
-            mid = alpha * x1 + (1 - alpha) * x2
-            for f in fns:
-                gap = f(mid) - alpha * f(x1) - (1 - alpha) * f(x2)
-                if gap > slack:
-                    yield Failure("convexity", prog.name, f"convexity gap {gap:.3e} > {slack:g}")
-                    break
+        draws = [(rng.normal(prog.n), rng.normal(prog.n), rng.uniform()) for _ in range(triples)]
+        X1, X2, alpha = (np.array(col) for col in zip(*draws))
+        mid = alpha[:, None] * X1 + (1 - alpha)[:, None] * X2
+        gaps = np.array([f.value(mid) - alpha * f.value(X1) - (1 - alpha) * f.value(X2)
+                         for f in (prog.smooth, *prog.ineqs)])
+        failing = gaps > slack
+        for t in np.flatnonzero(failing.any(axis=0)):
+            gap = gaps[failing[:, t].argmax(), t]
+            yield Failure("convexity", prog.name, f"convexity gap {gap:.3e} > {slack:g}")
 
 
 def _walk(hist):
@@ -250,13 +256,15 @@ def _check_descent(ctx):
                 break
 
 
-def _closed_form_dual_step(prog, lam, c):
-    """One proximal step on the dual of an equality-constrained QP."""
+def _closed_form_dual_step(prog, c):
+    """The proximal step lam -> solve(c M + I, c v + lam) on the dual of an
+    equality-constrained QP, with M and v computed once per program."""
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
     M = A @ np.linalg.solve(Q, A.T)
     v = -(A @ np.linalg.solve(Q, q) + b)
-    return np.linalg.solve(c * M + np.eye(M.shape[0]), c * v + lam)
+    K = c * M + np.eye(M.shape[0])
+    return lambda lam: np.linalg.solve(K, c * v + lam)
 
 
 def _check_ppa_equivalence(ctx, tol=1e-9, iters=8, c=10.0):
@@ -266,9 +274,10 @@ def _check_ppa_equivalence(ctx, tol=1e-9, iters=8, c=10.0):
         prog = generate(GeneratorSpec("sc_qp", m2=0, seed=seed))
         hist = run(prog, PenaltySchedule.fixed(c), sigma=0.0, tol=1e-300,
                    max_outer=iters, inner=InnerOptions(exact=True))
+        step = _closed_form_dual_step(prog, c)
         lam_ref = np.zeros(prog.m1)
         for rec in hist.records:
-            lam_ref = _closed_form_dual_step(prog, lam_ref, c)
+            lam_ref = step(lam_ref)
             gap = float(np.linalg.norm(rec.p.lam - lam_ref))
             if gap > tol:
                 yield Failure("ppa-equivalence", prog.name,

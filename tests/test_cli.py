@@ -169,6 +169,24 @@ class TestSolveCommand:
         assert not list(tmp_path.glob("*.csv"))
 
 
+    @pytest.mark.parametrize("doc, field, rule", [
+        ({"n": 2, "Q": [[1.0, 0.0], [0.0, -1.0]], "q": [0.0, 0.0]}, "Q", "positive semidefinite"),
+        ({"n": 2, "Q": [[1.0, 5.0], [-5.0, 1.0]], "q": [0.0, 0.0]}, "Q", "symmetric"),
+        ({"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0],
+          "ineq": [{"type": "affine", "G": [1.0, 0.0], "d": 1.0},
+                   {"type": "quadratic", "P": [[1.0, 0.0], [0.0, -1.0]], "r": [0.0, 0.0], "s": -1.0}]},
+         "ineq[1].P", "positive semidefinite"),
+    ], ids=["indefinite-Q", "skew-Q", "indefinite-P"])
+    def test_non_convex_problem_file_names_the_field(self, tmp_path, capsys, recwarn, doc, field, rule):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        assert main(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"field '{field}': must be {rule}" in err
+        assert not recwarn.list
+        assert not list(tmp_path.glob("*.csv"))
+
+
 class TestRatesCommand:
     @pytest.fixture()
     def trace(self, tmp_path):

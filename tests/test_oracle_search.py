@@ -36,6 +36,7 @@ from almlab import (
 from almlab import oracle as oracle_mod
 from almlab.cli import main
 from almlab.errors import EnumerationLimitError, InfeasibleError, ProblemFormatError
+from almlab.io import load_problem
 from almlab.oracle import DualPolyhedron
 from almlab.problem import lagrangian_grad
 
@@ -294,11 +295,11 @@ class TestRefusedQ:
     def test_rates_on_an_indefinite_problem_exits_1(self, tmp_path, capsys):
         path = tmp_path / "saddle.json"
         path.write_text(json.dumps({"n": 2, "Q": [[1.0, 0.0], [0.0, -1.0]], "q": [0.0, 0.0]}))
-        main(["solve", "--problem", str(path), "--sigma", "0.5", "--out", str(tmp_path)])
-        traces = list(tmp_path.glob("*.trace.json"))
-        assert len(traces) == 1
+        # solve refuses this file, so the trace comes from the library run
+        trace = tmp_path / "saddle.trace.json"
+        run(load_problem(path), PenaltySchedule.fixed(10.0), 0.5).to_json(trace)
         capsys.readouterr()
-        code = main(["rates", "--trace", str(traces[0]), "--problem", str(path), "--out", str(tmp_path)])
+        code = main(["rates", "--trace", str(trace), "--problem", str(path), "--out", str(tmp_path)])
         assert code == 1
         assert "field 'Q'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.rates.*"))

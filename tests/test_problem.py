@@ -15,6 +15,7 @@ from almlab import (
     QuadraticObjective,
     generate,
     kkt_residual,
+    standard_corpus,
 )
 from almlab.errors import DimensionMismatchError
 from almlab.problem import lagrangian_grad
@@ -109,6 +110,11 @@ class TestConvexityProbe:
             lhs = sc_qp7.eval_h(a * x1 + (1 - a) * x2)
             rhs = a * sc_qp7.eval_h(x1) + (1 - a) * sc_qp7.eval_h(x2)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(1.0, np.linalg.norm(rhs))
+
+
+def test_generated_programs_pass_the_convexity_test():
+    for prog in standard_corpus() + [generate(GeneratorSpec("quad_ineq", seed=s)) for s in range(3)]:
+        prog.check_convex()
 
 
 class TestBoxL1Regularizer:

@@ -1,16 +1,32 @@
-"""Every trace check of verify can fail.
+"""Every check of verify can fail.
 
 One corpus run goes through to_json/from_json, one record of it is edited,
 and each of the seven (program, trace) checks runs on the result. The
 checks that must notice the edit name the first record they reject; the
 others, and all seven on the untampered run, return None.
+
+The two sampled checks evaluate each function once per problem on stacked
+points: they report what a point-by-point loop reports, they call the
+production value methods, and those methods give one value per row.
 """
 import json
 
+import numpy as np
 import pytest
 
-from almlab import RunHistory, run, standard_corpus
+from almlab import (
+    AffineInequality,
+    ConvexProgram,
+    GeneratorSpec,
+    QuadraticInequality,
+    QuadraticObjective,
+    RunHistory,
+    generate,
+    run,
+    standard_corpus,
+)
 from almlab import verify as verify_mod
+from almlab.rng import Lcg
 
 TRACE_CHECKS = {
     "criterion-identity": verify_mod._criterion_identity,
@@ -79,3 +95,76 @@ def test_edited_record_fails_the_named_checks(corpus_run, edit, expected):
     assert failures.keys() == expected.keys(), failures
     for name, k in expected.items():
         assert failures[name].startswith("status " if k is None else f"k={k}:"), failures[name]
+
+
+def _pointwise_convexity(prog, triples=100, slack=1e-10):
+    """The convexity check one triple and one function at a time: the
+    messages of the failing triples, in order."""
+    rng = Lcg(4096)
+    fns = [prog.smooth.value] + [g.value for g in prog.ineqs]
+    messages = []
+    for _ in range(triples):
+        x1, x2 = rng.normal(prog.n), rng.normal(prog.n)
+        alpha = rng.uniform()
+        mid = alpha * x1 + (1 - alpha) * x2
+        for f in fns:
+            gap = f(mid) - alpha * f(x1) - (1 - alpha) * f(x2)
+            if gap > slack:
+                messages.append(f"convexity gap {gap:.3e} > {slack:g}")
+                break
+    return messages
+
+
+def test_convexity_reports_every_failing_triple_in_order():
+    n = 2
+    prog = ConvexProgram(QuadraticObjective(np.eye(n), np.zeros(n)),
+                         ineqs=(AffineInequality(np.ones(n), 1.0),
+                                QuadraticInequality(-np.eye(n), np.zeros(n), 1.0)),
+                         name="concave-row")
+    failures = verify_mod.run_verification([prog], only=["convexity"])
+    assert {(f.check, f.problem) for f in failures} == {("convexity", "concave-row")}
+    assert [f.message for f in failures] == _pointwise_convexity(prog)
+    assert len(failures) == 100
+    assert failures[0].message == "convexity gap 1.984e-01 > 1e-10"
+
+
+def test_gradient_consistency_reads_the_production_value(monkeypatch):
+    prog = standard_corpus()[0]
+    assert prog.smooth.q.any()
+    assert verify_mod.run_verification([prog], only=["gradient-consistency"]) == []
+    production = QuadraticObjective.value
+    monkeypatch.setattr(QuadraticObjective, "value", lambda self, x: production(self, x) - x @ self.q)
+    failures = verify_mod.run_verification([prog], only=["gradient-consistency"])
+    assert [(f.check, f.problem) for f in failures] == [("gradient-consistency", prog.name)]
+
+
+def _value_cases():
+    """(function, the pre-batching scalar expression, n) for every
+    objective and inequality of the corpus and of two quad_ineq programs."""
+    progs = standard_corpus() + [generate(GeneratorSpec("quad_ineq", seed=s)) for s in range(2)]
+    for prog in progs:
+        o = prog.smooth
+        yield o, lambda x, o=o: float(0.5 * (x @ o.Q @ x) + o.q @ x + o.const), prog.n
+        for g in prog.ineqs:
+            if isinstance(g, AffineInequality):
+                yield g, lambda x, g=g: float(g.coeff @ x - g.offset), prog.n
+            else:
+                yield g, lambda x, g=g: float(0.5 * (x @ g.P @ x) + g.r @ x + g.s), prog.n
+
+
+@pytest.mark.parametrize("cls", [QuadraticObjective, AffineInequality, QuadraticInequality])
+def test_value_takes_one_point_or_one_per_row(cls):
+    rng = Lcg(7)
+    cases = [case for case in _value_cases() if type(case[0]) is cls]
+    assert cases
+    for fn, old, n in cases:
+        X = np.array([rng.normal(n) for _ in range(12)])
+        rows = [fn.value(x) for x in X]
+        for x, v in zip(X, rows):
+            assert type(v) is float
+            assert v == old(x)  # bit for bit
+        batch = fn.value(X)
+        assert batch.shape == (12,)
+        # relative to max(1, |value|): an affine row's value can cancel to
+        # near zero, where a batch sum order moves it by 1e-14 of itself
+        np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=1e-14)

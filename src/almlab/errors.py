@@ -30,18 +30,22 @@ class NonFiniteError(AlmlabError, FloatingPointError):
 
 
 class InfeasibleError(AlmlabError):
-    """No active set yields a feasible KKT-consistent point."""
+    """The feasible set is empty: a search over {Ax = b, Gx <= d} found rows
+    that cannot hold together, or no active set yields a feasible
+    KKT-consistent point."""
 
 
 class UnboundedError(AlmlabError):
-    """The objective is unbounded below over the feasible set."""
+    """The objective is unbounded below over the feasible set: the oracle
+    found a feasible descent ray, a direction d with Qd = 0, q'd < 0,
+    Ad = 0 and Gd <= 0, in a program whose feasible set is not empty."""
 
 
 class EnumerationLimitError(AlmlabError):
     """An oracle face search hit its cap: more than 20 inequality rows for
-    the 2^m2 enumeration (Q PSD but not positive definite), or more than
-    10 (m2 + 1) face solves for the dual active-set search (Q positive
-    definite)."""
+    the 2^m2 enumeration (Q PSD but not positive definite, raised only
+    after the program is found feasible and bounded), or more than
+    10 (m2 + 1) face solves for a dual active-set search."""
 
 
 class NoValidSamplesError(AlmlabError):

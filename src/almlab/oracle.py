@@ -12,9 +12,12 @@ depends on Q:
   Goldfarb & Idnani (1983). It starts at the face with no inequality row
   and adds violated rows one at a time, typically one face solve per active
   row plus one. Its cap is _SEARCH_CAP * (m2 + 1) face solves.
-* any other PSD Q runs the enumeration: faces in subset-index order, each
-  first tested for a feasible descent ray, up to the first consistent one.
-  Its worst case is 2^m2 faces, and it refuses more than _ENUM_CAP rows.
+* any other PSD Q runs the enumeration: faces in subset-index order, up to
+  the first consistent one. Its worst case is 2^m2 faces, and it refuses
+  more than _ENUM_CAP rows. Before its first face, two more runs of the
+  search decide whether the program has a minimizer at all: an empty
+  feasible set raises InfeasibleError and a feasible descent ray raises
+  UnboundedError, whatever the number of rows.
 
 Both return the same x bit for bit whenever they stop at the same face. A Q
 that is not symmetric or not PSD is refused. The dual solution set is the
@@ -87,7 +90,7 @@ def _tolerances(q, b, d):
     return feas_tol, mu_tol
 
 
-def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol, check_rays=False):
+def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
     """Solve and test the face on which the rows S of G (ascending) are active.
 
     The equality-KKT system of the rows of A and G[S] is solved by least
@@ -98,14 +101,10 @@ def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol, check_rays=False):
     compromise between nearly dependent rows that cannot all hold); mu
     carries the multipliers of S at their row indices and zeros elsewhere,
     and consistent says that x is feasible to feas_tol and mu >= -mu_tol.
-    With check_rays the face is first tested for a feasible descent ray
-    (:func:`_check_face_unbounded`).
     """
     n, m1, m2 = Q.shape[0], A.shape[0], G.shape[0]
     C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
     rhs_c = np.concatenate([b, d[S]])
-    if check_rays:
-        _check_face_unbounded(Q, q, A, G, C, rhs_c)
     k = C.shape[0]
     kkt = np.zeros((n + k, n + k))
     kkt[:n, :n] = Q
@@ -128,22 +127,47 @@ def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol, check_rays=False):
     return x, mu, consistent
 
 
+def _check_solvable(Q, q, A, b, G, d):
+    """Refuse a PSD program that has no minimizer.
+
+    A convex QP that is feasible and bounded below attains its minimum
+    (Frank & Wolfe 1956), so two searches by :func:`_dual_active_set_face`
+    decide it. The first minimizes 0.5||x||^2 over {Ax = b, Gx <= d} and
+    raises :class:`InfeasibleError` when that set is empty. With N an
+    orthonormal basis of null(Q), the second projects -N'q onto the
+    recession cone {z : ANz = 0, GNz <= 0}; a projection z != 0 makes Nz a
+    feasible descent ray (q'Nz = -||z||^2), and ||z|| > 1e-8 (1 + ||N'q||)
+    raises :class:`UnboundedError`.
+    """
+    n = Q.shape[0]
+    _dual_active_set_face(np.eye(n), np.zeros(n), A, b, G, d)
+    N = _null_space(Q)
+    c = N.T @ q
+    z = _dual_active_set_face(np.eye(N.shape[1]), c, A @ N, np.zeros(A.shape[0]),
+                              G @ N, np.zeros(G.shape[0]))
+    if np.linalg.norm(z) > 1e-8 * (1.0 + np.linalg.norm(c)):
+        raise UnboundedError("feasible descent ray found: the objective is unbounded below")
+
+
 def _first_kkt_face(Q, q, A, b, G, d):
     """The first consistent face in subset-index order, for PSD Q.
 
-    Every face visited is solved and tested by :func:`_solve_face`, after a
-    test for a feasible descent ray (:class:`UnboundedError`). The worst
-    case is 2^m2 faces, so more than _ENUM_CAP rows in G raise
-    :class:`EnumerationLimitError`; no consistent face raises
-    :class:`InfeasibleError`.
+    :func:`_check_solvable` first refuses an empty feasible set
+    (:class:`InfeasibleError`) and a feasible descent ray
+    (:class:`UnboundedError`), so every program that reaches the faces has
+    a minimizer. Every face visited is solved and tested by
+    :func:`_solve_face`. The worst case is 2^m2 faces, so more than
+    _ENUM_CAP rows in G raise :class:`EnumerationLimitError`; a program
+    on which no face passes the tests raises :class:`InfeasibleError`.
     """
+    _check_solvable(Q, q, A, b, G, d)
     m2 = G.shape[0]
     if m2 > _ENUM_CAP:
         raise EnumerationLimitError(f"{m2} inequality rows exceed the enumeration cap of {_ENUM_CAP}")
     feas_tol, mu_tol = _tolerances(q, b, d)
     for mask in range(1 << m2):
         S = [i for i in range(m2) if mask >> i & 1]
-        x, _, consistent = _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol, check_rays=True)
+        x, _, consistent = _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol)
         if consistent:
             return x
     raise InfeasibleError("no active set yields a KKT-consistent feasible point")
@@ -403,12 +427,13 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     before any factorization, and naming a Q that is not symmetric
     (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
     below -2e-10 max(1, largest)), on which no face is exact.
-    Raises :class:`UnboundedError` when a face the enumeration visits
-    carries a feasible descent ray (positive definite Q has none),
-    :class:`InfeasibleError` when no face passes, and
+    Raises :class:`InfeasibleError` when the feasible set is empty or no
+    face passes, :class:`UnboundedError` when a feasible descent ray exists
+    (positive definite Q has none; for other Q both are decided by
+    :func:`_check_solvable` before the enumeration's first face), and
     :class:`EnumerationLimitError` past either search's cap: m2 > _ENUM_CAP
     = 20 rows for the enumeration, _SEARCH_CAP (m2 + 1) = 10 (m2 + 1) face
-    solves for the search.
+    solves for a search.
     """
     if not prog.is_affine_qp():
         raise ValueError("the oracle requires a quadratic objective with affine constraints")
@@ -425,7 +450,7 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
     # positive definite Q leaves no face a flat direction: the program is
     # strictly convex, X* is the single point x*, and the dual active-set
-    # search needs no ray test.
+    # search needs no solvability check.
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
     search = _dual_active_set_face if positive_definite else _first_kkt_face
     x_star = search(Q, q, A, b, G, d)
@@ -448,41 +473,6 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
         dual=dual,
         fingerprint=prog.fingerprint(),
     )
-
-
-def _check_face_unbounded(Q, q, A, G, C, rhs_c):
-    """Raise UnboundedError when this face carries a feasible descent ray.
-
-    A convex QP is unbounded below over the feasible set iff some direction
-    d has Qd = 0, q'd < 0, Ad = 0 and Gd <= 0; such a d shows up as a
-    singular direction of the reduced Hessian on a face whose recession cone
-    it belongs to.
-    """
-    N = _null_space(C) if C.shape[0] else np.eye(Q.shape[0])
-    if N.shape[1] == 0:
-        return
-    Hr = N.T @ Q @ N
-    evals, evecs = np.linalg.eigh(0.5 * (Hr + Hr.T))
-    flat = evals < 1e-10 * max(1.0, float(evals[-1]) if evals.size else 1.0)
-    if not flat.any():
-        return
-    if C.shape[0]:
-        x_p = np.linalg.lstsq(C, rhs_c, rcond=None)[0]
-        if np.linalg.norm(C @ x_p - rhs_c) > 1e-8 * (1.0 + np.linalg.norm(rhs_c)):
-            return  # face itself is empty
-    else:
-        x_p = np.zeros(Q.shape[0])
-    grad_reduced = N.T @ (Q @ x_p + q)
-    for idx in np.nonzero(flat)[0]:
-        v = evecs[:, idx]
-        slope = float(grad_reduced @ v)
-        if abs(slope) <= 1e-10:
-            continue
-        dvec = -math.copysign(1.0, slope) * (N @ v)
-        ok_eq = A.shape[0] == 0 or np.max(np.abs(A @ dvec)) <= 1e-10
-        ok_in = G.shape[0] == 0 or np.max(G @ dvec) <= 1e-10
-        if ok_eq and ok_in:
-            raise UnboundedError("feasible descent ray found: the objective is unbounded below")
 
 
 def project_primal(oracle: SolutionSetOracle, x):

@@ -7,7 +7,9 @@ the criterion from the recorded iterates. The other five checks inspect
 generated problems, oracle solutions or fresh solves and yield failures
 themselves. The two sampled checks, gradient consistency and convexity,
 draw their points per problem from a fixed seed and call each function's
-production ``value`` once per problem on the stacked points.
+production ``value`` on the stacked points: once per problem, except that
+gradient consistency splits the points of a problem with n > 10 into
+blocks of max(1, _VALUE_ROWS // n), so its memory stays O(_VALUE_ROWS n).
 ``run_verification`` executes a selection and returns everything that
 failed. The CLI wraps this with a machine-readable report.
 """
@@ -29,6 +31,10 @@ from .rng import Lcg
 VERIFY_SIGMA = 0.5
 VERIFY_TOL = 1e-8
 _SCHEDULE = PenaltySchedule.geometric(10.0, 1.5, 1e6)
+# rows per value call of the gradient check: every corpus problem (n <= 6)
+# sends all 100 points' 2n perturbations in one call, and a large n holds
+# O(_VALUE_ROWS * n) doubles at a time instead of O(100 n^2)
+_VALUE_ROWS = 1024
 
 
 @dataclass
@@ -70,22 +76,25 @@ class VerifyContext:
 
 def _check_gradient_consistency(ctx, points=100, step=1e-5, rel_tol=1e-6):
     """Analytic gradients of the smooth objective and every g_i match
-    central finite differences at ``points`` draws per problem. Each
-    function's value is called once on the stacked plus rows x + step e_j
-    and once on the minus rows, its grad once per point."""
+    central finite differences at ``points`` draws per problem. The points
+    go in blocks of max(1, _VALUE_ROWS // n); each function's value is
+    called once per block on the stacked plus rows x + step e_j and once on
+    the minus rows, its grad once per point."""
     rng = Lcg(2024)
     for prog in ctx.problems:
         n = prog.n
         X = np.array([rng.normal(n) for _ in range(points)])
         E = step * np.eye(n)
-        plus = (X[:, None, :] + E).reshape(-1, n)
-        minus = (X[:, None, :] - E).reshape(-1, n)
+        block = max(1, _VALUE_ROWS // n)
         worst = 0.0
-        for fn in (prog.smooth, *prog.ineqs):
-            ga = np.array([fn.grad(x) for x in X], dtype=float)
-            gf = ((fn.value(plus) - fn.value(minus)) / (2 * step)).reshape(points, n)
-            err = np.linalg.norm(gf - ga, axis=1) / np.maximum(1.0, np.linalg.norm(ga, axis=1))
-            worst = max(worst, float(err.max()))
+        for Xb in (X[i:i + block] for i in range(0, points, block)):
+            plus = (Xb[:, None, :] + E).reshape(-1, n)
+            minus = (Xb[:, None, :] - E).reshape(-1, n)
+            for fn in (prog.smooth, *prog.ineqs):
+                ga = np.array([fn.grad(x) for x in Xb], dtype=float)
+                gf = ((fn.value(plus) - fn.value(minus)) / (2 * step)).reshape(len(Xb), n)
+                err = np.linalg.norm(gf - ga, axis=1) / np.maximum(1.0, np.linalg.norm(ga, axis=1))
+                worst = max(worst, float(err.max()))
         if worst > rel_tol:
             yield Failure("gradient-consistency", prog.name,
                           f"relative finite-difference error {worst:.3e} > {rel_tol:g}")

@@ -7,7 +7,8 @@ import pytest
 
 from almlab.cli import main
 from almlab.problem import ConvexProgram, QuadraticObjective
-from almlab.verify import run_verification
+from almlab import verify as verify_mod
+from almlab.verify import Failure, run_verification
 
 
 NAN_Q_DOC = {"n": 2, "Q": [[2.0, float("nan")], [float("nan"), 2.0]], "q": [0.0, 0.0]}
@@ -204,6 +205,31 @@ class TestRatesCommand:
             rho_hat = float(line.split(",")[4])
             assert rho_hat == pytest.approx(1.0 / 3.0, abs=1e-9)
 
+    @pytest.mark.parametrize("uncertified, expected", [(False, 1), (True, 2)],
+                             ids=["moved", "moved-uncertified"])
+    def test_moved_final_record_breaks_the_bounds(self, trace, tmp_path, capsys, uncertified, expected):
+        # the last record's lam and x are moved a unit away from P* and X*.
+        # Its residual ||(y, u)|| ~ 1e-8 makes kappa_hat ~ 1e8, which still
+        # leaves the dual ratio ~ 4e7 above both rho bounds. Zeroing (y, u)
+        # keeps the record out of kappa_hat's window, and then dist_x also
+        # breaks both primal bounds
+        doc = json.loads(trace.read_text())
+        rec = doc["records"][-1]
+        for key in ("lam", "x"):
+            rec[key] = [v + 1.0 for v in rec[key]]
+        if uncertified:
+            rec["y"], rec["u"] = [0.0] * len(rec["y"]), [0.0] * len(rec["u"])
+        moved = tmp_path / "moved.trace.json"
+        moved.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["rates", "--trace", str(moved), "--generator", "reference1d",
+                     "--out", str(tmp_path)])
+        assert code == 5
+        summary = json.loads((tmp_path / "moved.rates.json").read_text())["summary"]
+        assert summary["bound_violations"] == expected
+        assert summary["margin_violations"] == expected
+        assert f"bound_violations={expected} margin_violations={expected}" in capsys.readouterr().out
+
     def test_missing_trace(self, tmp_path):
         code = main(["rates", "--trace", str(tmp_path / "missing.trace.json"),
                      "--generator", "reference1d"])
@@ -399,6 +425,18 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["failures"] == []
+
+    def test_failure_is_printed_and_exits_1(self, capsys, monkeypatch):
+        def failing(ctx):
+            yield Failure("yp2", "planted", "k=3: ||y||=1.000e+00 > 5.000e-01")
+
+        monkeypatch.setitem(verify_mod.CHECKS, "yp2", failing)
+        code = main(["verify", "--only", "yp2"])
+        assert code == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"failures": [{"check": "yp2", "problem": "planted",
+                                     "message": "k=3: ||y||=1.000e+00 > 5.000e-01"}],
+                       "checks": ["yp2"]}
 
     def test_unknown_check_rejected(self):
         assert main(["verify", "--only", "not-a-check"]) == 1

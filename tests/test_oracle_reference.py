@@ -1,10 +1,13 @@
 """Cross-check of solve_qp_exact against the full active-set enumeration.
 
-The reference below solves every one of the 2^m2 faces, testing each for a
-feasible descent ray, and keeps the first KKT-consistent one. solve_qp_exact
-stops at that face and skips the descent-ray test for positive definite Q;
-every output array must still agree bit for bit.
+The reference below solves every one of the 2^m2 faces and keeps the first
+KKT-consistent one. solve_qp_exact stops at that face, and for a Q that is
+not positive definite first refuses an empty feasible set or a feasible
+descent ray; on every program with a KKT point each output array must agree
+bit for bit.
 """
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -19,7 +22,7 @@ from almlab import (
     standard_corpus,
 )
 from almlab import oracle as oracle_mod
-from almlab.errors import InfeasibleError, ProblemFormatError, UnboundedError
+from almlab.errors import EnumerationLimitError, InfeasibleError, ProblemFormatError, UnboundedError
 from almlab.oracle import DualPolyhedron, SolutionSetOracle
 
 
@@ -34,7 +37,6 @@ def reference_oracle(prog):
         S = [i for i in range(m2) if mask >> i & 1]
         C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
         rhs_c = np.concatenate([b, d[S]])
-        oracle_mod._check_face_unbounded(Q, q, A, G, C, rhs_c)
         k = C.shape[0]
         kkt = np.block([[Q, C.T], [C, np.zeros((k, k))]])
         rhs = np.concatenate([-q, rhs_c])
@@ -90,18 +92,44 @@ def test_corpus_matches_reference(prog):
     assert_bitwise_equal(solve_qp_exact(prog), reference_oracle(prog))
 
 
+@pytest.mark.parametrize("prog", CORPUS_QPS + [generate(s) for s in LADDER],
+                         ids=[p.name for p in CORPUS_QPS] + [s.label() for s in LADDER])
+def test_sign_constrained_rows_are_the_active_rows(prog):
+    # a row whose multiplier may be positive must be active at x*, and a
+    # row pinned to zero must not be; the slack tolerance scales with the
+    # data as the oracle's feasibility tolerance does
+    orc = solve_qp_exact(prog)
+    G, d, b = prog.ineq_matrix(), prog.ineq_rhs(), prog.eq_rhs()
+    tol = 1e-8 * max(1.0, np.abs(b).max(initial=0.0), np.abs(d).max(initial=0.0))
+    slack = G @ orc.primal_point - d
+    assert all(slack[j - prog.m1] >= -tol for j in orc.dual.nonneg_idx)
+    assert all(slack[i - prog.m1] < -tol for i in orc.dual.zero_idx)
+
+
 @pytest.fixture
-def face_checks(monkeypatch):
-    """Count calls of the face unboundedness test made by solve_qp_exact."""
-    calls = []
-    real = oracle_mod._check_face_unbounded
+def spy(monkeypatch):
+    """checks: for each call of _check_solvable, the number of faces solved
+    before it; faces: every face solved outside it, in order."""
+    log = SimpleNamespace(checks=[], faces=[])
+    inside = []
+    real_check, real_face = oracle_mod._check_solvable, oracle_mod._solve_face
 
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
+    def check(*args):
+        log.checks.append(len(log.faces))
+        inside.append(True)
+        try:
+            return real_check(*args)
+        finally:
+            inside.pop()
 
-    monkeypatch.setattr(oracle_mod, "_check_face_unbounded", spy)
-    return calls
+    def face(Q, q, A, b, G, d, S, *args):
+        if not inside:
+            log.faces.append(list(S))
+        return real_face(Q, q, A, b, G, d, S, *args)
+
+    monkeypatch.setattr(oracle_mod, "_check_solvable", check)
+    monkeypatch.setattr(oracle_mod, "_solve_face", face)
+    return log
 
 
 def _qp(Q, q, rows=(), offsets=(), eq=None):
@@ -111,31 +139,35 @@ def _qp(Q, q, rows=(), offsets=(), eq=None):
 
 
 class TestCertificateBoundary:
-    def test_positive_definite_skips_the_face_test(self, face_checks):
+    def test_positive_definite_skips_the_solvability_check(self, spy):
         orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=6, seed=0)))
-        assert face_checks == []
+        assert spy.checks == []
+        assert spy.faces
         assert orc.primal_is_singleton()
 
-    def test_psd_with_kkt_point_is_face_checked(self, face_checks):
+    def test_psd_with_kkt_point_is_checked_once_before_any_face(self, spy):
         # min 0.5*x1^2 - x2 s.t. x2 <= 1: flat in x2 but bounded by the row
         prog = _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, 1.0]], offsets=[1.0])
         orc = solve_qp_exact(prog)
-        assert len(face_checks) == 2
+        assert spy.checks == [0]
+        assert spy.faces == [[], [0]]
         np.testing.assert_allclose(orc.primal_point, [0.0, 1.0], atol=1e-12)
         assert_bitwise_equal(orc, reference_oracle(prog))
 
-    def test_psd_descent_ray_still_raises(self, face_checks):
+    def test_psd_descent_ray_still_raises(self, spy):
         # min 0.5*x1^2 - x2 s.t. x2 >= -1: x2 -> +inf is a feasible descent ray
         prog = _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, -1.0]], offsets=[1.0])
         with pytest.raises(UnboundedError):
             solve_qp_exact(prog)
-        assert len(face_checks) == 1
+        assert spy.checks == [0]
+        assert spy.faces == []
 
-    def test_nearly_singular_definite_q_is_face_checked(self, face_checks):
+    def test_nearly_singular_definite_q_is_checked(self, spy):
         # lambda_min / lambda_max = 1e-11 lies below the certificate's margin
         prog = _qp(np.diag([1.0, 1e-11]), [0.0, 0.0], rows=[[1.0, 1.0]], offsets=[-1.0])
         orc = solve_qp_exact(prog)
-        assert len(face_checks) == 2
+        assert spy.checks == [0]
+        assert len(spy.faces) == 2
         assert_bitwise_equal(orc, reference_oracle(prog))
 
     @pytest.mark.parametrize("field, prog", [
@@ -148,11 +180,72 @@ class TestCertificateBoundary:
         ("G", _qp(np.eye(2), [0.0, 0.0], rows=[[1.0, np.nan]], offsets=[1.0])),
         ("d", _qp(np.eye(2), [0.0, 0.0], rows=[[1.0, 0.0]], offsets=[-np.inf])),
     ], ids=["Q-nan-off-diagonal", "Q-nan-diagonal", "Q-inf-scalar", "q", "A", "b", "G", "d"])
-    def test_non_finite_data_is_refused(self, face_checks, capfd, field, prog):
+    def test_non_finite_data_is_refused(self, spy, capfd, field, prog):
         # refused before any LAPACK call: nothing is printed (LAPACK's
-        # DLASCL complaint on a NaN matrix goes to stdout) and no face is
-        # visited
+        # DLASCL complaint on a NaN matrix goes to stdout), the solvability
+        # check does not run and no face is visited
         with pytest.raises(ProblemFormatError, match=f"field '{field}'"):
             solve_qp_exact(prog)
-        assert face_checks == []
+        assert spy.checks == []
+        assert spy.faces == []
         assert capfd.readouterr() == ("", "")
+
+
+# x2 <= 0 and x2 >= 1 cannot both hold
+_EMPTY_ROWS = dict(rows=[[0.0, 1.0], [0.0, -1.0]], offsets=[0.0, -1.0])
+
+
+class TestSolvability:
+    """A PSD program without a minimizer is refused before the enumeration,
+    with the exception that names why."""
+
+    @pytest.mark.parametrize("prog", [
+        _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], **_EMPTY_ROWS),
+        _qp(np.zeros((2, 2)), [-1.0, 0.0], eq=AffineMap(np.array([[0.0, 1.0]]), np.array([0.5])),
+            **_EMPTY_ROWS),
+    ], ids=["flat-q", "zero-q-with-equality"])
+    def test_empty_feasible_set_is_infeasible_not_unbounded(self, spy, prog):
+        # -x1 descends without bound along a ray no row limits, but no x is
+        # feasible
+        with pytest.raises(InfeasibleError):
+            solve_qp_exact(prog)
+        assert spy.checks == [0]
+        assert spy.faces == []
+
+    def test_empty_feasible_set_beyond_the_cap_is_infeasible(self, spy):
+        # 21 rows exceed the enumeration cap, but emptiness is decided first
+        prog = _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], rows=[[0.0, 1.0]] * 20 + [[0.0, -1.0]],
+                   offsets=[0.0] * 20 + [-1.0])
+        with pytest.raises(InfeasibleError):
+            solve_qp_exact(prog)
+        assert spy.checks == [0]
+
+    def test_bounded_program_beyond_the_cap_hits_the_cap(self, spy):
+        prog = _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, 1.0]] * 21, offsets=[1.0] * 21)
+        with pytest.raises(EnumerationLimitError):
+            solve_qp_exact(prog)
+        assert spy.checks == [0]
+        assert spy.faces == []
+
+    @pytest.mark.parametrize("prog", [
+        # min -x1 - x2 over the cone x1 <= 2 x2, x2 <= 2 x1, which holds (1, 1)
+        _qp(np.zeros((2, 2)), [-1.0, -1.0], rows=[[1.0, -2.0], [-2.0, 1.0]], offsets=[0.0, 0.0]),
+        # min -x3 s.t. -1 <= x1 <= 1: x3 is free
+        _qp(np.zeros((3, 3)), [0.0, 0.0, -1.0], rows=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+            offsets=[1.0, 1.0]),
+    ], ids=["cone", "free-coordinate"])
+    def test_descent_ray_raises_with_no_face_solved(self, spy, prog):
+        with pytest.raises(UnboundedError):
+            solve_qp_exact(prog)
+        assert spy.checks == [0]
+        assert spy.faces == []
+
+    def test_flat_coordinate_box_matches_the_reference(self, spy):
+        # min 0.5 x2^2 - x1 - x2 s.t. -1 <= x1 <= 1: flat in x1, bounded by
+        # the box at x* = (1, 1)
+        prog = _qp(np.diag([0.0, 1.0]), [-1.0, -1.0], rows=[[1.0, 0.0], [-1.0, 0.0]],
+                   offsets=[1.0, 1.0])
+        orc = solve_qp_exact(prog)
+        assert spy.checks == [0]
+        np.testing.assert_allclose(orc.primal_point, [1.0, 1.0], atol=1e-12)
+        assert_bitwise_equal(orc, reference_oracle(prog))

@@ -5,9 +5,10 @@ and each of the seven (program, trace) checks runs on the result. The
 checks that must notice the edit name the first record they reject; the
 others, and all seven on the untampered run, return None.
 
-The two sampled checks evaluate each function once per problem on stacked
-points: they report what a point-by-point loop reports, they call the
-production value methods, and those methods give one value per row.
+The two sampled checks evaluate each function on stacked points, once per
+problem on the corpus and in blocks of bounded size on a large n: they
+report what a point-by-point loop reports, they call the production value
+methods, and those methods give one value per row.
 """
 import json
 
@@ -60,6 +61,17 @@ def _round_delta_p(doc, rec):
     rec["delta_p"] = [float(f"{v:.8g}") for v in rec["delta_p"]]
 
 
+def _scale_y(doc, rec):
+    rec["y"] = [v * 10.0 for v in rec["y"]]
+
+
+def _move_tail_lam(doc, rec):
+    # the second-to-last record: the dual-convergence tail compares its
+    # distance to p_N with that of the record before it
+    tail = doc["records"][-2]
+    tail["lam"] = [v + 1e-3 for v in tail["lam"]]
+
+
 @pytest.fixture(scope="module")
 def corpus_run():
     """sc_qp seed 0 at the verify settings: smooth, m1 = 2, m2 = 3, twelve
@@ -80,12 +92,18 @@ def corpus_run():
     (_swap_with_next, {"criterion-identity": K + 1, "certificate-validity": K + 1,
                        "step2-exactness": K + 1}),
     (_shift("lam", 1e-9), {"step2-exactness": K, "certificate-validity": K + 1}),
-    (lambda doc, rec: doc.update(status="MaxOuterIterations"), {"vanishing-residuals": None}),
+    (lambda doc, rec: doc.update(status="MaxOuterIterations"), {"vanishing-residuals": "status "}),
     (_round_delta_p, {"criterion-identity": K}),
     (lambda doc, rec: rec["criterion"].update(lhs=0.0), {"criterion-identity": K}),
+    (_scale_y, {"yp2": K, "criterion-identity": K, "subgradient-transfer": K,
+                "certificate-validity": K, "step2-exactness": K}),
+    (_move_tail_lam, {"dual-convergence": "tail distance rose", "subgradient-transfer": 11,
+                      "certificate-validity": 12, "step2-exactness": 11}),
 ], ids=["untampered", "mu-scaled", "y-shifted", "x-shifted", "records-swapped", "lam-shifted",
-        "status-edited", "delta_p-rounded", "lhs-zeroed"])
+        "status-edited", "delta_p-rounded", "lhs-zeroed", "y-scaled", "tail-lam-moved"])
 def test_edited_record_fails_the_named_checks(corpus_run, edit, expected):
+    """expected maps each failing check to the record k its message names,
+    or to the start of a message that names none."""
     prog, text = corpus_run
     doc = json.loads(text)
     edit(doc, doc["records"][K - 1])
@@ -93,8 +111,9 @@ def test_edited_record_fails_the_named_checks(corpus_run, edit, expected):
     failures = {name: check(prog, hist) for name, check in TRACE_CHECKS.items()}
     failures = {name: message for name, message in failures.items() if message is not None}
     assert failures.keys() == expected.keys(), failures
-    for name, k in expected.items():
-        assert failures[name].startswith("status " if k is None else f"k={k}:"), failures[name]
+    for name, where in expected.items():
+        prefix = f"k={where}:" if isinstance(where, int) else where
+        assert failures[name].startswith(prefix), failures[name]
 
 
 def _pointwise_convexity(prog, triples=100, slack=1e-10):
@@ -136,6 +155,25 @@ def test_gradient_consistency_reads_the_production_value(monkeypatch):
     monkeypatch.setattr(QuadraticObjective, "value", lambda self, x: production(self, x) - x @ self.q)
     failures = verify_mod.run_verification([prog], only=["gradient-consistency"])
     assert [(f.check, f.problem) for f in failures] == [("gradient-consistency", prog.name)]
+
+
+def test_gradient_check_bounds_the_rows_per_value_call(monkeypatch):
+    """Every corpus problem sends all 100 points in one call per function
+    and sign; n = 200 sends them in blocks of at most _VALUE_ROWS rows."""
+    rows = []
+    for cls in (QuadraticObjective, AffineInequality):
+        production = cls.value
+        monkeypatch.setattr(cls, "value", lambda self, x, f=production: rows.append(len(x)) or f(self, x))
+    for prog in standard_corpus():
+        rows.clear()
+        verify_mod.run_verification([prog], only=["gradient-consistency"])
+        counted = [f for f in (prog.smooth, *prog.ineqs) if isinstance(f, (QuadraticObjective, AffineInequality))]
+        assert rows == [100 * prog.n] * (2 * len(counted)), prog.name
+    prog = generate(GeneratorSpec("sc_qp", n=200, m1=4, m2=8, seed=0))
+    rows.clear()
+    assert verify_mod.run_verification([prog], only=["gradient-consistency"]) == []
+    assert max(rows) <= verify_mod._VALUE_ROWS
+    assert sum(rows) == 2 * 100 * 200 * (1 + prog.m2)
 
 
 def _value_cases():

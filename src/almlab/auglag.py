@@ -28,7 +28,8 @@ from .problem import ConvexProgram, DualPoint, as_vector
 class AugLagEval:
     """One evaluation of L_c at x: value, gradient of the smooth part, the
     constraint values h(x) and g(x), and the shifted multiplier
-    max(0, mu + c g(x))."""
+    max(0, mu + c g(x)). The gradient is None after the value stage of
+    ``lc_evaluator`` alone."""
 
     value: float
     smooth_grad: np.ndarray
@@ -53,6 +54,13 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
     driver and the checks all read it. What does not depend on x (||mu||^2,
     A^T, which blocks exist, the nonsmooth term) is fixed once here, so a
     subproblem solve binds it once and evaluates it per trial point.
+
+    The map runs in two stages, which it also carries as attributes:
+    ``value_stage(x)`` gives h, g, the shifted multiplier and the value,
+    with ``smooth_grad`` None, and ``grad_stage(x, ev)`` fills in
+    ``ev.smooth_grad`` from that evaluation's h and shifted multiplier and
+    returns ev. A line search runs the second stage only on the trial point
+    it may accept.
     """
     smooth, nonsmooth = prog.smooth, prog.nonsmooth
     lam, mu = p.lam, p.mu
@@ -60,7 +68,7 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
     At = prog.eq_matrix().T if prog.m1 else None
     has_g = bool(prog.m2)
 
-    def evaluate(x) -> AugLagEval:
+    def value_stage(x) -> AugLagEval:
         h = prog.eval_h(x)
         g = prog.eval_g(x)
         shifted = np.maximum(0.0, mu + c * g)
@@ -72,13 +80,22 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
         )
         if nonsmooth is not None:
             value += nonsmooth.value(x)
+        return AugLagEval(value=value, smooth_grad=None, shifted_mu=shifted, h=h, g=g)
+
+    def grad_stage(x, ev: AugLagEval) -> AugLagEval:
         grad = smooth.grad(x)
         if At is not None:
-            grad = grad + At @ (lam + c * h)
+            grad = grad + At @ (lam + c * ev.h)
         if has_g:
-            grad = grad + prog.grad_g(x) @ shifted
-        return AugLagEval(value=value, smooth_grad=grad, shifted_mu=shifted, h=h, g=g)
+            grad = grad + prog.grad_g(x) @ ev.shifted_mu
+        ev.smooth_grad = grad
+        return ev
 
+    def evaluate(x) -> AugLagEval:
+        return grad_stage(x, value_stage(x))
+
+    evaluate.value_stage = value_stage
+    evaluate.grad_stage = grad_stage
     return evaluate
 
 

@@ -16,6 +16,7 @@ the worst code across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -71,7 +72,11 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
+@functools.cache
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it was, and
+    # each call starts from a fresh namespace, so no appended value carries
+    # over from one call of main to the next
     parser = argparse.ArgumentParser(prog="almlab", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,7 +12,10 @@ subgradient of the nonsmooth part r at x+. For smooth problems the second
 term vanishes identically and y is the exact gradient.
 
 Every value and gradient of L_c comes from ``auglag.lc_evaluator``, bound
-once per subproblem to (prog, p_prev, c). A candidate is tested on the two
+once per subproblem to (prog, p_prev, c). The line search runs its value
+stage on every trial and its gradient stage only on a trial with a finite
+value that is certified or passes the Armijo test, so a rejected trial
+costs one value stage. A candidate is tested on the two
 sides of the criterion alone (``auglag.criterion_sides``); the multiplier
 update and the full ``CriterionReport`` are built only for the candidate
 that passes. The result carries them with the evaluation of L_c at the
@@ -90,16 +93,20 @@ def _certificate_floor(prog, x, p, c):
     The gradient of L_c sums terms whose magnitudes this estimates; anything
     below ~30 ulps of that sum is evaluation noise, so a certificate there
     is declared an exact solve. Capped at 1e-10 to keep declared-zero
-    certificates meaningful for downstream identity checks.
+    certificates meaningful for downstream identity checks. The norms of
+    the constant constraint data come from ``prog.constraint_norms``; only
+    the gradients of quadratic rows are evaluated at x.
     """
+    nA, nb, row_norms = prog.constraint_norms
     scale = float(np.linalg.norm(prog.smooth.grad(x)))
     nx = float(np.linalg.norm(x)) + 1.0
     if prog.m1:
-        nA = float(np.linalg.norm(prog.eq_matrix()))
-        scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + float(np.linalg.norm(prog.eq_rhs()))))
-    for i, con in enumerate(prog.ineqs):
-        ng = float(np.linalg.norm(con.grad(x)))
-        scale += ng * (float(p.mu[i]) + c * (abs(con.value(x)) + ng * nx))
+        scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + nb))
+    if prog.m2:
+        for ng, con, mu_i, g_i in zip(row_norms, prog.ineqs, p.mu.tolist(), prog.eval_g(x).tolist()):
+            if ng is None:
+                ng = float(np.linalg.norm(con.grad(x)))
+            scale += ng * (mu_i + c * (abs(g_i) + ng * nx))
     return max(_SNAP_TOL, min(30.0 * _EPS * scale, 1e-10))
 
 
@@ -186,14 +193,15 @@ def solve_subproblem(
         lhs, rhs_raw = criterion_sides(c, sigma, w_prev, x_next, y, lc.h, lc.g, p_prev.mu)
         if lhs <= rhs_raw:
             return _accepted(p_prev, c, sigma, w_prev, x_next, y, lc, i, backtracks, values)
-        frozen = frozen + 1 if not (x_next - x).any() else 0
+        dx = x_next - x
+        frozen = frozen + 1 if not dx.any() else 0
         if frozen >= 400:
             raise MaxInnerIterationsError(
                 f"inner iterates frozen at the floating-point floor with "
                 f"certificate norm {best_norm:.3e} (c={c:g}, sigma={sigma:g})"
                 + _last_step(t, backtracks)
             )
-        prev_dx = x_next - x
+        prev_dx = dx
         prev_dgrad = nxt.smooth_grad - cur.smooth_grad
         x, cur = x_next, nxt
         values.append(cur.value)
@@ -241,21 +249,25 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
     backtracks). Steps at or below t_safe (the inverse curvature bound,
     when one exists) satisfy the sufficient-decrease condition by
     construction and skip the value comparison, so roundoff in the value
-    cannot block them.
+    cannot block them. Every trial runs the value stage of L_c; only one
+    with a finite value that is certified or passes the test runs the
+    gradient stage, and it is accepted when that gradient is finite.
     """
+    value_at, grad_at = lc_at.value_stage, lc_at.grad_stage
     slack = 5e-16 * (1.0 + abs(cur.value))
     for bt in range(_MAX_BACKTRACKS):
         v = x - t_try * cur.smooth_grad
         x_next = nonsmooth.prox(v, t_try) if nonsmooth is not None else v
-        nxt = lc_at(x_next)
-        if not (math.isfinite(nxt.value) and np.isfinite(nxt.smooth_grad).all()):
-            t_try *= _ARMIJO_FACTOR
-            continue
-        dx = x_next - x
+        nxt = value_at(x_next)
         certified = t_safe is not None and t_try <= t_safe
-        if certified or nxt.value <= cur.value - (_ARMIJO_DECREASE / t_try) * float(dx @ dx) + slack:
-            y = nxt.smooth_grad + (v - x_next) / t_try
-            return x_next, y, nxt, t_try, bt
+        # a certified step needs no x_next - x
+        if math.isfinite(nxt.value) and (
+            certified or nxt.value <= cur.value - (_ARMIJO_DECREASE / t_try) * _sq_norm(x_next - x) + slack
+        ):
+            grad_at(x_next, nxt)
+            if np.isfinite(nxt.smooth_grad).all():
+                y = nxt.smooth_grad + (v - x_next) / t_try
+                return x_next, y, nxt, t_try, bt
         t_try *= _ARMIJO_FACTOR
     raise NonFiniteError(
         "line search failed to find a finite decreasing step; "
@@ -263,6 +275,10 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
         # t_try has been shrunk once more after the last step tried
         + _last_step(t_try / _ARMIJO_FACTOR, _MAX_BACKTRACKS)
     )
+
+
+def _sq_norm(v):
+    return float(v @ v)
 
 
 def _solve_exact(prog, p, c, sigma, w_prev, x_init):

@@ -310,6 +310,16 @@ class ConvexProgram:
         return tuple(float(np.linalg.norm(M, 2)) ** 2 if M.size else 0.0
                      for M in (self.eq_matrix(), self.ineq_matrix()))
 
+    @cached_property
+    def constraint_norms(self):
+        """(||A||_F, ||b||, row norms): the 2-norm of each affine
+        inequality's coeff in row order, None for a quadratic row, whose
+        gradient depends on x. Each is the float of one np.linalg.norm call
+        on that array, as the inner solver's certificate floor reads it."""
+        rows = tuple(float(np.linalg.norm(con.coeff)) if isinstance(con, AffineInequality) else None
+                     for con in self.ineqs)
+        return float(np.linalg.norm(self.eq_matrix())), float(np.linalg.norm(self.eq_rhs())), rows
+
     def fingerprint(self) -> str:
         """Stable content hash used to match traces with oracle solutions."""
         h = hashlib.sha256()

@@ -94,8 +94,9 @@ def _check_gradient_consistency(ctx, points=100, step=1e-5, rel_tol=1e-6):
                 ga = np.array([fn.grad(x) for x in Xb], dtype=float)
                 gf = ((fn.value(plus) - fn.value(minus)) / (2 * step)).reshape(len(Xb), n)
                 err = np.linalg.norm(gf - ga, axis=1) / np.maximum(1.0, np.linalg.norm(ga, axis=1))
-                worst = max(worst, float(err.max()))
-        if worst > rel_tol:
+                # np.maximum keeps a NaN, which must fail the test below
+                worst = float(np.maximum(worst, err.max()))
+        if not worst <= rel_tol:
             yield Failure("gradient-consistency", prog.name,
                           f"relative finite-difference error {worst:.3e} > {rel_tol:g}")
 
@@ -113,7 +114,7 @@ def _check_convexity(ctx, triples=100, slack=1e-10):
         mid = alpha[:, None] * X1 + (1 - alpha)[:, None] * X2
         gaps = np.array([f.value(mid) - alpha * f.value(X1) - (1 - alpha) * f.value(X2)
                          for f in (prog.smooth, *prog.ineqs)])
-        failing = gaps > slack
+        failing = ~(gaps <= slack)
         for t in np.flatnonzero(failing.any(axis=0)):
             gap = gaps[failing[:, t].argmax(), t]
             yield Failure("convexity", prog.name, f"convexity gap {gap:.3e} > {slack:g}")

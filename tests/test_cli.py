@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from almlab import cli as cli_mod
 from almlab.cli import main
 from almlab.problem import ConvexProgram, QuadraticObjective
 from almlab import verify as verify_mod
@@ -58,6 +59,18 @@ class TestSolveCommand:
         ])
         assert code == 0
         assert len(list(tmp_path.glob("*.csv"))) == 4
+
+    def test_repeatable_flags_start_empty_on_every_call(self, tmp_path):
+        # main reuses one parser; no --sigma of one call carries over into
+        # the next, and a call without --sigma keeps its default
+        common = ["solve", "--generator", "reference1d", "--c0", "2", "--tol", "1e-8"]
+        calls = [(["--sigma", "0", "--sigma", "0.5", "--sigma", "0.9"], 3), (["--sigma", "0.1"], 1), ([], 1)]
+        for k, (sigmas, count) in enumerate(calls):
+            out = tmp_path / str(k)
+            assert main(common + sigmas + ["--out", str(out)]) == 0
+            assert len(list(out.glob("*.csv"))) == count
+        assert [p.name for p in (tmp_path / "2").glob("*.csv")] == ["reference1d__sigma0.5__fixed.csv"]
+        assert cli_mod._build_parser() is cli_mod._build_parser()
 
     def test_grid_runs_in_order_without_threads(self, tmp_path, monkeypatch, capsys):
         def no_threads(self):

@@ -249,3 +249,33 @@ class TestCompositeCertificates:
         for i in range(2):
             if abs(res.x[i]) > 1e-9:
                 assert abs(abs(resid[i]) - w) <= 1e-6
+
+
+class TestCallAccounting:
+    """Every trial of the line search evaluates the objective's value; only
+    the start point, each accepted trial and the certificate floor evaluate
+    its gradient."""
+
+    @pytest.mark.parametrize("spec", [
+        GeneratorSpec("sc_qp", seed=0),
+        GeneratorSpec("box_composite", seed=0),
+        GeneratorSpec("sc_qp", n=200, seed=0),
+    ], ids=["sc_qp", "box_composite", "sc_qp-n200"])
+    @pytest.mark.parametrize("c, sigma", [(10.0, 0.5), (1e3, 0.01)])
+    def test_value_per_trial_grad_per_accepted_step(self, spec, c, sigma, monkeypatch):
+        calls = {"value": 0, "grad": 0}
+        for name in calls:
+            production = getattr(QuadraticObjective, name)
+
+            def counted(self, x, name=name, production=production):
+                calls[name] += 1
+                return production(self, x)
+
+            monkeypatch.setattr(QuadraticObjective, name, counted)
+        prog = generate(spec)
+        x0 = prog.interior_point if prog.interior_point is not None else np.zeros(prog.n)
+        res = solve_subproblem(prog, DualPoint.zeros(prog.m1, prog.m2), c, sigma, np.zeros(prog.n), x0)
+        # at the large penalty every case backtracks: rejected trials are counted
+        assert c < 1e3 or res.backtracks > 0
+        assert calls["value"] == res.inner_iters + res.backtracks + 2
+        assert calls["grad"] == res.inner_iters + 3

@@ -4,8 +4,11 @@ and the multiplier update and the full criterion report at every candidate.
 
 The solver now binds L_c once per subproblem, tests each candidate on the
 two sides of the criterion alone and builds the report only for the one it
-accepts. Every trajectory is set by the bits of these numbers, so the
-comparison is exact: the same arrays down to the sign of each zero.
+accepts; its line search computes the gradient of L_c only at a trial it
+may accept, and its certificate floor reads norms cached on the program.
+The former per-row floor is kept below verbatim too. Every trajectory is
+set by the bits of these numbers, so the comparison is exact: the same
+arrays down to the sign of each zero.
 """
 import functools
 import math
@@ -14,11 +17,14 @@ import numpy as np
 import pytest
 
 from almlab import (
+    AffineInequality,
+    AffineMap,
     ConvexProgram,
     DualPoint,
     GeneratorSpec,
     InnerOptions,
     PenaltySchedule,
+    QuadraticInequality,
     QuadraticObjective,
     auglag_eval,
     criterion_eval,
@@ -29,6 +35,7 @@ from almlab import (
     standard_corpus,
 )
 from almlab import inner as inner_mod
+from almlab.auglag import lc_evaluator
 from almlab.errors import MaxInnerIterationsError, NonFiniteError
 from almlab.rng import Lcg
 from almlab.verify import VERIFY_SIGMA, VERIFY_TOL
@@ -234,3 +241,102 @@ def test_cheap_test_agrees_with_the_report(monkeypatch):
     # one candidate per inner iteration, the accepted one included
     assert len(candidates) == inner + outer
     assert sum(candidates) == outer
+
+
+def reference_certificate_floor(prog, x, p, c):
+    """The certificate floor before the cached norms: one con.grad and one
+    con.value call per inequality."""
+    scale = float(np.linalg.norm(prog.smooth.grad(x)))
+    nx = float(np.linalg.norm(x)) + 1.0
+    if prog.m1:
+        nA = float(np.linalg.norm(prog.eq_matrix()))
+        scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + float(np.linalg.norm(prog.eq_rhs()))))
+    for i, con in enumerate(prog.ineqs):
+        ng = float(np.linalg.norm(con.grad(x)))
+        scale += ng * (float(p.mu[i]) + c * (abs(con.value(x)) + ng * nx))
+    return max(inner_mod._SNAP_TOL, min(30.0 * inner_mod._EPS * scale, 1e-10))
+
+
+def _mixed_rows(m1, m2, seed):
+    """A program on n = 5 whose m2 inequalities alternate affine, quadratic,
+    affine, ...; m1 equalities when m1 > 0."""
+    rng = Lcg(seed)
+    n = 5
+    ineqs = []
+    for i in range(m2):
+        if i % 2:
+            M = rng.normal((n, n))
+            ineqs.append(QuadraticInequality(M @ M.T, rng.normal(n), -1.0 - rng.uniform()))
+        else:
+            ineqs.append(AffineInequality(rng.normal(n), rng.normal()))
+    eq = AffineMap(rng.normal((m1, n)), rng.normal(m1)) if m1 else None
+    M = rng.normal((n, n))
+    return ConvexProgram(smooth=QuadraticObjective(M @ M.T + np.eye(n), rng.normal(n)),
+                         eq=eq, ineqs=ineqs, name=f"mixed-m1={m1}-m2={m2}")
+
+
+FLOOR_PROBLEMS = PROBLEMS + [_mixed_rows(2, 5, 11), _mixed_rows(0, 4, 12), _mixed_rows(3, 0, 13),
+                             _mixed_rows(0, 0, 14)]
+
+
+def floor_points(prog, seed, count=9):
+    """(x, p, c) triples at three penalties, the origin with zero multipliers
+    first."""
+    rng = Lcg(seed)
+    points = [(np.zeros(prog.n), DualPoint.zeros(prog.m1, prog.m2), 1.0)]
+    for k in range(count):
+        x = rng.normal(prog.n) * 10.0 ** (k % 3 - 1)
+        p = DualPoint(rng.normal(prog.m1), np.maximum(rng.normal(prog.m2), 0.0))
+        points.append((x, p, (1e-3, 1.0, 1e4)[k % 3]))
+    return points
+
+
+@pytest.mark.parametrize("index", range(len(FLOOR_PROBLEMS)), ids=[p.name for p in FLOOR_PROBLEMS])
+def test_certificate_floor_matches_reference_bit_for_bit(index, monkeypatch):
+    prog = FLOOR_PROBLEMS[index]
+    points = floor_points(prog, 500 + index)
+    for x, p, c in points:
+        assert inner_mod._certificate_floor(prog, x, p, c) == reference_certificate_floor(prog, x, p, c)
+    # the clamps to [1e-13, 1e-10] hide most bits of the sum; with no lower
+    # clamp and eps scaled by 2^-48 (exact), both return 30 eps' times it
+    monkeypatch.setattr(inner_mod, "_SNAP_TOL", 0.0)
+    monkeypatch.setattr(inner_mod, "_EPS", 2.0 ** -100)
+    for x, p, c in points:
+        got, want = inner_mod._certificate_floor(prog, x, p, c), reference_certificate_floor(prog, x, p, c)
+        assert 0.0 < got < 1e-10
+        assert got == want
+
+
+class FiniteGradBelow(QuadraticObjective):
+    """A quadratic whose gradient is inf wherever some |x_i| exceeds the
+    threshold; its value stays finite."""
+
+    threshold = 0.9
+
+    def grad(self, x):
+        g = super().grad(x)
+        return np.full_like(g, np.inf) if (np.abs(x) > self.threshold).any() else g
+
+
+@pytest.mark.parametrize("t_try, certified", [(1.0, True), (1.5, False)])
+def test_line_search_rejects_a_trial_with_a_non_finite_gradient(t_try, certified):
+    # min 0.5 x^2 - x with t_safe = 1 from x = 0: the first trial lands at
+    # x = t_try > 0.9, where the value passes (certified at t = 1, by the
+    # Armijo test at t = 1.5) but the gradient is inf; the step is halved
+    # once and the second trial is accepted
+    prog = ConvexProgram(smooth=FiniteGradBelow(np.eye(1), -np.ones(1)))
+    p, x = DualPoint.zeros(0, 0), np.zeros(1)
+    lc_at = lc_evaluator(prog, p, 1.0)
+    cur = lc_at(x)
+    first = lc_at.value_stage(x - t_try * cur.smooth_grad)
+    assert math.isfinite(first.value)
+    assert certified or first.value < cur.value - 1e-4 / t_try * t_try ** 2
+    x_next, y, nxt, t, bt = inner_mod._line_search(lc_at, None, x, cur, t_try, 1.0)
+    assert (t, bt) == (t_try / 2, 1)
+    assert_bits_equal(x_next, [t_try / 2])
+    ref = reference_line_search(prog, p, 1.0, x, auglag_eval(prog, x, p, 1.0), t_try, 1.0)
+    assert_bits_equal(x_next, ref[0])
+    assert_bits_equal(y, ref[1])
+    assert nxt.value == ref[2].value
+    assert_bits_equal(nxt.smooth_grad, ref[2].smooth_grad)
+    assert (t, bt) == ref[3:]

@@ -206,3 +206,34 @@ def test_value_takes_one_point_or_one_per_row(cls):
         # relative to max(1, |value|): an affine row's value can cancel to
         # near zero, where a batch sum order moves it by 1e-14 of itself
         np.testing.assert_allclose(batch, rows, rtol=1e-14, atol=1e-14)
+
+
+class NanValueObjective(QuadraticObjective):
+    """A quadratic whose value is NaN everywhere; its gradient is finite."""
+
+    def value(self, x):
+        return super().value(x) * np.nan
+
+
+class NanValueInequality(AffineInequality):
+    def value(self, x):
+        return super().value(x) * np.nan
+
+
+@pytest.mark.parametrize("where", ["objective", "inequality"])
+def test_sampled_checks_fail_a_nan_value(where):
+    # a NaN error or gap compares false against its tolerance either way;
+    # both checks must count it as a failure, not a pass
+    n = 2
+    if where == "objective":
+        prog = ConvexProgram(NanValueObjective(np.eye(n), np.zeros(n)), name="nan-value")
+    else:
+        prog = ConvexProgram(QuadraticObjective(np.eye(n), np.zeros(n)),
+                             ineqs=(NanValueInequality(np.ones(n), 1.0),), name="nan-value")
+    with np.errstate(invalid="ignore"):
+        failures = verify_mod.run_verification([prog], only=["gradient-consistency", "convexity"])
+    grad = [f.message for f in failures if f.check == "gradient-consistency"]
+    conv = [f.message for f in failures if f.check == "convexity"]
+    assert grad == ["relative finite-difference error nan > 1e-06"]
+    assert conv == ["convexity gap nan > 1e-10"] * 100
+    assert {f.problem for f in failures} == {"nan-value"}

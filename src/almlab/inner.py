@@ -87,7 +87,7 @@ class SubproblemResult:
 _EPS = float(np.finfo(float).eps)
 
 
-def _certificate_floor(prog, x, p, c):
+def _certificate_floor(prog, x, p, c, g=None):
     """Smallest certificate norm distinguishable from roundoff.
 
     The gradient of L_c sums terms whose magnitudes this estimates; anything
@@ -95,7 +95,9 @@ def _certificate_floor(prog, x, p, c):
     is declared an exact solve. Capped at 1e-10 to keep declared-zero
     certificates meaningful for downstream identity checks. The norms of
     the constant constraint data come from ``prog.constraint_norms``; only
-    the gradients of quadratic rows are evaluated at x.
+    the gradients of quadratic rows are evaluated at x. ``g`` is g(x) when
+    the caller has it (the start point's ``AugLagEval.g``); without it the
+    floor evaluates g(x) itself.
     """
     nA, nb, row_norms = prog.constraint_norms
     scale = float(np.linalg.norm(prog.smooth.grad(x)))
@@ -103,7 +105,9 @@ def _certificate_floor(prog, x, p, c):
     if prog.m1:
         scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + nb))
     if prog.m2:
-        for ng, con, mu_i, g_i in zip(row_norms, prog.ineqs, p.mu.tolist(), prog.eval_g(x).tolist()):
+        if g is None:
+            g = prog.eval_g(x)
+        for ng, con, mu_i, g_i in zip(row_norms, prog.ineqs, p.mu.tolist(), g.tolist()):
             if ng is None:
                 ng = float(np.linalg.norm(con.grad(x)))
             scale += ng * (mu_i + c * (abs(g_i) + ng * nx))
@@ -164,10 +168,10 @@ def solve_subproblem(
     t_safe = 1.0 / curv if curv else None
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
-    snap_at = _certificate_floor(prog, x, p_prev, c)
     cur = lc_at(x)
     if not np.isfinite(cur.smooth_grad).all():
         raise NonFiniteError("non-finite gradient at the initial point; no trial step taken, 0 backtracks")
+    snap_at = _certificate_floor(prog, x, p_prev, c, cur.g)
     backtracks = 0
     values = [cur.value]
     prev_dx = prev_dgrad = None

@@ -124,7 +124,7 @@ def _spd_matrix(rng: Lcg, n: int, conditioning) -> np.ndarray:
     lo, hi = conditioning
     eigs = np.linspace(lo, hi, n)
     V = rng.orthogonal(n)
-    Q = V @ np.diag(eigs) @ V.T
+    Q = (V * eigs) @ V.T
     return 0.5 * (Q + Q.T)
 
 

@@ -252,9 +252,10 @@ class TestCompositeCertificates:
 
 
 class TestCallAccounting:
-    """Every trial of the line search evaluates the objective's value; only
-    the start point, each accepted trial and the certificate floor evaluate
-    its gradient."""
+    """Every trial of the line search evaluates the objective's value and
+    g; only the start point, each accepted trial and the certificate floor
+    evaluate the objective's gradient. The floor reads g at the start point
+    from the start point's evaluation."""
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec("sc_qp", seed=0),
@@ -263,15 +264,15 @@ class TestCallAccounting:
     ], ids=["sc_qp", "box_composite", "sc_qp-n200"])
     @pytest.mark.parametrize("c, sigma", [(10.0, 0.5), (1e3, 0.01)])
     def test_value_per_trial_grad_per_accepted_step(self, spec, c, sigma, monkeypatch):
-        calls = {"value": 0, "grad": 0}
-        for name in calls:
-            production = getattr(QuadraticObjective, name)
+        calls = {"value": 0, "grad": 0, "eval_g": 0}
+        for name, cls in (("value", QuadraticObjective), ("grad", QuadraticObjective), ("eval_g", ConvexProgram)):
+            production = getattr(cls, name)
 
             def counted(self, x, name=name, production=production):
                 calls[name] += 1
                 return production(self, x)
 
-            monkeypatch.setattr(QuadraticObjective, name, counted)
+            monkeypatch.setattr(cls, name, counted)
         prog = generate(spec)
         x0 = prog.interior_point if prog.interior_point is not None else np.zeros(prog.n)
         res = solve_subproblem(prog, DualPoint.zeros(prog.m1, prog.m2), c, sigma, np.zeros(prog.n), x0)
@@ -279,3 +280,5 @@ class TestCallAccounting:
         assert c < 1e3 or res.backtracks > 0
         assert calls["value"] == res.inner_iters + res.backtracks + 2
         assert calls["grad"] == res.inner_iters + 3
+        # one per trial and one at the start point, whether m2 is 0 or not
+        assert calls["eval_g"] == res.inner_iters + res.backtracks + 2

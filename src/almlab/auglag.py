@@ -57,10 +57,11 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
 
     The map runs in two stages, which it also carries as attributes:
     ``value_stage(x)`` gives h, g, the shifted multiplier and the value,
-    with ``smooth_grad`` None, and ``grad_stage(x, ev)`` fills in
+    with ``smooth_grad`` None, and ``grad_stage(x, ev, grad=None)`` fills in
     ``ev.smooth_grad`` from that evaluation's h and shifted multiplier and
-    returns ev. A line search runs the second stage only on the trial point
-    it may accept.
+    returns ev; ``grad`` is the objective's gradient at x when the caller
+    has it. A line search runs the second stage only on the trial point it
+    may accept.
     """
     smooth, nonsmooth = prog.smooth, prog.nonsmooth
     lam, mu = p.lam, p.mu
@@ -82,8 +83,9 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
             value += nonsmooth.value(x)
         return AugLagEval(value=value, smooth_grad=None, shifted_mu=shifted, h=h, g=g)
 
-    def grad_stage(x, ev: AugLagEval) -> AugLagEval:
-        grad = smooth.grad(x)
+    def grad_stage(x, ev: AugLagEval, grad=None) -> AugLagEval:
+        if grad is None:
+            grad = smooth.grad(x)
         if At is not None:
             grad = grad + At @ (lam + c * ev.h)
         if has_g:

@@ -87,7 +87,7 @@ class SubproblemResult:
 _EPS = float(np.finfo(float).eps)
 
 
-def _certificate_floor(prog, x, p, c, g=None):
+def _certificate_floor(prog, x, p, c, g=None, grad=None):
     """Smallest certificate norm distinguishable from roundoff.
 
     The gradient of L_c sums terms whose magnitudes this estimates; anything
@@ -95,12 +95,15 @@ def _certificate_floor(prog, x, p, c, g=None):
     is declared an exact solve. Capped at 1e-10 to keep declared-zero
     certificates meaningful for downstream identity checks. The norms of
     the constant constraint data come from ``prog.constraint_norms``; only
-    the gradients of quadratic rows are evaluated at x. ``g`` is g(x) when
-    the caller has it (the start point's ``AugLagEval.g``); without it the
-    floor evaluates g(x) itself.
+    the gradients of quadratic rows are evaluated at x. ``g`` and ``grad``
+    are g(x) and the objective's gradient at x when the caller has them
+    (the start point's evaluation); without them the floor evaluates each
+    itself.
     """
     nA, nb, row_norms = prog.constraint_norms
-    scale = float(np.linalg.norm(prog.smooth.grad(x)))
+    if grad is None:
+        grad = prog.smooth.grad(x)
+    scale = float(np.linalg.norm(grad))
     nx = float(np.linalg.norm(x)) + 1.0
     if prog.m1:
         scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + nb))
@@ -168,10 +171,11 @@ def solve_subproblem(
     t_safe = 1.0 / curv if curv else None
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
-    cur = lc_at(x)
+    grad = prog.smooth.grad(x)
+    cur = lc_at.grad_stage(x, lc_at.value_stage(x), grad)
     if not np.isfinite(cur.smooth_grad).all():
         raise NonFiniteError("non-finite gradient at the initial point; no trial step taken, 0 backtracks")
-    snap_at = _certificate_floor(prog, x, p_prev, c, cur.g)
+    snap_at = _certificate_floor(prog, x, p_prev, c, cur.g, grad)
     backtracks = 0
     values = [cur.value]
     prev_dx = prev_dgrad = None

@@ -3,9 +3,10 @@
 Both sets come from a face search. It finds the minimizer of a convex QP
 as the KKT point of a face, a set of inequality rows taken as active, and
 every face it visits is solved and tested by one helper, ``_solve_face``:
-an equality-KKT least-squares solve, then primal feasibility and
-multiplier sign tests scaled with the data. Which faces are visited
-depends on Q:
+a solve of the face's KKT system, then primal feasibility and multiplier
+sign tests scaled with the data. For the exact solution sets that solve
+is an equality-KKT least-squares solve; for a dual projection it is
+closed form (below). Which faces are visited depends on Q:
 
 * positive definite Q (every dual projection, and every program whose
   cached spectrum certifies it) runs the dual active-set search of
@@ -29,9 +30,12 @@ polyhedron
 and its Euclidean projection is the dual active-set search run with Q = I.
 A DualPolyhedron keeps its data read-only and is prepared once, on its
 first projection: the coordinates pinned to zero are dropped and the n
-equality rows are replaced by an orthonormal row basis of their rank r
-(at most m1 + m2), so each face solve carries r rows instead of n. Each
-distinct point is projected once; a repeated point returns the same
+equality rows are replaced by an orthonormal row basis B of their rank r
+(at most m1 + m2) with right side beta, so each face solve carries r rows
+instead of n. With Q = I and orthonormal rows, the face with no pinned
+coordinate is z = p - B'(Bp - beta) with no solve, and a face pinning the
+coordinates J solves one r x r system, (B_F B_F') nu = B_F p_F - beta.
+Each distinct point is projected once; a repeated point returns the same
 read-only result.
 """
 from __future__ import annotations
@@ -90,39 +94,84 @@ def _tolerances(q, b, d):
     return feas_tol, mu_tol
 
 
+@dataclass(frozen=True)
+class _UnitHessian:
+    """Q = I for the projection QP of a DualPolyhedron. The search's A is
+    then a row basis B (r x k, orthonormal rows) and its G is -I on the
+    coordinates ``signs``, with d = 0; ``BT`` is B', fixed once per
+    polyhedron with ``signs``."""
+
+    BT: np.ndarray
+    signs: np.ndarray
+
+    def face(self, q, B, beta, S):
+        """(x, mu[S]) of the face pinning the coordinates J = signs[S] to zero.
+
+        With p = -q, the free block F satisfies B_F x_F = beta and
+        x_F = p_F - B_F' nu. Because BB' = I, face S = {} gives nu = Bp - beta
+        with no solve. Otherwise B_F B_F' = I - B_J B_J' is singular when B
+        is square, so (B_F B_F') nu = B_F p_F - beta is solved by least
+        squares, and the multipliers of J are mu_J = (B' nu)_J - p_J.
+        """
+        x = -q
+        J = self.signs[S]
+        p_J = x[J]
+        x[J] = 0.0
+        nu = B @ x - beta
+        if S:
+            BF = np.delete(B, J, axis=1)
+            nu = np.linalg.lstsq(BF @ BF.T, nu, rcond=None)[0]
+        w = self.BT @ nu
+        x -= w
+        x[J] = 0.0
+        return x, w[J] - p_J
+
+
 def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
     """Solve and test the face on which the rows S of G (ascending) are active.
 
-    The equality-KKT system of the rows of A and G[S] is solved by least
-    squares, so rank-deficient systems from duplicated rows are handled.
+    For a matrix Q the equality-KKT system of the rows of A and G[S] is
+    solved by least squares, so rank-deficient systems from duplicated rows
+    are handled. For a :class:`_UnitHessian` (a dual projection) the face
+    is solved in closed form by :meth:`_UnitHessian.face`; its stationarity
+    rows hold by construction, so its KKT residual is that of the rows of A.
     Returns (x, mu, consistent): x is None when the face has no KKT point,
-    that is when the residual exceeds 1e-8 relative or the least-squares
-    solution leaves a row of A or of G[S] violated by more than feas_tol (a
-    compromise between nearly dependent rows that cannot all hold); mu
-    carries the multipliers of S at their row indices and zeros elsewhere,
-    and consistent says that x is feasible to feas_tol and mu >= -mu_tol.
+    that is when the residual exceeds 1e-8 relative or the solution leaves
+    a row of A or of G[S] violated by more than feas_tol (a compromise
+    between nearly dependent rows that cannot all hold); mu carries the
+    multipliers of S at their row indices and zeros elsewhere, and
+    consistent says that x is feasible to feas_tol and mu >= -mu_tol.
     """
-    n, m1, m2 = Q.shape[0], A.shape[0], G.shape[0]
-    C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
-    rhs_c = np.concatenate([b, d[S]])
-    k = C.shape[0]
-    kkt = np.zeros((n + k, n + k))
-    kkt[:n, :n] = Q
-    kkt[:n, n:] = C.T
-    kkt[n:, :n] = C
-    rhs = np.concatenate([-q, rhs_c])
-    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-    if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+    m1, m2 = A.shape[0], G.shape[0]
+    if isinstance(Q, _UnitHessian):
+        x, mu_S = Q.face(q, A, b, S)
+        eq_gap = A @ x - b
+        residual = math.sqrt(eq_gap @ eq_gap)
+        rhs_norm = math.sqrt(q @ q + b @ b)
+    else:
+        n = Q.shape[0]
+        C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
+        rhs_c = np.concatenate([b, d[S]])
+        k = C.shape[0]
+        kkt = np.zeros((n + k, n + k))
+        kkt[:n, :n] = Q
+        kkt[:n, n:] = C.T
+        kkt[n:, :n] = C
+        rhs = np.concatenate([-q, rhs_c])
+        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        residual, rhs_norm = np.linalg.norm(kkt @ sol - rhs), np.linalg.norm(rhs)
+        x, mu_S = sol[:n], sol[n + m1:]
+        eq_gap = A @ x - b
+    if residual > 1e-8 * (1.0 + rhs_norm):
         return None, None, False
-    x = sol[:n]
-    if m1 and np.max(np.abs(A @ x - b)) > feas_tol:
+    if m1 and np.abs(eq_gap).max() > feas_tol:
         return None, None, False
     slack = G @ x - d
-    infeasible = m2 and np.max(slack) > feas_tol
-    if infeasible and S and np.max(slack[S]) > feas_tol:
+    infeasible = m2 and slack.max() > feas_tol
+    if infeasible and S and slack[S].max() > feas_tol:
         return None, None, False
     mu = np.zeros(m2)
-    mu[S] = sol[n + m1:]
+    mu[S] = mu_S
     consistent = not (infeasible or (mu < -mu_tol).any())
     return x, mu, consistent
 
@@ -282,14 +331,16 @@ class DualPolyhedron:
 
     @cached_property
     def _reduced(self):
-        """(keep, B, beta, G) for the projection QP, built on first use.
+        """(keep, H, B, beta, G, d) for the projection QP, built on first use.
 
         keep lists the coordinates not pinned to zero. On them the equality
         rows E_k = eq_mat[:, keep] (n x k) become B = V_r' (r x k), the
         orthonormal row basis of an SVD E_k = U S V' with r singular values
         above 1e-10 relative (the cutoff of _null_space), and eq_rhs
         becomes beta = S_r^-1 U_r' eq_rhs. G = -I on the sign-constrained
-        coordinates. Raises :class:`InfeasibleError` when eq_rhs has a
+        coordinates and d = 0. H is the :class:`_UnitHessian` that stands
+        for Q = I and carries B' and the sign positions in keep, so no face
+        rebuilds them. Raises :class:`InfeasibleError` when eq_rhs has a
         component outside the range of E_k above 1e-8 (1 + |eq_rhs|).
         """
         zero = set(self.zero_idx)
@@ -299,8 +350,11 @@ class DualPolyhedron:
         e_r = U[:, :r].T @ self.eq_rhs
         if np.linalg.norm(self.eq_rhs - U[:, :r] @ e_r) > 1e-8 * (1.0 + np.linalg.norm(self.eq_rhs)):
             raise InfeasibleError("the equality rows are inconsistent")
-        G = -np.eye(len(keep))[[keep.index(j) for j in self.nonneg_idx]]
-        return keep, vh[:r], e_r / s[:r], G
+        B = vh[:r]
+        signs = np.array([keep.index(j) for j in self.nonneg_idx], dtype=np.intp)
+        G = -np.eye(len(keep))[signs]
+        H = _UnitHessian(BT=np.ascontiguousarray(B.T), signs=signs)
+        return np.array(keep, dtype=np.intp), H, B, e_r / s[:r], G, np.zeros(signs.size)
 
     def project(self, p):
         """(z, ||z - p||) for the Euclidean projection z of p.
@@ -308,8 +362,9 @@ class DualPolyhedron:
         The projection minimizes 0.5||z - p||^2 over the coordinates not
         pinned to zero, subject to the row basis of the equality rows
         (:attr:`_reduced`) and z_j >= 0 on the sign-constrained ones: a QP
-        with Q = I, solved exactly by :func:`_dual_active_set_face`.
-        Sign-constrained entries are clipped at zero, so the lstsq residue
+        with Q = I, solved exactly by :func:`_dual_active_set_face`, whose
+        faces :meth:`_UnitHessian.face` solves in closed form on the row
+        basis. Sign-constrained entries are clipped at zero, so roundoff
         cannot leave them negative. The result is kept: projecting the same
         p again returns the same tuple, whose z is read-only.
         """
@@ -317,12 +372,11 @@ class DualPolyhedron:
         key = p.tobytes()
         if key in self._projections:
             return self._projections[key]
-        keep, B, beta, G = self._reduced
-        signs = list(self.nonneg_idx)
-        x = _dual_active_set_face(np.eye(len(keep)), -p[keep], B, beta, G, np.zeros(len(signs)))
+        keep, H, B, beta, G, d = self._reduced
+        x = _dual_active_set_face(H, -p[keep], B, beta, G, d)
+        x[H.signs] = np.maximum(x[H.signs], 0.0)
         z = np.zeros(self.m)
         z[keep] = x
-        z[signs] = np.maximum(z[signs], 0.0)
         z.setflags(write=False)
         result = self._projections[key] = (z, float(np.linalg.norm(z - p)))
         return result

@@ -253,9 +253,9 @@ class TestCompositeCertificates:
 
 class TestCallAccounting:
     """Every trial of the line search evaluates the objective's value and
-    g; only the start point, each accepted trial and the certificate floor
-    evaluate the objective's gradient. The floor reads g at the start point
-    from the start point's evaluation."""
+    g; only the start point and each accepted trial evaluate the objective's
+    gradient. The certificate floor reads g and the objective's gradient at
+    the start point from the start point's evaluation."""
 
     @pytest.mark.parametrize("spec", [
         GeneratorSpec("sc_qp", seed=0),
@@ -279,6 +279,6 @@ class TestCallAccounting:
         # at the large penalty every case backtracks: rejected trials are counted
         assert c < 1e3 or res.backtracks > 0
         assert calls["value"] == res.inner_iters + res.backtracks + 2
-        assert calls["grad"] == res.inner_iters + 3
+        assert calls["grad"] == res.inner_iters + 2
         # one per trial and one at the start point, whether m2 is 0 or not
         assert calls["eval_g"] == res.inner_iters + res.backtracks + 2

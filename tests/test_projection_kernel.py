@@ -1,0 +1,179 @@
+"""The closed-form face solve of DualPolyhedron.project against the
+equality-KKT least-squares solve it replaced.
+
+A dual projection is the dual active-set search run with Q = I on the
+orthonormal row basis B of the equality rows, and G = -I on the
+sign-constrained coordinates. ``reference_solve_face`` below is the general
+face solve, kept verbatim: it builds the whole (k + r + |S|)-square KKT
+matrix and solves it by ``np.linalg.lstsq``. Run in its place, with Q = I,
+it must visit the same faces as the closed-form solve and land on the same
+z to 1e-12 relative, and no projection may hand lstsq a KKT matrix.
+"""
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import pytest
+
+from almlab import solve_qp_exact
+from almlab import oracle as oracle_mod
+from almlab.oracle import DualPolyhedron, _tolerances
+
+from test_projection_reference import IDS, PROGRAMS, points, reference_project
+
+
+def reference_solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
+    n, m1, m2 = Q.shape[0], A.shape[0], G.shape[0]
+    C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
+    rhs_c = np.concatenate([b, d[S]])
+    k = C.shape[0]
+    kkt = np.zeros((n + k, n + k))
+    kkt[:n, :n] = Q
+    kkt[:n, n:] = C.T
+    kkt[n:, :n] = C
+    rhs = np.concatenate([-q, rhs_c])
+    sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+    if np.linalg.norm(kkt @ sol - rhs) > 1e-8 * (1.0 + np.linalg.norm(rhs)):
+        return None, None, False
+    x = sol[:n]
+    if m1 and np.max(np.abs(A @ x - b)) > feas_tol:
+        return None, None, False
+    slack = G @ x - d
+    infeasible = m2 and np.max(slack) > feas_tol
+    if infeasible and S and np.max(slack[S]) > feas_tol:
+        return None, None, False
+    mu = np.zeros(m2)
+    mu[S] = sol[n + m1:]
+    consistent = not (infeasible or (mu < -mu_tol).any())
+    return x, mu, consistent
+
+
+def _unit_as_matrix(Q, q, *args):
+    """reference_solve_face with the projection's Q = I as a matrix."""
+    if isinstance(Q, oracle_mod._UnitHessian):
+        Q = np.eye(q.size)
+    return reference_solve_face(Q, q, *args)
+
+
+@contextmanager
+def _lstsq_shapes():
+    """The shape of every matrix handed to np.linalg.lstsq in the block."""
+    shapes = []
+    real = np.linalg.lstsq
+
+    def lstsq(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    with mock.patch.object(np.linalg, "lstsq", lstsq):
+        yield shapes
+
+
+def _project(poly, p, kernel=None):
+    """Project p on a fresh copy of poly with the face solve ``kernel`` (the
+    production one when None). Returns (z, faces, lstsq_shapes): every face
+    solved as (S, has a KKT point), and the shape of every matrix handed to
+    np.linalg.lstsq during the projection."""
+    solve = kernel or oracle_mod._solve_face
+    faces = []
+
+    def face(Q, q, A, b, G, d, S, *args):
+        result = solve(Q, q, A, b, G, d, S, *args)
+        faces.append((list(S), result[0] is not None))
+        return result
+
+    fresh = DualPolyhedron(poly.eq_mat, poly.eq_rhs, poly.zero_idx, poly.nonneg_idx)
+    with mock.patch.object(oracle_mod, "_solve_face", face), _lstsq_shapes() as shapes:
+        z, _ = fresh.project(p)
+    return z, faces, shapes
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS)), ids=IDS)
+def test_closed_form_faces_match_the_kkt_solve(index):
+    prog = PROGRAMS[index]
+    oracle = solve_qp_exact(prog)
+    poly = oracle.dual
+    keep, _, B, _, _, _ = poly._reduced
+    k, r = keep.size, B.shape[0]
+    assert np.linalg.norm(B @ B.T - np.eye(r)) <= 1e-14 * max(1, r)
+    for p in points(prog, oracle, index):
+        z, faces, shapes = _project(poly, p)
+        z_ref, faces_ref, shapes_ref = _project(poly, p, _unit_as_matrix)
+        assert faces == faces_ref
+        scale = np.linalg.norm(z_ref) + np.linalg.norm(p)
+        assert np.linalg.norm(z - z_ref) <= 1e-12 * scale
+        # a face's KKT matrix has k + r + |S| > k rows; the closed form
+        # hands lstsq only r x r systems, and the dependent-normal branch a
+        # k x (r + |W|) basis
+        assert all(rows <= k for rows, _ in shapes)
+        if r:
+            assert any(rows > k for rows, _ in shapes_ref)
+
+
+def test_pinned_faces_match_the_kkt_solve():
+    # the programs above all stop at the face with no pinned coordinate;
+    # these small random polyhedra {E z = E z0, z >= 0} (z0 >= 0 with zeros,
+    # some with E square) pin coordinates, drop them again and meet faces
+    # with no KKT point
+    pinned = failed = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(3, 7))
+        E = rng.normal(size=(int(rng.integers(1, k + 1)), k))
+        poly = DualPolyhedron(E, E @ np.maximum(rng.normal(size=k), 0.0), (), tuple(range(k)))
+        for _ in range(5):
+            p = 2.0 * rng.normal(size=k)
+            z, faces, shapes = _project(poly, p)
+            z_ref, faces_ref, _ = _project(poly, p, _unit_as_matrix)
+            assert faces == faces_ref
+            assert np.linalg.norm(z - z_ref) <= 1e-12 * (np.linalg.norm(z_ref) + np.linalg.norm(p))
+            assert all(rows <= k for rows, _ in shapes)
+            pinned += any(S for S, _ in faces)
+            failed += any(not solvable for _, solvable in faces)
+    assert pinned >= 50 and failed >= 5
+
+
+def test_square_basis_with_a_pinned_coordinate():
+    # E is invertible, so B is square and the polyhedron is the single
+    # point (1, 0, 2): the face pinning coordinate 1 has a KKT point, and
+    # B_F B_F' is singular
+    E = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    poly = DualPolyhedron(E, E @ [1.0, 0.0, 2.0], (), (0, 1, 2))
+    _, H, B, beta, G, d = poly._reduced
+    assert B.shape == (3, 3)
+    BF = np.delete(B, 1, axis=1)
+    assert np.linalg.matrix_rank(BF @ BF.T) == 2
+    p = np.array([0.5, 2.0, -1.0])
+    q = -p
+    tols = _tolerances(q, beta, d)
+    S = [1]
+    with _lstsq_shapes() as shapes:
+        x, mu, _ = oracle_mod._solve_face(H, q, B, beta, G, d, S, *tols)
+    x_ref, _, _ = reference_solve_face(np.eye(3), q, B, beta, G, d, S, *tols)
+    assert shapes == [(3, 3)]
+    assert x is not None and x_ref is not None
+    assert np.linalg.norm(x - [1.0, 0.0, 2.0]) <= 1e-14
+    assert np.linalg.norm(x - x_ref) <= 1e-14
+    # B is orthogonal, so the null space of B_F B_F' is spanned by B's
+    # column 1 and the least-squares nu has no component along it:
+    # mu_1 = (B' nu)_1 - p_1 = -p_1
+    assert abs(mu[1] + p[1]) <= 1e-14
+    assert mu[0] == mu[2] == 0.0
+
+
+def test_projection_through_the_dependent_normal_branch():
+    # {z1 - 2 z2 = 1, z >= 0}: pinning z1 leaves z2 = -1/2, and pinning both
+    # contradicts the row, so z1's row gives way to z2's
+    poly = DualPolyhedron(np.array([[1.0, -2.0]]), np.array([1.0]), (), (0, 1))
+    p = np.array([-1.0, -3.0])
+    z, faces, shapes = _project(poly, p)
+    assert faces == [([], True), ([0], True), ([0, 1], False), ([1], True)]
+    # the dependent-normal branch expands G_1 in the 2 x 2 basis [B; G_0]'
+    assert (2, 2) in shapes
+    z_ref, _ = reference_project(poly, p)
+    assert np.linalg.norm(z - [1.0, 0.0]) <= 1e-14
+    assert np.linalg.norm(z - z_ref) <= 1e-14
+    z_kkt, faces_kkt, _ = _project(poly, p, _unit_as_matrix)
+    assert faces_kkt == faces
+    assert np.linalg.norm(z - z_kkt) <= 1e-14
+

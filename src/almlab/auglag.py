@@ -41,7 +41,7 @@ class AugLagEval:
 def auglag_eval(prog: ConvexProgram, x, p: DualPoint, c: float) -> AugLagEval:
     """Evaluate L_c(x, p), nonsmooth term included, and the gradient of its
     smooth part: ``lc_evaluator(prog, p, c)`` at one checked x."""
-    if c <= 0:
+    if not c > 0:
         raise ValueError("penalty parameter c must be positive")
     return lc_evaluator(prog, p, c)(as_vector(x, prog.n))
 
@@ -110,7 +110,7 @@ def multiplier_update(p_prev: DualPoint, c: float, h_val, g_val):
     bits of c*h into the multipliers and spoil the criterion identity at
     small residuals. Callers reuse this value verbatim.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("penalty parameter c must be positive")
     h_val = np.asarray(h_val, dtype=float)
     g_val = np.asarray(g_val, dtype=float)
@@ -147,7 +147,7 @@ def criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p) -> Cr
     right-hand side is sigma * ||delta_p||^2 / c^2 and agrees with the raw
     form up to roundoff. Equality 0 <= 0 counts as satisfied.
     """
-    if c <= 0:
+    if not c > 0:
         raise ValueError("penalty parameter c must be positive")
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")

@@ -94,7 +94,9 @@ def _build_parser():
                     help="required feasibility decay for the adaptive schedule")
     ps.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
     ps.add_argument("--max-outer", type=int, default=200)
-    ps.add_argument("--max-inner", type=int, default=10000)
+    ps.add_argument("--max-inner", type=int, default=10000,
+                    help="inner iterations per subproblem at most, in either mode (default 10000; "
+                         "exact mode also stops at 200 Newton steps)")
     ps.add_argument("--exact", action="store_true", help="solve subproblems exactly (QP only)")
     ps.add_argument("--out", default=".", help="output directory")
     ps.set_defaults(func=cmd_solve)

@@ -1,26 +1,26 @@
-"""Subproblem solver: proximal gradient descent on x -> L_c(x, p_prev) with
-a per-iterate subgradient certificate, stopping at the first candidate that
-passes the relative error criterion.
+"""Subproblem solver: one acceptance loop over the candidates of a step
+generator, stopping at the first (x, y) that passes the relative error
+criterion, with y in the x-subdifferential of L_c(., p_prev) at x.
 
-The certificate comes from prox optimality: after a step
-x+ = prox_{t r}(x - t grad_phi(x)) the vector
+- ``_prox_steps`` (the default) takes proximal gradient steps. After
+  x+ = prox_{t r}(x - t grad_phi(x)) the certificate
 
-    y = grad_phi(x+) + (x - t grad_phi(x) - x+) / t
+      y = grad_phi(x+) + (x - t grad_phi(x) - x+) / t
 
-lies in the x-subdifferential of L_c at x+, because the second term is a
-subgradient of the nonsmooth part r at x+. For smooth problems the second
-term vanishes identically and y is the exact gradient.
+  is such a subgradient, because its second term is a subgradient of the
+  nonsmooth part r at x+; for smooth problems that term vanishes.
+- ``_newton_steps`` (exact mode, affine QPs) takes semismooth Newton steps
+  on the penalized active set, with y the gradient; only y = 0 passes.
 
 Every value and gradient of L_c comes from ``auglag.lc_evaluator``, bound
 once per subproblem to (prog, p_prev, c). The line search runs its value
 stage on every trial and its gradient stage only on a trial with a finite
 value that is certified or passes the Armijo test, so a rejected trial
-costs one value stage. A candidate is tested on the two
-sides of the criterion alone (``auglag.criterion_sides``); the multiplier
-update and the full ``CriterionReport`` are built only for the candidate
-that passes. The result carries them with the evaluation of L_c at the
-accepted x (``SubproblemResult.lc``), so the driver needs no second
-evaluation and no second multiplier update.
+costs one value stage. A candidate is tested on the two sides of the
+criterion alone (``auglag.criterion_sides``); the multiplier update and
+the full ``CriterionReport`` are built only for the one that passes and
+returned with the evaluation of L_c there (``SubproblemResult.lc``), so
+the driver evaluates neither again.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ import numpy as np
 from .auglag import (
     AugLagEval,
     CriterionReport,
-    auglag_eval,
     criterion_eval,
     criterion_sides,
     lc_evaluator,
@@ -143,14 +142,14 @@ def solve_subproblem(
     """Find (x, y) with y in the x-subdifferential of L_c(x, p_prev)
     satisfying the relative error criterion.
 
-    Candidates are produced by proximal gradient steps with Armijo
-    backtracking; the criterion is checked at every candidate since all the
-    quantities it needs are available there. Raises
-    :class:`MaxInnerIterationsError` when the cap is exhausted and
+    The candidates come from ``_prox_steps``, or from ``_newton_steps`` in
+    exact mode; one block below decides acceptance for both. Neither mode
+    records more than ``opts.max_inner`` inner iterations. Raises
+    :class:`MaxInnerIterationsError` when the generator gives up and
     :class:`NonFiniteError` if the iteration overflows.
     """
     opts = opts or InnerOptions()
-    if c <= 0:
+    if not c > 0:
         raise ValueError("penalty parameter c must be positive")
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
@@ -158,12 +157,50 @@ def solve_subproblem(
         raise ValueError("mu_prev must be nonnegative")
     w_prev = as_vector(w_prev, prog.n, "w_prev")
     x = as_vector(x_init, prog.n, "x_init").copy()
-
-    if opts.exact:
-        return _solve_exact(prog, p_prev, c, sigma, w_prev, x)
-
-    n = prog.n
     lc_at = lc_evaluator(prog, p_prev, c)
+    values = []
+    if opts.exact:
+        steps = _newton_steps(prog, p_prev, c, lc_at, x, min(200, opts.max_inner))
+        snap_at = _EXACT_TOL
+        # any strictly smaller gradient is the new best, only the generator
+        # reports a stall, and only y = 0 passes the criterion
+        improve, patience, sigma_test = 1.0, math.inf, 0.0
+    else:
+        grad = prog.smooth.grad(x)
+        cur = lc_at.grad_stage(x, lc_at.value_stage(x), grad)
+        if not np.isfinite(cur.smooth_grad).all():
+            raise NonFiniteError("non-finite gradient at the initial point; no trial step taken, 0 backtracks")
+        values.append(cur.value)
+        steps = _prox_steps(prog, c, sigma, lc_at, x, cur, opts.max_inner, values)
+        snap_at = _certificate_floor(prog, x, p_prev, c, cur.g, grad)
+        # a new best must cut the certificate norm to 0.75 of the old one,
+        # and 400 candidates without one are a stall
+        improve, patience, sigma_test = 0.75, 400, sigma
+
+    best, best_norm, last_improve = None, math.inf, 0
+    cand = next(steps)
+    while True:
+        # each generator yields (x, y, |y|, L_c at x, inner iterations,
+        # backtracks so far, stalled) and is sent back the best |y|
+        x, y, y_norm, lc, iters, backtracks, stalled = cand
+        if y_norm <= snap_at:
+            y = np.zeros(prog.n)
+        if y_norm < improve * best_norm:
+            best, best_norm, last_improve = (x, lc), y_norm, iters
+        if (stalled or iters - last_improve >= patience) and best_norm <= 1e-10:
+            # the certificate norm has stopped improving at the solver's own
+            # floating-point floor: declare the best candidate an exact solve
+            (x, lc), y = best, np.zeros(prog.n)
+        lhs, rhs_raw = criterion_sides(c, sigma_test, w_prev, x, y, lc.h, lc.g, p_prev.mu)
+        if lhs <= rhs_raw:
+            return _accepted(p_prev, c, sigma, w_prev, x, y, lc, iters, backtracks, values)
+        cand = steps.send(best_norm)
+
+
+def _prox_steps(prog, c, sigma, lc_at, x, cur, max_inner, values):
+    """Proximal gradient candidates from x (evaluated as cur): a spectral
+    trial step, then the Armijo line search. Appends L_c at each iterate it
+    moves to onto values."""
     curv = smooth_curvature_bound(prog, c)
     # steps no longer than 1/curv are certified descent steps for the
     # composite objective and are accepted without a function-value test,
@@ -171,36 +208,13 @@ def solve_subproblem(
     t_safe = 1.0 / curv if curv else None
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
-    grad = prog.smooth.grad(x)
-    cur = lc_at.grad_stage(x, lc_at.value_stage(x), grad)
-    if not np.isfinite(cur.smooth_grad).all():
-        raise NonFiniteError("non-finite gradient at the initial point; no trial step taken, 0 backtracks")
-    snap_at = _certificate_floor(prog, x, p_prev, c, cur.g, grad)
-    backtracks = 0
-    values = [cur.value]
+    backtracks = frozen = 0
     prev_dx = prev_dgrad = None
-    # best candidate so far, kept for the stall escape below
-    best_norm, best_state, last_improve = math.inf, None, 0
-    frozen = 0
-
-    for i in range(opts.max_inner + 1):
+    for i in range(max_inner + 1):
         t_try = _trial_step(prev_dx, prev_dgrad, t, t0)
         x_next, y, nxt, t, bt = _line_search(lc_at, prog.nonsmooth, x, cur, t_try, t_safe)
         backtracks += bt
-        y_norm = math.sqrt(float(y @ y))
-        if y_norm <= snap_at:
-            y = np.zeros(n)
-        lc = nxt
-        if y_norm < 0.75 * best_norm:
-            best_norm, best_state, last_improve = y_norm, (x_next, nxt), i
-        elif i - last_improve >= 400 and best_norm <= 1e-10:
-            # the certificate norm has stopped improving at the solver's own
-            # floating-point floor: declare the best candidate an exact solve
-            x_next, lc = best_state
-            y = np.zeros(n)
-        lhs, rhs_raw = criterion_sides(c, sigma, w_prev, x_next, y, lc.h, lc.g, p_prev.mu)
-        if lhs <= rhs_raw:
-            return _accepted(p_prev, c, sigma, w_prev, x_next, y, lc, i, backtracks, values)
+        best_norm = yield x_next, y, math.sqrt(float(y @ y)), nxt, i, backtracks, False
         dx = x_next - x
         frozen = frozen + 1 if not dx.any() else 0
         if frozen >= 400:
@@ -214,9 +228,63 @@ def solve_subproblem(
         x, cur = x_next, nxt
         values.append(cur.value)
     raise MaxInnerIterationsError(
-        f"criterion not met within {opts.max_inner} inner iterations "
+        f"criterion not met within {max_inner} inner iterations "
         f"(c={c:g}, sigma={sigma:g}); the subproblem may be ill-posed"
         + _last_step(t, backtracks)
+    )
+
+
+def _newton_steps(prog, p, c, lc_at, x, max_steps):
+    """Semismooth Newton candidates for an affine QP, y the gradient of L_c.
+
+    L_c's stationarity system is piecewise linear in the set of penalized
+    inequalities, so Newton steps on that set end in finitely many steps.
+    A repeated active set and the last step are reported as stalls; after a
+    rejected repeat, up to three polish rounds of 200 gradient steps move x.
+    """
+    if not prog.is_affine_qp():
+        raise ValueError(
+            "exact inner mode requires a quadratic objective with affine "
+            "constraints and no nonsmooth term"
+        )
+    Q, q = prog.smooth.Q, prog.smooth.q
+    A, b = prog.eq_matrix(), prog.eq_rhs()
+    G, d = prog.ineq_matrix(), prog.ineq_rhs()
+    base = Q + c * A.T @ A
+    rhs0 = -q - A.T @ (p.lam - c * b)
+    best_norm = math.inf
+    seen = set()
+    polish_rounds = 0
+    for iters in range(1, max_steps + 1):
+        active = (p.mu + c * (G @ x - d)) > 0
+        Ga = G[active]
+        H = base + c * Ga.T @ Ga if len(Ga) else base
+        rhs = rhs0 - Ga.T @ (p.mu[active] - c * d[active]) if len(Ga) else rhs0
+        try:
+            x = np.linalg.solve(H, rhs)
+        except np.linalg.LinAlgError:
+            x = np.linalg.lstsq(H, rhs, rcond=None)[0]
+        ev = lc_at(x)
+        gnorm = float(np.linalg.norm(ev.smooth_grad))
+        key = active.tobytes()
+        repeated = key in seen
+        best_norm = yield x, ev.smooth_grad, gnorm, ev, iters, 0, repeated or iters == max_steps
+        if repeated:
+            # the active set cycles above the floating-point floor: move x
+            # by a few gradient steps and retry
+            if polish_rounds >= 3:
+                raise MaxInnerIterationsError(
+                    f"exact subproblem solve stalled with gradient norm {best_norm:.3e}"
+                )
+            polish_rounds += 1
+            seen.clear()
+            curv = smooth_curvature_bound(prog, c)
+            t = 1.0 / curv if curv else 1.0
+            for _ in range(200):
+                x = x - t * lc_at(x).smooth_grad
+        seen.add(key)
+    raise MaxInnerIterationsError(
+        f"exact subproblem solve did not converge (gradient norm {best_norm:.3e})"
     )
 
 
@@ -287,72 +355,3 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
 
 def _sq_norm(v):
     return float(v @ v)
-
-
-def _solve_exact(prog, p, c, sigma, w_prev, x_init):
-    """Solve the subproblem to machine precision and certify y = 0.
-
-    Requires a quadratic objective with affine constraints. The stationarity
-    system of L_c in x is piecewise linear in the set of penalized
-    inequalities, so a semismooth iteration on that active set converges in
-    finitely many steps; each step solves one positive definite system.
-    """
-    if not prog.is_affine_qp():
-        raise ValueError(
-            "exact inner mode requires a quadratic objective with affine "
-            "constraints and no nonsmooth term"
-        )
-    Q, q = prog.smooth.Q, prog.smooth.q
-    A, b = prog.eq_matrix(), prog.eq_rhs()
-    G, d = prog.ineq_matrix(), prog.ineq_rhs()
-
-    base = Q + c * A.T @ A
-    rhs0 = -q - A.T @ (p.lam - c * b)
-    x = x_init
-    # (x, evaluation) of the smallest gradient seen, the fallback to accept
-    best_norm, best = np.inf, None
-    seen = set()
-    polish_rounds = 0
-    for iters in range(1, 201):
-        active = (p.mu + c * (G @ x - d)) > 0 if prog.m2 else np.zeros(0, dtype=bool)
-        H = base + c * G[active].T @ G[active] if active.any() else base
-        rhs = rhs0 - (G[active].T @ (p.mu[active] - c * d[active]) if active.any() else 0.0)
-        try:
-            x_new = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            x_new = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        ev = auglag_eval(prog, x_new, p, c)
-        gnorm = float(np.linalg.norm(ev.smooth_grad))
-        if gnorm < best_norm:
-            best_norm, best = gnorm, (x_new, ev)
-        if gnorm <= _EXACT_TOL:
-            x, lc = x_new, ev
-            break
-        key = active.tobytes()
-        if key in seen:
-            # active set cycling at the floating-point floor: accept if the
-            # best gradient is already negligible, otherwise polish with a
-            # few gradient steps and retry
-            if best_norm <= 1e-10:
-                x, lc = best
-                break
-            if polish_rounds >= 3:
-                raise MaxInnerIterationsError(
-                    f"exact subproblem solve stalled with gradient norm {best_norm:.3e}"
-                )
-            polish_rounds += 1
-            seen.clear()
-            curv = smooth_curvature_bound(prog, c)
-            t = 1.0 / curv if curv else 1.0
-            for _ in range(200):
-                x_new = x_new - t * auglag_eval(prog, x_new, p, c).smooth_grad
-        seen.add(key)
-        x = x_new
-    else:
-        if best_norm > 1e-10:
-            raise MaxInnerIterationsError(
-                f"exact subproblem solve did not converge (gradient norm {best_norm:.3e})"
-            )
-        x, lc = best
-
-    return _accepted(p, c, sigma, w_prev, x, np.zeros(prog.n), lc, iters, 0, [])

@@ -67,9 +67,10 @@ class TestAugLagEval:
         ])
         assert np.linalg.norm(fd - ev.smooth_grad) <= 1e-6 * max(1.0, np.linalg.norm(ev.smooth_grad))
 
-    def test_nonpositive_c_rejected(self, reference1d):
+    @pytest.mark.parametrize("c", [0.0, float("nan")])
+    def test_nonpositive_c_rejected(self, reference1d, c):
         with pytest.raises(ValueError):
-            auglag_eval(reference1d, np.zeros(1), DualPoint(np.zeros(1), np.zeros(0)), 0.0)
+            auglag_eval(reference1d, np.zeros(1), DualPoint(np.zeros(1), np.zeros(0)), c)
 
 
 class TestMultiplierUpdate:
@@ -95,9 +96,10 @@ class TestMultiplierUpdate:
         p, _ = multiplier_update(DualPoint(np.zeros(0), np.array([0.2])), 1.0, np.zeros(0), np.array([-9.0]))
         assert (p.mu >= 0).all()
 
-    def test_nonpositive_c_rejected(self):
+    @pytest.mark.parametrize("c", [-1.0, float("nan")])
+    def test_nonpositive_c_rejected(self, c):
         with pytest.raises(ValueError):
-            multiplier_update(DualPoint.zeros(1, 0), -1.0, np.zeros(1), np.zeros(0))
+            multiplier_update(DualPoint.zeros(1, 0), c, np.zeros(1), np.zeros(0))
 
 
 class TestAuxUpdate:
@@ -155,9 +157,10 @@ class TestCriterionEval:
         with pytest.raises(ValueError):
             criterion_eval(1.0, 1.0, np.zeros(1), np.zeros(1), np.zeros(1),
                            np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
-        with pytest.raises(ValueError):
-            criterion_eval(0.0, 0.5, np.zeros(1), np.zeros(1), np.zeros(1),
-                           np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
+        for c in (0.0, float("nan")):
+            with pytest.raises(ValueError):
+                criterion_eval(c, 0.5, np.zeros(1), np.zeros(1), np.zeros(1),
+                               np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0))
 
     @given(
         c=st.floats(0.01, 1e4),

@@ -31,6 +31,19 @@ class TestSolveCommand:
         assert summary["status"] == "Converged"
         assert summary["final"]["lam"][0] == pytest.approx(-1.0, abs=1e-8)
 
+    def test_exact_mode_keeps_max_inner(self, tmp_path):
+        # the first subproblem needs two Newton steps; one is allowed
+        code = main([
+            "solve", "--generator", "sc_qp", "--n", "50", "--m1", "10", "--m2", "20",
+            "--seed", "3", "--exact", "--max-inner", "1", "--out", str(tmp_path),
+        ])
+        assert code == 3
+        (path,) = tmp_path.glob("*.summary.json")
+        summary = json.loads(path.read_text())
+        assert summary["status"] == "InnerFailure"
+        assert summary["config"]["max_inner"] == 1
+        assert "did not converge" in summary["failure"]
+
     def test_missing_problem_file(self, tmp_path):
         assert main(["solve", "--problem", str(tmp_path / "nope.json")]) == 1
 

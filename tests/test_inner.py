@@ -93,11 +93,17 @@ class TestSolveSubproblem:
         )
         calls = []
 
-        def counting_eval(*args):
-            calls.append(args)
-            return auglag_eval(*args)
+        def counting_evaluator(*args):
+            lc_at = lc_evaluator(*args)
 
-        monkeypatch.setattr(inner_mod, "auglag_eval", counting_eval)
+            def counting_eval(x):
+                calls.append(x)
+                return lc_at(x)
+
+            counting_eval.value_stage, counting_eval.grad_stage = lc_at.value_stage, lc_at.grad_stage
+            return counting_eval
+
+        monkeypatch.setattr(inner_mod, "lc_evaluator", counting_evaluator)
         res = solve_subproblem(prog, DualPoint.zeros(0, 1), 1.0, 0.5,
                                np.zeros(2), np.zeros(2), InnerOptions(exact=True))
         assert res.x.tolist() == [0.0, 2.0]
@@ -105,6 +111,26 @@ class TestSolveSubproblem:
         assert res.criterion.satisfied and not res.y.any()
         # one evaluation per Newton step and one per polish step
         assert len(calls) == 3 + 200
+
+    def test_exact_mode_keeps_max_inner(self):
+        # from x = 5 * 1 at c = 1e4 the Newton iteration reaches a gradient
+        # norm of at most 1e-12 at step 5; step 4's is at most 1e-10, so a cap
+        # of 4 accepts that point with y = 0, and smaller caps fail
+        prog = generate(GeneratorSpec("sc_qp", n=50, m1=10, m2=20, seed=3))
+        args = (prog, DualPoint.zeros(prog.m1, prog.m2), 1e4, 0.5, np.zeros(prog.n), np.full(prog.n, 5.0))
+        assert solve_subproblem(*args, InnerOptions(exact=True)).inner_iters == 5
+        capped = solve_subproblem(*args, InnerOptions(max_inner=4, exact=True))
+        assert capped.inner_iters == 4 and not capped.y.any()
+        assert 1e-12 < np.linalg.norm(capped.lc.smooth_grad) <= 1e-10
+        for max_inner in (0, 1, 3):
+            with pytest.raises(MaxInnerIterationsError, match="did not converge"):
+                solve_subproblem(*args, InnerOptions(max_inner=max_inner, exact=True))
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_nan_penalty_rejected(self, sc_qp7, exact):
+        with pytest.raises(ValueError, match="penalty parameter c must be positive"):
+            solve_subproblem(sc_qp7, DualPoint.zeros(2, 3), float("nan"), 0.5,
+                             np.zeros(6), np.zeros(6), InnerOptions(exact=exact))
 
     def test_exact_mode_requires_affine_qp(self):
         prog = generate(GeneratorSpec("quad_ineq", seed=0))

@@ -95,8 +95,7 @@ def _build_parser():
     ps.add_argument("--tol", type=float, default=1e-8, help="stopping tolerance")
     ps.add_argument("--max-outer", type=int, default=200)
     ps.add_argument("--max-inner", type=int, default=10000,
-                    help="inner iterations per subproblem at most, in either mode (default 10000; "
-                         "exact mode also stops at 200 Newton steps)")
+                    help="inner iterations per subproblem at most, in either mode (default 10000)")
     ps.add_argument("--exact", action="store_true", help="solve subproblems exactly (QP only)")
     ps.add_argument("--out", default=".", help="output directory")
     ps.set_defaults(func=cmd_solve)
@@ -147,9 +146,12 @@ def cmd_solve(args) -> int:
     sigmas = args.sigma if args.sigma else [0.5]
     for s in sigmas:
         if not 0.0 <= s < 1.0:
-            print(f"error: sigma must lie in [0, 1), got {s:g}", file=sys.stderr)
+            print(f"error: --sigma must lie in [0, 1), got {s:g}", file=sys.stderr)
             return EXIT_INPUT
-    for flag in ("tol", "c0", "growth"):
+    if not 0.0 < args.tol < math.inf:
+        print(f"error: --tol must be positive and finite, got {args.tol:g}", file=sys.stderr)
+        return EXIT_INPUT
+    for flag in ("c0", "growth"):
         if not math.isfinite(getattr(args, flag)):
             print(f"error: --{flag} must be finite, got {getattr(args, flag):g}", file=sys.stderr)
             return EXIT_INPUT

@@ -25,7 +25,7 @@ the driver evaluates neither again.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,40 +75,35 @@ class SubproblemResult:
     criterion: CriterionReport
     backtracks: int
     # the evaluation of L_c(x, p_prev) at the accepted x
-    lc: AugLagEval = None
+    lc: AugLagEval
     # L_c at each inner iterate, the start point first; empty in exact mode
-    values: list = field(default_factory=list)
+    values: list
     # multiplier_update(p_prev, c, lc.h, lc.g) at the accepted x
-    p_new: DualPoint = None
-    delta_p: np.ndarray = None
+    p_new: DualPoint
+    delta_p: np.ndarray
 
 
 _EPS = float(np.finfo(float).eps)
 
 
-def _certificate_floor(prog, x, p, c, g=None, grad=None):
+def _certificate_floor(prog, x, p, c, g, grad):
     """Smallest certificate norm distinguishable from roundoff.
 
     The gradient of L_c sums terms whose magnitudes this estimates; anything
     below ~30 ulps of that sum is evaluation noise, so a certificate there
     is declared an exact solve. Capped at 1e-10 to keep declared-zero
-    certificates meaningful for downstream identity checks. The norms of
-    the constant constraint data come from ``prog.constraint_norms``; only
-    the gradients of quadratic rows are evaluated at x. ``g`` and ``grad``
-    are g(x) and the objective's gradient at x when the caller has them
-    (the start point's evaluation); without them the floor evaluates each
-    itself.
+    certificates meaningful for downstream identity checks. ``g`` and
+    ``grad`` are g(x) and the objective's gradient at x, from the caller's
+    evaluation of the start point; the norms of the constant constraint
+    data come from ``prog.constraint_norms``, and only the gradients of
+    quadratic rows are evaluated here.
     """
     nA, nb, row_norms = prog.constraint_norms
-    if grad is None:
-        grad = prog.smooth.grad(x)
     scale = float(np.linalg.norm(grad))
     nx = float(np.linalg.norm(x)) + 1.0
     if prog.m1:
         scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + nb))
     if prog.m2:
-        if g is None:
-            g = prog.eval_g(x)
         for ng, con, mu_i, g_i in zip(row_norms, prog.ineqs, p.mu.tolist(), g.tolist()):
             if ng is None:
                 ng = float(np.linalg.norm(con.grad(x)))
@@ -160,7 +155,7 @@ def solve_subproblem(
     lc_at = lc_evaluator(prog, p_prev, c)
     values = []
     if opts.exact:
-        steps = _newton_steps(prog, p_prev, c, lc_at, x, min(200, opts.max_inner))
+        steps = _newton_steps(prog, p_prev, c, lc_at, x, opts.max_inner)
         snap_at = _EXACT_TOL
         # any strictly smaller gradient is the new best, only the generator
         # reports a stall, and only y = 0 passes the criterion
@@ -238,9 +233,10 @@ def _newton_steps(prog, p, c, lc_at, x, max_steps):
     """Semismooth Newton candidates for an affine QP, y the gradient of L_c.
 
     L_c's stationarity system is piecewise linear in the set of penalized
-    inequalities, so Newton steps on that set end in finitely many steps.
-    A repeated active set and the last step are reported as stalls; after a
-    rejected repeat, up to three polish rounds of 200 gradient steps move x.
+    inequalities, so Newton steps on that set end in finitely many steps;
+    at most ``max_steps`` are taken (the caller's ``max_inner``). A repeated
+    active set and the last step are reported as stalls; after a rejected
+    repeat, up to three polish rounds of 200 gradient steps move x.
     """
     if not prog.is_affine_qp():
         raise ValueError(

@@ -100,9 +100,8 @@ class BoxL1Regularizer:
         lower = np.zeros(self.n)
         upper = np.zeros(self.n)
         if self.weight is not None:
-            pos, neg, zero = x > 0, x < 0, x == 0
-            lower += np.where(pos, self.weight, np.where(neg, -self.weight, -self.weight))
-            upper += np.where(neg, -self.weight, np.where(pos, self.weight, self.weight))
+            lower += np.where(x > 0, self.weight, -self.weight)
+            upper += np.where(x < 0, -self.weight, self.weight)
         if self.lo is not None:
             # normal cone of the box: prox output hits bounds exactly, so
             # comparisons with == are reliable for iterates it produced
@@ -381,10 +380,6 @@ class DualPoint:
     def from_vector(cls, vec, m1: int) -> "DualPoint":
         vec = as_vector(vec, name="p")
         return cls(vec[:m1], vec[m1:])
-
-    @property
-    def m(self) -> int:
-        return self.lam.shape[0] + self.mu.shape[0]
 
     def as_vector(self):
         return np.concatenate([self.lam, self.mu])

@@ -44,6 +44,33 @@ class TestSolveCommand:
         assert summary["config"]["max_inner"] == 1
         assert "did not converge" in summary["failure"]
 
+    def test_exact_kink_chain_past_200_newton_steps(self, tmp_path, capsys):
+        # min 0.5 x^2 + 203 x with rows 3^(i/2) (x + 202 - i) <= 0, i = 1..201:
+        # from x = 0 every row is active and each Newton step drops one, so
+        # the first subproblem takes 202 steps to x = -203
+        a = [3 ** (i / 2) for i in range(1, 202)]
+        path = tmp_path / "kink.json"
+        path.write_text(json.dumps({
+            "n": 1, "Q": [[1.0]], "q": [203.0],
+            "ineq": [{"type": "affine", "G": [ai], "d": ai * (i - 202)} for i, ai in enumerate(a, start=1)],
+        }))
+        code = main(["solve", "--problem", str(path), "--exact", "--sigma", "0", "--schedule", "fixed",
+                     "--c0", "1", "--out", str(tmp_path)])
+        assert code == 0
+        assert "Converged after 1 iterations" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "problem__sigma0__fixed.summary.json").read_text())
+        assert summary["total_inner_iters"] == 202
+        assert summary["final"]["f_val"] == pytest.approx(-0.5 * 203 ** 2)
+
+    def test_adaptive_schedule(self, tmp_path):
+        code = main(["solve", "--generator", "reference1d", "--sigma", "0", "--c0", "2",
+                     "--schedule", "adaptive", "--adapt-ratio", "0.25", "--out", str(tmp_path)])
+        assert code == 0
+        summary = json.loads((tmp_path / "reference1d__sigma0__adaptive.summary.json").read_text())
+        assert summary["status"] == "Converged"
+        schedule = summary["config"]["schedule"]
+        assert (schedule["kind"], schedule["c0"], schedule["adapt_ratio"]) == ("adaptive", 2.0, 0.25)
+
     def test_missing_problem_file(self, tmp_path):
         assert main(["solve", "--problem", str(tmp_path / "nope.json")]) == 1
 
@@ -155,15 +182,20 @@ class TestSolveCommand:
         ("--cmax", "nan"),
         ("--max-outer", "-3"),
         ("--max-outer", "0"),
+        ("--tol", "0"),
+        ("--tol", "-1"),
+        ("--sigma", "1.5"),
     ])
     def test_invalid_solver_flag_rejected(self, tmp_path, capsys, flag, value):
+        # refused before the output directory is made
+        out = tmp_path / "out"
         code = main([
             "solve", "--generator", "sc_qp", "--seed", "1", "--schedule", "geometric",
-            flag, value, "--out", str(tmp_path),
+            flag, value, "--out", str(out),
         ])
         assert code == 1
         assert flag in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.csv"))
+        assert not out.exists()
 
     def test_infinite_cmax_means_no_cap(self, tmp_path):
         code = main([
@@ -313,6 +345,20 @@ class TestRatesCommand:
         doc = json.loads((tmp_path / "reference1d__sigma0__fixed.rates.json").read_text())
         assert doc["probe"]["ok"] is False  # fixed schedule
 
+    def test_probe_with_too_few_ratios_is_reported(self, tmp_path):
+        # at tol 1e-2 the run converges after three outer iterations: three
+        # contraction ratios, one short of the probe's four
+        assert main(["solve", "--generator", "reference1d", "--sigma", "0", "--c0", "2",
+                     "--schedule", "geometric", "--tol", "1e-2", "--exact",
+                     "--out", str(tmp_path)]) == 0
+        trace = tmp_path / "reference1d__sigma0__geometric.trace.json"
+        code = main(["rates", "--trace", str(trace), "--generator", "reference1d", "--probe",
+                     "--out", str(tmp_path)])
+        assert code == 0
+        doc = json.loads((tmp_path / "reference1d__sigma0__geometric.rates.json").read_text())
+        assert doc["probe"] == {"ok": False, "ratios": [],
+                                "reason": "only 3 valid contraction ratios; at least 4 required"}
+
     @pytest.mark.parametrize("field, edit", [
         ("dual.nonneg_idx", lambda doc: doc["dual"].update(nonneg_idx=[99])),
         ("primal_point", lambda doc: doc.pop("primal_point")),
@@ -341,6 +387,7 @@ class TestRatesCommand:
     @pytest.mark.parametrize("field, edit", [
         ("config", lambda doc: doc.clear()),
         ("config.sigma", lambda doc: doc["config"].pop("sigma")),
+        ("config.sigma", lambda doc: doc["config"].update(sigma=1.5)),
         ("config.x0", lambda doc: doc["config"].update(x0="abc")),
         ("config.schedule", lambda doc: doc["config"].update(schedule="fixed")),
         ("config.schedule", lambda doc: doc["config"]["schedule"].update(growth="2")),
@@ -358,7 +405,7 @@ class TestRatesCommand:
         ("records[6].criterion.satisfied",
          lambda doc: doc["records"][6]["criterion"].update(satisfied=1)),
         ("records[1].kkt.comp", lambda doc: doc["records"][1]["kkt"].update(comp=float("nan"))),
-    ], ids=["empty-object", "missing-sigma", "string-x0", "string-schedule", "string-growth",
+    ], ids=["empty-object", "missing-sigma", "sigma-out-of-range", "string-x0", "string-schedule", "string-growth",
             "records-not-a-list", "string-mu", "x-length", "nan-lam", "missing-u", "string-c",
             "negative-c", "float-k", "inf-f_val", "empty-criterion", "string-criterion-lhs",
             "int-satisfied", "nan-kkt"])

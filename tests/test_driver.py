@@ -207,6 +207,10 @@ class TestSerialization:
             run(generate(GeneratorSpec("quad_ineq")), PenaltySchedule.fixed(1.0),
                 sigma=0.5, p0=DualPoint(np.zeros(0), np.array([-1.0])))
 
+    def test_max_outer_zero_rejected(self, reference1d):
+        with pytest.raises(ValueError, match=r"^max_outer must be >= 1, got 0$"):
+            run(reference1d, PenaltySchedule.fixed(1.0), sigma=0.5, max_outer=0)
+
     @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
     def test_non_finite_tol_rejected(self, reference1d, tol):
         with pytest.raises(ValueError, match="tol"):

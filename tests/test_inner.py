@@ -76,6 +76,12 @@ class TestSolveSubproblem:
             solve_subproblem(prog, DualPoint.zeros(0, 0), 1.0, 0.5,
                              np.zeros(1), np.zeros(1), InnerOptions(max_inner=5000))
 
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_sigma_one_rejected(self, sc_qp7, exact):
+        with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\)"):
+            solve_subproblem(sc_qp7, DualPoint.zeros(2, 3), 1.0, 1.0,
+                             np.zeros(6), np.zeros(6), InnerOptions(exact=exact))
+
     def test_mu_negative_rejected(self, sc_qp7):
         with pytest.raises(ValueError):
             solve_subproblem(sc_qp7, DualPoint(np.zeros(2), np.array([-1.0, 0, 0])),

@@ -50,7 +50,7 @@ def reference_solve(prog, p_prev, c, sigma, w_prev, x, max_inner=10000):
     t_safe = 1.0 / curv if curv else None
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
-    snap_at = inner_mod._certificate_floor(prog, x, p_prev, c)
+    snap_at = inner_mod._certificate_floor(prog, x, p_prev, c, prog.eval_g(x), prog.smooth.grad(x))
     cur = auglag_eval(prog, x, p_prev, c)
     if not np.isfinite(cur.smooth_grad).all():
         raise NonFiniteError("non-finite gradient at the initial point")
@@ -208,7 +208,7 @@ def test_floor_paths_match_reference(seed, max_inner, path):
     x = assert_same_solve(prog, p, 1.0, 0.5, w, x0, max_inner)
     # y is declared zero; the stall escape does so above the snap threshold
     grad_norm = float(np.linalg.norm(auglag_eval(prog, x, p, 1.0).smooth_grad))
-    snap_at = inner_mod._certificate_floor(prog, x0, p, 1.0)
+    snap_at = inner_mod._certificate_floor(prog, x0, p, 1.0, prog.eval_g(x0), prog.smooth.grad(x0))
     assert (grad_norm > snap_at) == (path == "stall")
 
 
@@ -296,13 +296,15 @@ def test_certificate_floor_matches_reference_bit_for_bit(index, monkeypatch):
     prog = FLOOR_PROBLEMS[index]
     points = floor_points(prog, 500 + index)
     for x, p, c in points:
-        assert inner_mod._certificate_floor(prog, x, p, c) == reference_certificate_floor(prog, x, p, c)
+        assert (inner_mod._certificate_floor(prog, x, p, c, prog.eval_g(x), prog.smooth.grad(x))
+                == reference_certificate_floor(prog, x, p, c))
     # the clamps to [1e-13, 1e-10] hide most bits of the sum; with no lower
     # clamp and eps scaled by 2^-48 (exact), both return 30 eps' times it
     monkeypatch.setattr(inner_mod, "_SNAP_TOL", 0.0)
     monkeypatch.setattr(inner_mod, "_EPS", 2.0 ** -100)
     for x, p, c in points:
-        got, want = inner_mod._certificate_floor(prog, x, p, c), reference_certificate_floor(prog, x, p, c)
+        got = inner_mod._certificate_floor(prog, x, p, c, prog.eval_g(x), prog.smooth.grad(x))
+        want = reference_certificate_floor(prog, x, p, c)
         assert 0.0 < got < 1e-10
         assert got == want
 

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from almlab import (
     superlinearity_probe,
     theoretical_rho,
 )
+from almlab import rates as rates_mod
 from almlab.errors import InsufficientIterationsError, OracleMismatchError
 from almlab.rng import Lcg
 
@@ -134,6 +136,25 @@ class TestRateReport:
         doc = rep.to_json(tmp_path / "r.json")
         assert doc["summary"]["bound_violations"] == 0
 
+    def test_json_writes_numpy_scalars(self, tmp_path, monkeypatch):
+        # a NumPy c0 makes every c, and so every threshold_ok, a NumPy
+        # scalar, which json.dumps hands to _json_default
+        prog = generate(GeneratorSpec("sc_qp", seed=3))
+        orc = solve_qp_exact(prog)
+        hist = run(prog, PenaltySchedule.geometric(np.float64(10.0), 1.5, 1e6), sigma=0.5,
+                   tol=1e-8, max_outer=60)
+        rep = rate_report(hist, orc, estimate_kappa(hist, orc), sigma=0.5)
+        assert all(type(r.threshold_ok) is np.bool_ for r in rep.rows)
+        calls = []
+        real = rates_mod._json_default
+        monkeypatch.setattr(rates_mod, "_json_default", lambda v: calls.append(type(v)) or real(v))
+        rep.to_json(tmp_path / "r.json")
+        assert calls and set(calls) <= {np.bool_, np.float64}
+        rows = json.loads((tmp_path / "r.json").read_text())["rows"]
+        assert [r["threshold_ok"] for r in rows] == [bool(r.threshold_ok) for r in rep.rows]
+        with pytest.raises(TypeError):
+            rates_mod._json_default(object())
+
 
 class TestSuperlinearityProbe:
     def test_fixed_schedule_not_applicable(self, reference_run):
@@ -154,6 +175,18 @@ class TestSuperlinearityProbe:
         # later ratios sit near the distance noise floor; check the clean ones
         np.testing.assert_allclose(probe.ratios[:5], expected[:5], rtol=1e-6)
         assert probe.ratios[-1] / probe.ratios[0] <= 0.5
+
+    def test_slow_growth_falls_short_of_half(self):
+        # c_k = 2 * 1.1^(k-1): the ratios 1/(1 + c_k) shrink every step,
+        # but after eight steps only to 0.61 of the first
+        prog = generate(GeneratorSpec("reference1d"))
+        orc = solve_qp_exact(prog)
+        hist = run(prog, PenaltySchedule.geometric(2.0, 1.1, 1e12), sigma=0.0,
+                   tol=1e-8, max_outer=8, inner=InnerOptions(exact=True))
+        probe = superlinearity_probe(hist, orc)
+        assert not probe.ok
+        assert probe.reason == "final ratio above half the initial ratio"
+        np.testing.assert_allclose(probe.ratios, [1.0 / (1.0 + 2.0 * 1.1 ** k) for k in range(8)], rtol=1e-6)
 
     def test_capped_schedule_plateaus(self):
         prog = generate(GeneratorSpec("reference1d"))

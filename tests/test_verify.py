@@ -5,11 +5,17 @@ and each of the seven (program, trace) checks runs on the result. The
 checks that must notice the edit name the first record they reject; the
 others, and all seven on the untampered run, return None.
 
+Through ``CHECKS``, each failure branch is reached once more: a tampered
+run handed to a ``VerifyContext`` for the trace checks, and a patched
+oracle, subproblem solve or dual recursion for the others; each must yield
+a ``Failure`` with its check's name and message.
+
 The two sampled checks evaluate each function on stacked points, once per
 problem on the corpus and in blocks of bounded size on a large n: they
 report what a point-by-point loop reports, they call the production value
 methods, and those methods give one value per row.
 """
+import dataclasses
 import json
 
 import numpy as np
@@ -114,6 +120,99 @@ def test_edited_record_fails_the_named_checks(corpus_run, edit, expected):
     for name, where in expected.items():
         prefix = f"k={where}:" if isinstance(where, int) else where
         assert failures[name].startswith(prefix), failures[name]
+
+
+def _context(prog, doc):
+    """A VerifyContext on prog alone whose corpus run is the trace doc."""
+    ctx = verify_mod.VerifyContext([prog])
+    ctx._runs = [RunHistory.from_json(doc)]
+    return ctx
+
+
+def _check(name, ctx):
+    return list(verify_mod.CHECKS[name](ctx))
+
+
+def test_criterion_identity_fails_on_raw_vs_rewritten(corpus_run):
+    prog, text = corpus_run
+    doc = json.loads(text)
+    crit = doc["records"][K - 1]["criterion"]
+    crit["rhs_rewritten"] *= 2.0
+    message = f"k={K}: raw {crit['rhs_raw']:.17g} vs rewritten {crit['rhs_rewritten']:.17g}"
+    assert _check("criterion-identity", _context(prog, doc)) == [
+        verify_mod.Failure("criterion-identity", prog.name, message)]
+
+
+def test_certificate_validity_fails_on_a_composite_program():
+    # box_composite seed 0 at the verify settings: nine records; y moved a
+    # unit off every recorded prox residual at record K
+    prog = standard_corpus()[26]
+    assert not prog.is_smooth
+    hist = run(prog, verify_mod._SCHEDULE, verify_mod.VERIFY_SIGMA,
+               tol=verify_mod.VERIFY_TOL, max_outer=200)
+    doc = hist.to_json()
+    assert _check("certificate-validity", _context(prog, doc)) == []
+    rec = doc["records"][K - 1]
+    rec["y"] = [v + 1.0 for v in rec["y"]]
+    assert _check("certificate-validity", _context(prog, doc)) == [
+        verify_mod.Failure("certificate-validity", prog.name,
+                           f"k={K}: prox residual outside the subdifferential")]
+
+
+def test_vanishing_residuals_fails_above_tol_on_a_converged_run(corpus_run):
+    prog, text = corpus_run
+    doc = json.loads(text)
+    assert doc["status"] == "Converged"
+    final = doc["records"][-1]
+    final["y"] = [1e-3] + [0.0] * (len(final["y"]) - 1)
+    (failure,) = _check("vanishing-residuals", _context(prog, doc))
+    assert (failure.check, failure.problem) == ("vanishing-residuals", prog.name)
+    assert failure.message.startswith("final ||y||=1.000e-03, ||u||=")
+    assert failure.message.endswith(" above tol 1e-08")
+
+
+def test_oracle_kkt_fails_on_a_moved_primal_point(monkeypatch):
+    prog = standard_corpus()[0]
+    real = verify_mod.solve_qp_exact
+
+    def moved(prog_):
+        oracle = real(prog_)
+        return dataclasses.replace(oracle, primal_point=oracle.primal_point + 1e-3)
+
+    monkeypatch.setattr(verify_mod, "solve_qp_exact", moved)
+    (failure,) = _check("oracle-kkt", verify_mod.VerifyContext([prog]))
+    assert (failure.check, failure.problem) == ("oracle-kkt", prog.name)
+    assert failure.message.startswith("residual ") and failure.message.endswith(" > 1e-10")
+
+
+def test_descent_fails_on_a_rising_value(monkeypatch):
+    prog = standard_corpus()[0]
+    real = verify_mod.solve_subproblem
+    rose = []
+
+    def rising(*args, **kwargs):
+        res = real(*args, **kwargs)
+        rose.append(res.values[-1])
+        res.values = res.values + [res.values[-1] + 1.0]
+        return res
+
+    monkeypatch.setattr(verify_mod, "solve_subproblem", rising)
+    failures = _check("descent", verify_mod.VerifyContext([prog]))
+    (a,) = rose
+    assert failures == [verify_mod.Failure("descent", prog.name, f"value rose from {a:.6e} to {a + 1.0:.6e}")]
+
+
+def test_ppa_equivalence_fails_on_a_shifted_recursion(monkeypatch):
+    real = verify_mod._closed_form_dual_step
+    monkeypatch.setattr(verify_mod, "_closed_form_dual_step",
+                        lambda prog, c: lambda lam, step=real(prog, c): step(lam) + 1e-6)
+    failures = _check("ppa-equivalence", verify_mod.VerifyContext([]))
+    # one failure per seed, at the first record
+    assert [f.problem for f in failures] == [
+        generate(GeneratorSpec("sc_qp", m2=0, seed=seed)).name for seed in range(5)]
+    for f in failures:
+        assert f.check == "ppa-equivalence"
+        assert f.message.startswith("k=1: dual gap ") and f.message.endswith(" > 1e-09")
 
 
 def _pointwise_convexity(prog, triples=100, slack=1e-10):

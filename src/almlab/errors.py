@@ -42,10 +42,10 @@ class UnboundedError(AlmlabError):
 
 
 class EnumerationLimitError(AlmlabError):
-    """An oracle face search hit its cap: more than 20 inequality rows for
-    the 2^m2 enumeration (Q PSD but not positive definite, raised only
-    after the program is found feasible and bounded), or more than
-    10 (m2 + 1) face solves for a dual active-set search."""
+    """The oracle hit a cap: more than 10 (m2 + 1) face solves in a dual
+    active-set search, or more than 500 proximal point steps for a Q that
+    is PSD but not positive definite (taken only once the program is found
+    feasible and bounded)."""
 
 
 class NoValidSamplesError(AlmlabError):

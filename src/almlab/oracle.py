@@ -1,32 +1,20 @@
 """Exact primal/dual solution sets for affine-constrained QPs.
 
-Both sets come from a face search. It finds the minimizer of a convex QP
-as the KKT point of a face, a set of inequality rows taken as active, and
-every face it visits is solved and tested by one helper, ``_solve_face``:
-a solve of the face's KKT system, then primal feasibility and multiplier
-sign tests scaled with the data. How a face is solved depends on the
-Hessian kind. For positive definite Q, ``solve_qp_exact`` factors Q once
-per program (``_DefiniteHessian``): a face on k rows solves a k x k block
-of the rows' Gram matrix C Q^-1 C' and takes one step of iterative
-refinement on its KKT system. A dual projection solves its faces in closed
-form (below). Only a PSD Q that is not positive definite (the enumeration
-and its solvability check) keeps the least-squares solve of the whole
-(n + k)-square KKT matrix. Which faces are visited depends on Q:
+Both sets come from one face search, the dual active-set search of
+Goldfarb & Idnani (1983) on a QP with a positive definite Hessian H. It
+finds the minimizer as the KKT point of a face, a set of inequality rows
+taken as active, typically with one face solve per active row plus one.
+Every face it visits is solved and tested by ``_solve_face`` on one of two
+kernels, neither of which builds the face's (n + k)-square KKT matrix:
+``_DefiniteHessian`` factors H once and solves a face on k rows as a k x k
+block of their Gram matrix C H^-1 C'; ``_UnitHessian`` (H = I on an
+orthonormal row basis, for a dual projection) solves it in closed form.
 
-* positive definite Q (every dual projection, and every program whose
-  cached spectrum certifies it) runs the dual active-set search of
-  Goldfarb & Idnani (1983). It starts at the face with no inequality row
-  and adds violated rows one at a time, typically one face solve per active
-  row plus one. Its cap is _SEARCH_CAP * (m2 + 1) face solves.
-* any other PSD Q runs the enumeration: faces in subset-index order, up to
-  the first consistent one. Its worst case is 2^m2 faces, and it refuses
-  more than _ENUM_CAP rows. Before its first face, two more runs of the
-  search decide whether the program has a minimizer at all: an empty
-  feasible set raises InfeasibleError and a feasible descent ray raises
-  UnboundedError, whatever the number of rows.
-
-With the same face solve, both return the same x bit for bit whenever
-they stop at the same face. A Q that is not symmetric or not PSD is
+For a positive definite Q the search runs on the program itself. Any other
+PSD Q gets two projections, which refuse an empty feasible set
+(InfeasibleError) and a feasible descent ray (UnboundedError), then
+proximal point steps (Rockafellar 1976; Luque 1984), each the search on
+Q + I/t (``_proximal_point``). A Q that is not symmetric or not PSD is
 refused. The dual solution set is the polyhedron
 
     { p = (lam, mu) : A' lam + G' mu = -grad s(x*),
@@ -48,7 +36,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +52,6 @@ from .errors import (
 from .io import _get_matrix, _get_vector, _json_object
 from .problem import ConvexProgram, as_vector
 
-_ENUM_CAP = 20
 # face solves per row of G (plus one) before the dual active-set search gives up
 _SEARCH_CAP = 10
 # feasibility and multiplier-sign tolerances of a face's KKT point, at unit
@@ -73,6 +60,10 @@ _FEAS_TOL = 1e-10
 _MU_TOL = 1e-12
 # rows with g_i(x*) >= -_ACTIVE_TOL are active at x*
 _ACTIVE_TOL = 1e-8
+# _proximal_point: t (||Q||_2 + ||q||), flat slope test, step cap
+_PROX_TAU = 1e5
+_PROX_TOL = 1e-15
+_PROX_CAP = 500
 
 
 def _rank(s, rtol=1e-10):
@@ -134,38 +125,43 @@ class _UnitHessian:
 
 @dataclass(frozen=True)
 class _DefiniteHessian:
-    """A positive definite Q of :func:`solve_qp_exact`, factored once, with
-    the program's rows C = [A; G] (the first m1 of them equality rows) and
-    right sides r = [b; d] carried through Q^-1.
+    """A positive definite Hessian Q, factored once, with a QP's rows
+    C = [A; G] (the first m1 of them equality rows), right sides r = [b; d]
+    and linear term q.
 
     This is the range-space face solve of Goldfarb & Idnani (1983). One LU
-    factorization of Q gives Q^-1, and with it the program keeps the
-    unconstrained minimizer x0 = -Q^-1 q, Y = Q^-1 C', the Gram matrix
-    M = C Q^-1 C' of all m1 + m2 rows (made symmetric) and h = C x0 - r. A
-    face then costs matrix-vector products and one solve of a k x k block
-    of M. The kernel belongs to one program: :meth:`face` reads the
-    program's data from it, not from the search's arguments.
+    factorization gives Q^-1, Y = Q^-1 C' and the Gram matrix M = C Q^-1 C'
+    of all m1 + m2 rows (made symmetric); q gives x0 = -Q^-1 q and
+    h = C x0 - r, which :meth:`with_q` re-derives for another q. A face
+    costs matrix-vector products and one solve of a k x k block of M. norm
+    is ||Q||_2. :meth:`face` reads the QP's data from the kernel, not from
+    the search's arguments.
     """
 
     Q: np.ndarray
-    q: np.ndarray
+    norm: float
     C: np.ndarray
     r: np.ndarray
     m1: int
     Qinv: np.ndarray
-    x0: np.ndarray
     Y: np.ndarray
     M: np.ndarray
-    h: np.ndarray
+    q: np.ndarray = None
+    x0: np.ndarray = None
+    h: np.ndarray = None
 
     @classmethod
-    def factor(cls, Q, q, A, b, G, d):
+    def factor(cls, Q, q, A, b, G, d, norm):
         Qinv = np.linalg.inv(Q)
         C, r = np.vstack([A, G]), np.concatenate([b, d])
         Y = Qinv @ C.T
         M = C @ Y
-        x0 = -(Qinv @ q)
-        return cls(Q, q, C, r, A.shape[0], Qinv, x0, Y, 0.5 * (M + M.T), C @ x0 - r)
+        return cls(Q, norm, C, r, A.shape[0], Qinv, Y, 0.5 * (M + M.T)).with_q(q)
+
+    def with_q(self, q):
+        """The kernel of the same Q and rows with the linear term q."""
+        x0 = -(self.Qinv @ q)
+        return replace(self, q=q, x0=x0, h=self.C @ x0 - self.r)
 
     def face(self, S):
         """(x, mu[S], residual, rhs_norm) of the face on the k rows
@@ -206,9 +202,7 @@ def _gram_solver(M):
     M is solved by LU (NumPy has no triangular solve for the Cholesky
     factor) when its Cholesky factor L exists with every pivot L_ii^2 above
     1e-10 M_ii. Otherwise some row (nearly) depends on the rows before it,
-    and M is solved by least squares, as the KKT least squares of a matrix
-    Q handles duplicated rows; M has the null space of the rows' normals,
-    so both give the same minimum-norm multipliers.
+    and least squares gives the minimum-norm multipliers.
     """
     try:
         pivots = np.linalg.cholesky(M).diagonal() ** 2
@@ -222,50 +216,39 @@ def _gram_solver(M):
 def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
     """Solve and test the face on which the rows S of G (ascending) are active.
 
-    Each Hessian kind has its own face solve. A :class:`_DefiniteHessian`
-    (positive definite Q, factored once) solves the Gram block of the rows
-    of A and G[S] and refines the result on the face's KKT system
-    (:meth:`_DefiniteHessian.face`). A :class:`_UnitHessian` (a dual
-    projection) solves the face in closed form (:meth:`_UnitHessian.face`);
-    its stationarity rows hold by construction, so its KKT residual is that
-    of the rows of A. A matrix Q, which is PSD but not certified positive
-    definite, has the equality-KKT system of the rows of A and G[S] solved
-    by least squares. Rank-deficient systems from duplicated rows are
-    handled by all three.
-    Returns (x, mu, consistent): x is None when the face has no KKT point,
-    that is when the residual exceeds 1e-8 relative or the solution leaves
-    a row of A or of G[S] violated by more than feas_tol (a compromise
-    between nearly dependent rows that cannot all hold); mu carries the
-    multipliers of S at their row indices and zeros elsewhere, and
-    consistent says that x is feasible to feas_tol and mu >= -mu_tol.
+    Q is a kernel. :meth:`_DefiniteHessian.face` solves the Gram block of
+    the rows of A and G[S], refined on the face's KKT system, whose residual
+    is relative to 1 + ||(q, b, d_S)|| + ||Q||_2 ||x||, the size of its
+    terms. :meth:`_UnitHessian.face` (a dual projection) is closed form, so
+    its residual is that of the rows of A, relative to 1 + ||(q, b)||.
+    Both handle duplicated rows; :func:`_test_kkt_point` tests the result.
     """
-    m1, m2 = A.shape[0], G.shape[0]
     if isinstance(Q, _UnitHessian):
         x, mu_S = Q.face(q, A, b, S)
         eq_gap = A @ x - b
-        residual = math.sqrt(eq_gap @ eq_gap)
-        rhs_norm = math.sqrt(q @ q + b @ b)
-    elif isinstance(Q, _DefiniteHessian):
-        x, mu_S, residual, rhs_norm = Q.face(S)
-        eq_gap = A @ x - b
+        residual, scale = math.sqrt(eq_gap @ eq_gap), math.sqrt(q @ q + b @ b)
     else:
-        n = Q.shape[0]
-        C = np.vstack([A, G[S]]) if (m1 or S) else np.zeros((0, n))
-        rhs_c = np.concatenate([b, d[S]])
-        k = C.shape[0]
-        kkt = np.zeros((n + k, n + k))
-        kkt[:n, :n] = Q
-        kkt[:n, n:] = C.T
-        kkt[n:, :n] = C
-        rhs = np.concatenate([-q, rhs_c])
-        sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-        residual, rhs_norm = np.linalg.norm(kkt @ sol - rhs), np.linalg.norm(rhs)
-        x, mu_S = sol[:n], sol[n + m1:]
-        eq_gap = A @ x - b
-    if residual > 1e-8 * (1.0 + rhs_norm):
+        x, mu_S, residual, rhs_norm = Q.face(S)
+        eq_gap, scale = A @ x - b, rhs_norm + Q.norm * math.sqrt(x @ x)
+    return _test_kkt_point(x, mu_S, residual, scale, eq_gap, G, d, S, feas_tol, mu_tol)
+
+
+def _test_kkt_point(x, mu_S, residual, scale, eq_gap, G, d, S, feas_tol, mu_tol):
+    """Test x, with the multipliers mu_S of the active rows S of G, as the
+    KKT point of its face.
+
+    Returns (x, mu, consistent): x is None when the face has no KKT point,
+    that is when the KKT residual exceeds 1e-8 (1 + scale) or x leaves a
+    row of A (eq_gap = Ax - b) or of G[S] violated by more than feas_tol (a
+    compromise between nearly dependent rows that cannot all hold); mu
+    carries the multipliers of S at their row indices and zeros elsewhere,
+    and consistent says that x is feasible to feas_tol and mu >= -mu_tol.
+    """
+    if residual > 1e-8 * (1.0 + scale):
         return None, None, False
-    if m1 and np.abs(eq_gap).max() > feas_tol:
+    if eq_gap.size and np.abs(eq_gap).max() > feas_tol:
         return None, None, False
+    m2 = G.shape[0]
     slack = G @ x - d
     infeasible = m2 and slack.max() > feas_tol
     if infeasible and S and slack[S].max() > feas_tol:
@@ -280,46 +263,89 @@ def _check_solvable(Q, q, A, b, G, d):
     """Refuse a PSD program that has no minimizer.
 
     A convex QP that is feasible and bounded below attains its minimum
-    (Frank & Wolfe 1956), so two searches by :func:`_dual_active_set_face`
-    decide it. The first minimizes 0.5||x||^2 over {Ax = b, Gx <= d} and
+    (Frank & Wolfe 1956), so two projections (searches with the identity
+    factored as the Hessian) decide it. Projecting 0 onto {Ax = b, Gx <= d}
     raises :class:`InfeasibleError` when that set is empty. With N an
-    orthonormal basis of null(Q), the second projects -N'q onto the
-    recession cone {z : ANz = 0, GNz <= 0}; a projection z != 0 makes Nz a
-    feasible descent ray (q'Nz = -||z||^2), and ||z|| > 1e-8 (1 + ||N'q||)
-    raises :class:`UnboundedError`.
+    orthonormal basis of null(Q) and c = N'q scaled to a norm of at most 1
+    (the cone below is closed under scaling, the search's tolerances are
+    not), a projection z of -c onto the recession cone {z : ANz = 0,
+    GNz <= 0} with ||z|| > 1e-8 (1 + ||c||) makes Nz a feasible descent ray
+    and raises :class:`UnboundedError`.
     """
-    n = Q.shape[0]
-    _dual_active_set_face(np.eye(n), np.zeros(n), A, b, G, d)
+    def project(p, A, b, G, d):
+        H = _DefiniteHessian.factor(np.eye(p.size), -p, A, b, G, d, 1.0)
+        return _dual_active_set_face(H, -p, A, b, G, d)[0]
+
+    project(np.zeros(Q.shape[0]), A, b, G, d)
     N = _null_space(Q)
     c = N.T @ q
-    z = _dual_active_set_face(np.eye(N.shape[1]), c, A @ N, np.zeros(A.shape[0]),
-                              G @ N, np.zeros(G.shape[0]))
+    c /= max(1.0, float(np.linalg.norm(c)))
+    z = project(-c, A @ N, np.zeros(A.shape[0]), G @ N, np.zeros(G.shape[0]))
     if np.linalg.norm(z) > 1e-8 * (1.0 + np.linalg.norm(c)):
         raise UnboundedError("feasible descent ray found: the objective is unbounded below")
 
 
-def _first_kkt_face(Q, q, A, b, G, d):
-    """The first consistent face in subset-index order, for PSD Q.
+def _face_minimizer(Q, q, A, b, G, d, S, x, norm, tol):
+    """(x', consistent) for x on the face S, with rows C = [A; G_S].
 
-    :func:`_check_solvable` first refuses an empty feasible set
-    (:class:`InfeasibleError`) and a feasible descent ray
-    (:class:`UnboundedError`), so every program that reaches the faces has
-    a minimizer. Every face visited is solved and tested by
-    :func:`_solve_face`. The worst case is 2^m2 faces, so more than
-    _ENUM_CAP rows in G raise :class:`EnumerationLimitError`; a program
-    on which no face passes the tests raises :class:`InfeasibleError`.
+    With Z an orthonormal basis of null(C) and Z'QZ = U diag(w) U', a Newton
+    step on the curved directions (w > 1e-10 ||Q||_2) moves x to the face's
+    minimizer nearest x. On the flat ones f falls linearly along
+    v = -Z U_0 U_0' Z'(Qx + q): when ||v|| > tol and a row of G blocks v,
+    x' is x moved along v to the first such row, and consistent is False.
+    Otherwise x' is x if it passes :func:`_test_kkt_point` with the
+    program's own stationarity residual min ||Qx + q + C'nu|| (least
+    squares on C'), else None.
+    """
+    C, r = np.vstack([A, G[S]]), np.concatenate([b, d[S]])
+    Z = _null_space(C)
+    w, U = np.linalg.eigh(Z.T @ Q @ Z)
+    flat = w <= 1e-10 * norm
+    g = U.T @ (Z.T @ (Q @ x + q))
+    x = x - Z @ (U[:, ~flat] @ (g[~flat] / w[~flat]))
+    v = -(Z @ (U[:, flat] @ g[flat]))
+    Gv = G @ v
+    Gv[S] = 0.0
+    if np.linalg.norm(v) > tol and (Gv > 0).any():
+        return x + max(0.0, float(np.min((d - G @ x)[Gv > 0] / Gv[Gv > 0]))) * v, False
+    grad = Q @ x + q
+    nu = np.linalg.lstsq(C.T, -grad, rcond=None)[0]
+    residual = float(np.linalg.norm(grad + C.T @ nu))
+    scale = math.sqrt(q @ q + r @ r) + norm * math.sqrt(x @ x)
+    x, _, consistent = _test_kkt_point(x, nu[A.shape[0]:], residual, scale, A @ x - b, G, d, S, *_tolerances(q, b, d))
+    return (x if consistent else None), consistent
+
+
+def _proximal_point(Q, q, A, b, G, d, norm):
+    """A point of X* for a PSD Q that is not certified positive definite.
+
+    After :func:`_check_solvable`, proximal point steps run from x = 0, each
+    a search on Q + I/t, factored once, with the linear term q - x_j/t. The
+    step size t = _PROX_TAU / s, s = ||Q||_2 + ||q|| (norm is ||Q||_2; s = 1
+    when both are 0), keeps the terms t q of a face solve well inside its
+    feasibility tolerance. The steps find faces: after each,
+    :func:`_face_minimizer` moves x to the minimizer of the step's face, or
+    along a flat descent direction to the next row where the slope exceeds
+    tol = _PROX_TOL s (1 + ||x||), and the first face minimizer that passes
+    the KKT tests is returned. So no small curvature, large ||q|| or long
+    flat direction takes many steps. More than _PROX_CAP steps raise
+    :class:`EnumerationLimitError`.
     """
     _check_solvable(Q, q, A, b, G, d)
-    m2 = G.shape[0]
-    if m2 > _ENUM_CAP:
-        raise EnumerationLimitError(f"{m2} inequality rows exceed the enumeration cap of {_ENUM_CAP}")
-    feas_tol, mu_tol = _tolerances(q, b, d)
-    for mask in range(1 << m2):
-        S = [i for i in range(m2) if mask >> i & 1]
-        x, _, consistent = _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol)
+    n = Q.shape[0]
+    s = (norm + float(np.linalg.norm(q))) or 1.0
+    t = _PROX_TAU / s
+    H = _DefiniteHessian.factor(Q + np.eye(n) / t, q, A, b, G, d, norm + 1.0 / t)
+    x = np.zeros(n)
+    for _ in range(_PROX_CAP):
+        q_j = q - x / t
+        x, _, S = _dual_active_set_face(H.with_q(q_j), q_j, A, b, G, d)
+        x_S, consistent = _face_minimizer(Q, q, A, b, G, d, S, x, norm, _PROX_TOL * s * (1.0 + np.linalg.norm(x)))
         if consistent:
-            return x
-    raise InfeasibleError("no active set yields a KKT-consistent feasible point")
+            return x_S
+        if x_S is not None:
+            x = x_S
+    raise EnumerationLimitError(f"the proximal point steps exceeded their cap of {_PROX_CAP}")
 
 
 def _dual_active_set_face(Q, q, A, b, G, d):
@@ -336,13 +362,10 @@ def _dual_active_set_face(Q, q, A, b, G, d):
     in the active normals instead; a G_p that no active row can give way to
     proves the program infeasible (:class:`InfeasibleError`). A face with no
     KKT point although G_p is independent of the active normals is a failed
-    solve, and raises :class:`InfeasibleError` as the enumeration, finding
-    no consistent face, would. Every face is solved and tested by
-    :func:`_solve_face`, and the search returns the first face that passes,
-    so with the same face solve its x is the enumeration's bit for bit
-    whenever both land on the same face. A face costs one solve; most searches take one per active row plus
-    one, and more than _SEARCH_CAP * (m2 + 1) solves raise
-    :class:`EnumerationLimitError`.
+    solve, and raises :class:`InfeasibleError`. Every face is solved and
+    tested by :func:`_solve_face`; the first that passes is returned as
+    (x, mu, W), mu holding the multipliers of all rows of G. More than
+    _SEARCH_CAP * (m2 + 1) face solves raise :class:`EnumerationLimitError`.
     """
     m1, m2 = A.shape[0], G.shape[0]
     feas_tol, mu_tol = _tolerances(q, b, d)
@@ -390,7 +413,7 @@ def _dual_active_set_face(Q, q, A, b, G, d):
                 mu[W] += max(theta, 0.0) * (mu_new[W] - mu[W])
             mu[j] = 0.0
             W.remove(j)
-    return x
+    return x, mu, W
 
 
 @dataclass(frozen=True)
@@ -473,7 +496,7 @@ class DualPolyhedron:
         if key in self._projections:
             return self._projections[key]
         keep, H, B, beta, G, d = self._reduced
-        x = _dual_active_set_face(H, -p[keep], B, beta, G, d)
+        x = _dual_active_set_face(H, -p[keep], B, beta, G, d)[0]
         x[H.signs] = np.maximum(x[H.signs], 0.0)
         z = np.zeros(self.m)
         z[keep] = x
@@ -572,26 +595,16 @@ class SolutionSetOracle:
 def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     """Exact solution sets of an affine-constrained QP.
 
-    x* and the active set come from the dual active-set search
-    (:func:`_dual_active_set_face`) when the program's cached spectrum
-    certifies Q positive definite, else from the enumeration
-    (:func:`_first_kkt_face`): the first active set in subset-index order
-    whose KKT point is feasible with mu >= 0. A positive definite Q is
-    factored once (:class:`_DefiniteHessian`), and each face the search
-    visits solves a block of the rows' Gram matrix with one step of
-    iterative refinement, with no KKT least squares; the enumeration keeps
-    the least-squares solve of each face's KKT matrix. Raises
-    :class:`ProblemFormatError` naming a non-finite Q, q, A, b, G or d
-    before any factorization, and naming a Q that is not symmetric
-    (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
-    below -2e-10 max(1, largest)), on which no face is exact.
-    Raises :class:`InfeasibleError` when the feasible set is empty or no
-    face passes, :class:`UnboundedError` when a feasible descent ray exists
-    (positive definite Q has none; for other Q both are decided by
-    :func:`_check_solvable` before the enumeration's first face), and
-    :class:`EnumerationLimitError` past either search's cap: m2 > _ENUM_CAP
-    = 20 rows for the enumeration, _SEARCH_CAP (m2 + 1) = 10 (m2 + 1) face
-    solves for a search.
+    x* comes from the dual active-set search (:func:`_dual_active_set_face`)
+    on Q factored once when the program's cached spectrum certifies Q
+    positive definite, else from :func:`_proximal_point`. Raises
+    :class:`ProblemFormatError` naming a non-finite Q, q, A, b, G or d, or a
+    Q that is not symmetric (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not
+    PSD (least eigenvalue below -2e-10 max(1, largest)); :class:`InfeasibleError`
+    when the feasible set is empty or no face passes its tests;
+    :class:`UnboundedError` for a feasible descent ray; and
+    :class:`EnumerationLimitError` past 10 (m2 + 1) face solves in a search
+    or 500 proximal point steps.
     """
     if not prog.is_affine_qp():
         raise ValueError("the oracle requires a quadratic objective with affine constraints")
@@ -604,6 +617,7 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
             raise ProblemFormatError(name, "must be finite")
     prog.check_convex()
     ev = prog.q_spectrum
+    norm = float(max(-ev[0], ev[-1]))  # ||Q||_2
 
     # For orthonormal N the spectrum of N'QN lies inside that of Q, so a
     # positive definite Q leaves no face a flat direction: the program is
@@ -611,9 +625,10 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     # search needs no solvability check.
     positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
     if positive_definite:
-        x_star = _dual_active_set_face(_DefiniteHessian.factor(Q, q, A, b, G, d), q, A, b, G, d)
+        H = _DefiniteHessian.factor(Q, q, A, b, G, d, norm)
+        x_star = _dual_active_set_face(H, q, A, b, G, d)[0]
     else:
-        x_star = _first_kkt_face(Q, q, A, b, G, d)
+        x_star = _proximal_point(Q, q, A, b, G, d, norm)
 
     primal_basis = np.zeros((n, 0)) if positive_definite else _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q

@@ -460,6 +460,63 @@ def test_json_files_match_json_dump(tmp_path):
         assert buf.getvalue() == text, path.name
 
 
+def _problem_document(prog):
+    """The problem file of an affine-constrained QP."""
+    doc = {"name": prog.name, "n": prog.n, "Q": prog.smooth.Q.tolist(), "q": prog.smooth.q.tolist()}
+    if prog.eq is not None:
+        doc["A"], doc["b"] = prog.eq.A.tolist(), prog.eq.b.tolist()
+    doc["ineq"] = [{"type": "affine", "G": g.coeff.tolist(), "d": g.offset} for g in prog.ineqs]
+    return doc
+
+
+def _grid_and_rates(prog, root):
+    """A problem file and an oracle file for prog, an 8-run solve grid on
+    the problem file, then rates --oracle on every trace; every exit code
+    must be 0. Returns the bytes of each CSV written, by name."""
+    from almlab import solve_qp_exact
+
+    root.mkdir()
+    problem, oracle, out = root / "problem.json", root / "oracle.json", root / "out"
+    problem.write_text(json.dumps(_problem_document(prog)))
+    solve_qp_exact(prog).to_json(oracle)
+    argv = ["solve", "--problem", str(problem), "--out", str(out), "--schedule", "fixed", "--schedule", "geometric"]
+    for sigma in ("0.01", "0.1", "0.5", "0.9"):
+        argv += ["--sigma", sigma]
+    assert main(argv) == 0, prog.name
+    traces = sorted(out.glob("*.trace.json"))
+    assert len(traces) == 8
+    for trace in traces:
+        assert main(["rates", "--trace", str(trace), "--oracle", str(oracle), "--out", str(out)]) == 0, trace.name
+    return {path.name: path.read_bytes() for path in out.glob("*.csv")}
+
+
+def test_benchmark_grid_exits_0_and_repeats_byte_for_byte(tmp_path, capsys):
+    # the shape of the benchmark's cli-grid workload, on sc_qp n=50 seeds 0-3;
+    # a rerun of seed 0 writes the same bytes
+    from almlab import GeneratorSpec, generate
+
+    progs = [generate(GeneratorSpec("sc_qp", n=50, seed=seed)) for seed in range(4)]
+    first = [_grid_and_rates(prog, tmp_path / f"seed{seed}") for seed, prog in enumerate(progs)]
+    assert len(first[0]) == 16
+    assert _grid_and_rates(progs[0], tmp_path / "rerun") == first[0]
+
+
+def test_rates_on_a_psd_program_with_24_rows(tmp_path, capsys):
+    # Q = diag(1, 0), q = (0, -1) and 24 rows (cos t_i, sin t_i) x <= 1 with
+    # t_i = pi (i + 1/2) / 24. X* is the single vertex (0, 1 / cos(pi / 48))
+    # of rows 11 and 12.
+    theta = np.pi * (np.arange(24) + 0.5) / 24
+    path = tmp_path / "psd24.json"
+    path.write_text(json.dumps({"n": 2, "Q": [[1.0, 0.0], [0.0, 0.0]], "q": [0.0, -1.0],
+                                "ineq": [{"type": "affine", "G": [c, s], "d": 1.0}
+                                         for c, s in zip(np.cos(theta), np.sin(theta))]}))
+    assert main(["solve", "--problem", str(path), "--sigma", "0.5", "--schedule", "fixed", "--c0", "1",
+                 "--out", str(tmp_path)]) == 0
+    assert main(["rates", "--trace", str(tmp_path / "problem__sigma0.5__fixed.trace.json"),
+                 "--problem", str(path), "--out", str(tmp_path)]) == 0
+    assert "bound_violations=0" in capsys.readouterr().out
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["solve", "--generator", "reference1d", "--bogus", "1"],

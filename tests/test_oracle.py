@@ -20,7 +20,6 @@ from almlab import (
     solve_qp_exact,
 )
 from almlab.errors import (
-    EnumerationLimitError,
     InfeasibleError,
     NoValidSamplesError,
     UnboundedError,
@@ -77,8 +76,8 @@ class TestSolveQpExact:
             solve_qp_exact(prog)
 
     def test_many_rows_with_definite_q_are_searched(self):
-        # 21 rows exceed the enumeration cap, but Q = I goes to the dual
-        # active-set search, which stops at the empty face
+        # Q = I goes to the dual active-set search, which stops at the
+        # empty face
         n = 21
         ineqs = tuple(AffineInequality(e, 1.0) for e in np.eye(n))
         prog = ConvexProgram(smooth=QuadraticObjective(np.eye(n), np.zeros(n)), ineqs=ineqs)
@@ -88,14 +87,16 @@ class TestSolveQpExact:
         assert np.array_equal(member, np.zeros(n))
         assert dist == 0.0
 
-    def test_enumeration_limit(self):
-        # a flat direction sends the same rows to the enumeration and its cap
+    def test_21_rows_with_a_flat_direction_are_solved(self):
+        # a flat direction sends the same rows to the proximal point steps.
+        # 0 is a minimizer, and the steps stay there.
         n = 21
         ineqs = tuple(AffineInequality(e, 1.0) for e in np.eye(n))
         Q = np.diag([1.0] * (n - 1) + [0.0])
         prog = ConvexProgram(smooth=QuadraticObjective(Q, np.zeros(n)), ineqs=ineqs)
-        with pytest.raises(EnumerationLimitError, match="enumeration cap of 20"):
-            solve_qp_exact(prog)
+        orc = solve_qp_exact(prog)
+        assert np.array_equal(orc.primal_point, np.zeros(n))
+        assert np.array_equal(project_dual(orc, np.ones(orc.dual.m))[0], np.zeros(n))
 
     def test_requires_affine_qp(self):
         with pytest.raises(ValueError):

@@ -39,6 +39,7 @@ from almlab import oracle as oracle_mod
 from almlab.errors import InfeasibleError
 from almlab.problem import lagrangian_grad
 
+from test_oracle_proximal import LPS, PSD_FAMILY, SMALL_PSD
 from test_oracle_reference import CORPUS_QPS, LADDER, _qp
 from test_projection_kernel import reference_solve_face
 
@@ -150,13 +151,20 @@ def _lstsq_calls():
         yield calls
 
 
-@pytest.mark.parametrize("index", range(len(PROGRAMS)), ids=IDS)
+# Q PSD but not positive definite: the proximal point steps, and before
+# them the solvability check's projections
+PSD_PROGRAMS = PSD_FAMILY + SMALL_PSD + LPS
+
+
+@pytest.mark.parametrize("index", range(len(PROGRAMS + PSD_PROGRAMS)), ids=IDS + [p.name for p in PSD_PROGRAMS])
 def test_no_kkt_matrix_reaches_lstsq(index):
     # inside a face on k = m1 + |S| rows, lstsq sees only the k x k Gram
     # block; outside, the dependent-normal branch expands a row in the
-    # n x (m1 + |W|) basis of the active normals. A face's KKT matrix is
+    # n x (m1 + |W|) basis of the active normals, and the minimizer of a
+    # proximal point step's face takes its multipliers from the n x k
+    # matrix of the face's normals. A face's KKT matrix is
     # (n + k)-square.
-    prog = PROGRAMS[index]
+    prog = (PROGRAMS + PSD_PROGRAMS)[index]
     with _lstsq_calls() as calls:
         _search(prog)
     for shape, S in calls:
@@ -188,7 +196,8 @@ def test_face_refines_to_its_kkt_point():
     Q, q, A, b, G, d = (prog.smooth.Q, prog.smooth.q, prog.eq_matrix(), prog.eq_rhs(),
                         prog.ineq_matrix(), prog.ineq_rhs())
     S = [0, 3, 7]
-    x, mu_S, residual, rhs_norm = oracle_mod._DefiniteHessian.factor(Q, q, A, b, G, d).face(S)
+    kernel = oracle_mod._DefiniteHessian.factor(Q, q, A, b, G, d, prog.q_spectrum[-1])
+    x, mu_S, residual, rhs_norm = kernel.face(S)
     C = np.vstack([A, G[S]])
     nu = np.linalg.lstsq(C.T, -(Q @ x + q), rcond=None)[0]
     assert residual <= 1e-13 * _roundoff_scale(prog, x)
@@ -218,14 +227,15 @@ def test_scaled_objective_scales_the_oracle(seed):
 
 
 CONDITIONING_LADDER = [GeneratorSpec("sc_qp", n=n, m1=n // 5, m2=2 * n // 5, seed=seed, conditioning=(1.0, hi))
-                       for n in (20, 50) for hi in (1e4, 1e6, 1e8) for seed in range(10)]
+                       for n in (20, 50) for hi in (1e4, 1e6, 1e8, 1e9, 1e10) for seed in range(10)]
 
 
 @pytest.mark.parametrize("spec", CONDITIONING_LADDER, ids=lambda s: f"{s.label()}-cond{s.conditioning[1]:g}")
 def test_ill_conditioned_q_keeps_an_exact_oracle(spec):
-    # the least-squares face solve returned an oracle on 39 of the 40
-    # programs up to conditioning 1e6 and on none at 1e8; every one now has
-    # one, and x* with the projection of 0 onto P* satisfies KKT to roundoff
+    # every program has an oracle, its face residual bound growing with
+    # ||Q||_2 ||x||, and x* with the projection of 0 onto P* satisfies KKT
+    # to roundoff. At 1e10 the spectrum falls below the positive definite
+    # certificate, and the oracle takes proximal point steps
     prog = generate(spec)
     orc = solve_qp_exact(prog)
     x = orc.primal_point

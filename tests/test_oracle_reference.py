@@ -1,10 +1,12 @@
 """Cross-check of solve_qp_exact against the full active-set enumeration.
 
 The reference below solves every one of the 2^m2 faces and keeps the first
-KKT-consistent one. solve_qp_exact stops at that face, and for a Q that is
-not positive definite first refuses an empty feasible set or a feasible
-descent ray; on every program with a KKT point each output array must agree
-bit for bit.
+KKT-consistent one. For a positive definite Q solve_qp_exact stops at that
+face, and every output array must agree, bit for bit or (x* and the dual
+right side) to roundoff. For any other PSD Q it first refuses an empty
+feasible set or a feasible descent ray, then takes proximal point steps,
+which may end at another point of a non-singleton X*: there the objective
+and the dual sets must agree.
 """
 from types import SimpleNamespace
 
@@ -22,7 +24,7 @@ from almlab import (
     standard_corpus,
 )
 from almlab import oracle as oracle_mod
-from almlab.errors import EnumerationLimitError, InfeasibleError, ProblemFormatError, UnboundedError
+from almlab.errors import InfeasibleError, ProblemFormatError, UnboundedError
 from almlab.oracle import DualPolyhedron, SolutionSetOracle
 
 
@@ -90,6 +92,18 @@ def assert_bitwise_equal(got, ref):
     assert got.dual.zero_idx == ref.dual.zero_idx
     assert got.dual.nonneg_idx == ref.dual.nonneg_idx
     assert got.fingerprint == ref.fingerprint
+
+
+def assert_same_solution_sets(got, ref, prog):
+    """For a Q that is not positive definite X* need not be a point, and
+    two oracles may return different points of it. The objective at x*
+    must agree within 1e-12 (1 + |f|), and the projections of 0 and of a
+    seeded point onto the two dual sets within 1e-9 (1 + ||z||)."""
+    f, f_ref = prog.smooth.value(got.primal_point), prog.smooth.value(ref.primal_point)
+    assert abs(f - f_ref) <= 1e-12 * (1.0 + abs(f_ref)), "objective"
+    for p in (np.zeros(ref.dual.m), np.random.default_rng(0).normal(size=ref.dual.m)):
+        z, z_ref = got.dual.project(p)[0], ref.dual.project(p)[0]
+        assert np.linalg.norm(z - z_ref) <= 1e-9 * (1.0 + np.linalg.norm(z_ref)), "dual projection"
 
 
 LADDER = [GeneratorSpec("sc_qp", n=20, m1=4, m2=m2, seed=s) for m2 in (3, 6, 8, 10) for s in range(10)]
@@ -166,9 +180,8 @@ class TestCertificateBoundary:
         prog = _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, 1.0]], offsets=[1.0])
         orc = solve_qp_exact(prog)
         assert spy.checks == [0]
-        assert spy.faces == [[], [0]]
         np.testing.assert_allclose(orc.primal_point, [0.0, 1.0], atol=1e-12)
-        assert_bitwise_equal(orc, reference_oracle(prog))
+        assert_same_solution_sets(orc, reference_oracle(prog), prog)
 
     def test_psd_descent_ray_still_raises(self, spy):
         # min 0.5*x1^2 - x2 s.t. x2 >= -1: x2 -> +inf is a feasible descent ray
@@ -183,8 +196,7 @@ class TestCertificateBoundary:
         prog = _qp(np.diag([1.0, 1e-11]), [0.0, 0.0], rows=[[1.0, 1.0]], offsets=[-1.0])
         orc = solve_qp_exact(prog)
         assert spy.checks == [0]
-        assert len(spy.faces) == 2
-        assert_bitwise_equal(orc, reference_oracle(prog))
+        assert_same_solution_sets(orc, reference_oracle(prog), prog)
 
     @pytest.mark.parametrize("field, prog", [
         ("Q", _qp([[1.0, 0.5, 0.0], [0.5, 1.0, np.nan], [0.0, np.nan, 1.0]], np.zeros(3))),
@@ -212,8 +224,8 @@ _EMPTY_ROWS = dict(rows=[[0.0, 1.0], [0.0, -1.0]], offsets=[0.0, -1.0])
 
 
 class TestSolvability:
-    """A PSD program without a minimizer is refused before the enumeration,
-    with the exception that names why."""
+    """A PSD program without a minimizer is refused before the proximal
+    point steps, with the exception that names why."""
 
     @pytest.mark.parametrize("prog", [
         _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], **_EMPTY_ROWS),
@@ -229,19 +241,20 @@ class TestSolvability:
         assert spy.faces == []
 
     def test_empty_feasible_set_beyond_the_cap_is_infeasible(self, spy):
-        # 21 rows exceed the enumeration cap, but emptiness is decided first
+        # 21 rows, the last contradicting the others: emptiness is decided
+        # before any proximal point step
         prog = _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], rows=[[0.0, 1.0]] * 20 + [[0.0, -1.0]],
                    offsets=[0.0] * 20 + [-1.0])
         with pytest.raises(InfeasibleError):
             solve_qp_exact(prog)
         assert spy.checks == [0]
 
-    def test_bounded_program_beyond_the_cap_hits_the_cap(self, spy):
+    def test_bounded_program_with_21_rows_returns_its_minimizer(self, spy):
+        # 21 copies of the row x2 <= 1
         prog = _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, 1.0]] * 21, offsets=[1.0] * 21)
-        with pytest.raises(EnumerationLimitError):
-            solve_qp_exact(prog)
+        orc = solve_qp_exact(prog)
         assert spy.checks == [0]
-        assert spy.faces == []
+        np.testing.assert_allclose(orc.primal_point, [0.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("prog", [
         # min -x1 - x2 over the cone x1 <= 2 x2, x2 <= 2 x1, which holds (1, 1)

@@ -323,6 +323,14 @@ def run(
     Returns
     -------
     RunHistory with status Converged, MaxOuterIterations, or InnerFailure.
+
+    Raises
+    ------
+    ProblemFormatError
+        Before the first iteration, naming Q or ineq[i].P, when that matrix
+        is not symmetric PSD (``ConvexProgram.check_convex``): on such a
+        program a stationary point of L_c can be a saddle, and the run
+        would report it as Converged.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol:g}")
@@ -330,6 +338,7 @@ def run(
         raise ValueError("sigma must lie in [0, 1)")
     if max_outer < 1:
         raise ValueError(f"max_outer must be >= 1, got {max_outer!r}")
+    prog.check_convex()
     p = p0 if p0 is not None else DualPoint.zeros(prog.m1, prog.m2)
     if (p.mu < 0).any():
         raise ValueError("initial mu must be nonnegative")

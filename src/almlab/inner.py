@@ -21,6 +21,10 @@ criterion alone (``auglag.criterion_sides``); the multiplier update and
 the full ``CriterionReport`` are built only for the one that passes and
 returned with the evaluation of L_c there (``SubproblemResult.lc``), so
 the driver evaluates neither again.
+
+Inner products are written a.dot(b), not a @ b, for the reason ``auglag``
+gives: the same BLAS kernel and bits at about half the call cost. The line
+search computes each of them once (see ``_line_search``).
 """
 from __future__ import annotations
 
@@ -204,21 +208,21 @@ def _prox_steps(prog, c, sigma, lc_at, x, cur, max_inner, values):
     t0 = t_safe if t_safe is not None else 1.0
     t = t0
     backtracks = frozen = 0
-    prev_dx = prev_dgrad = None
+    prev_dx = prev_dx_sq = prev_dgrad = None
     for i in range(max_inner + 1):
-        t_try = _trial_step(prev_dx, prev_dgrad, t, t0)
-        x_next, y, nxt, t, bt = _line_search(lc_at, prog.nonsmooth, x, cur, t_try, t_safe)
+        t_try = _trial_step(prev_dx, prev_dx_sq, prev_dgrad, t, t0)
+        x_next, y, nxt, t, bt, dx, dx_sq, y_sq = _line_search(lc_at, prog.nonsmooth, x, cur, t_try, t_safe)
         backtracks += bt
-        best_norm = yield x_next, y, math.sqrt(float(y @ y)), nxt, i, backtracks, False
-        dx = x_next - x
-        frozen = frozen + 1 if not dx.any() else 0
+        best_norm = yield x_next, y, math.sqrt(y_sq), nxt, i, backtracks, False
+        # ||dx||^2 underflows to 0 for a dx of tiny but nonzero entries
+        frozen = 0 if dx_sq > 0 or dx.any() else frozen + 1
         if frozen >= 400:
             raise MaxInnerIterationsError(
                 f"inner iterates frozen at the floating-point floor with "
                 f"certificate norm {best_norm:.3e} (c={c:g}, sigma={sigma:g})"
                 + _last_step(t, backtracks)
             )
-        prev_dx = dx
+        prev_dx, prev_dx_sq = dx, dx_sq
         prev_dgrad = nxt.smooth_grad - cur.smooth_grad
         x, cur = x_next, nxt
         values.append(cur.value)
@@ -300,15 +304,15 @@ def _accepted(p_prev, c, sigma, w_prev, x, y, lc, inner_iters, backtracks, value
     )
 
 
-def _trial_step(prev_dx, prev_dgrad, t_last, t0):
+def _trial_step(prev_dx, prev_dx_sq, prev_dgrad, t_last, t0):
     # spectral (Barzilai-Borwein) trial step, safeguarded; the line search
     # enforces sufficient decrease regardless of the trial value
     if prev_dx is None:
         return t_last
-    denom = float(prev_dx @ prev_dgrad)
+    denom = float(prev_dx.dot(prev_dgrad))
     if denom <= 0:
         return t0
-    t_bb = float(prev_dx @ prev_dx) / denom
+    t_bb = prev_dx_sq / denom
     return min(max(t_bb, 1e-14), 1e12)
 
 
@@ -318,12 +322,16 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
     ``lc_at`` is the bound evaluator of L_c (``auglag.lc_evaluator``),
     ``nonsmooth`` the program's nonsmooth term or None, and ``cur`` the
     evaluation at x. Returns (x_next, y, evaluation at x_next, step,
-    backtracks). Steps at or below t_safe (the inverse curvature bound,
-    when one exists) satisfy the sufficient-decrease condition by
-    construction and skip the value comparison, so roundoff in the value
-    cannot block them. Every trial runs the value stage of L_c; only one
-    with a finite value that is certified or passes the test runs the
-    gradient stage, and it is accepted when that gradient is finite.
+    backtracks, dx, ||dx||^2, ||y||^2), with dx = x_next - x: the caller
+    reads the three inner products from here instead of computing them
+    again. Steps at or below t_safe (the inverse curvature bound, when one
+    exists) satisfy the sufficient-decrease condition by construction and
+    skip the value comparison, so roundoff in the value cannot block them.
+    Every trial runs the value stage of L_c; only one with a finite value
+    that is certified or passes the test runs the gradient stage, and it
+    is accepted when that gradient is finite. A finite ||y||^2 implies a
+    finite y and so a finite gradient; only a non-finite one (an overflow,
+    or a non-finite gradient) is settled by testing the gradient itself.
     """
     value_at, grad_at = lc_at.value_stage, lc_at.grad_stage
     slack = 5e-16 * (1.0 + abs(cur.value))
@@ -331,15 +339,17 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
         v = x - t_try * cur.smooth_grad
         x_next = nonsmooth.prox(v, t_try) if nonsmooth is not None else v
         nxt = value_at(x_next)
-        certified = t_safe is not None and t_try <= t_safe
-        # a certified step needs no x_next - x
-        if math.isfinite(nxt.value) and (
-            certified or nxt.value <= cur.value - (_ARMIJO_DECREASE / t_try) * _sq_norm(x_next - x) + slack
-        ):
-            grad_at(x_next, nxt)
-            if np.isfinite(nxt.smooth_grad).all():
+        if math.isfinite(nxt.value):
+            dx = x_next - x
+            dx_sq = float(dx.dot(dx))
+            if (t_safe is not None and t_try <= t_safe) or (
+                nxt.value <= cur.value - (_ARMIJO_DECREASE / t_try) * dx_sq + slack
+            ):
+                grad_at(x_next, nxt)
                 y = nxt.smooth_grad + (v - x_next) / t_try
-                return x_next, y, nxt, t_try, bt
+                y_sq = float(y.dot(y))
+                if math.isfinite(y_sq) or np.isfinite(nxt.smooth_grad).all():
+                    return x_next, y, nxt, t_try, bt, dx, dx_sq, y_sq
         t_try *= _ARMIJO_FACTOR
     raise NonFiniteError(
         "line search failed to find a finite decreasing step; "
@@ -347,7 +357,3 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
         # t_try has been shrunk once more after the last step tried
         + _last_step(t_try / _ARMIJO_FACTOR, _MAX_BACKTRACKS)
     )
-
-
-def _sq_norm(v):
-    return float(v @ v)

@@ -1,20 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from almlab import (
     CONVERGED,
     MAX_OUTER,
+    AffineInequality,
+    ConvexProgram,
     DualPoint,
     GeneratorSpec,
     InnerOptions,
     PenaltySchedule,
+    QuadraticInequality,
+    QuadraticObjective,
     RunHistory,
     check_stop,
     generate,
     next_penalty,
     run,
 )
+from almlab import driver as driver_mod
 from almlab.driver import CSV_COLUMNS, IterationRecord
+from almlab.errors import ProblemFormatError
 from almlab.problem import KktResidual
 from almlab.auglag import CriterionReport
 
@@ -167,6 +175,53 @@ class TestPpaEquivalence:
             for rec in hist.records:
                 lam = np.linalg.solve(c * M + np.eye(qp.m1), c * v + lam)
                 assert np.linalg.norm(rec.p.lam - lam) <= 1e-9
+
+
+class TestRefusesNonConvexPrograms:
+    """run checks the paper's convexity assumption before its first
+    iteration: on Q = diag(1, -1) it used to stop Converged at the saddle."""
+
+    @pytest.fixture
+    def no_subproblem(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a subproblem was solved")
+        monkeypatch.setattr(driver_mod, "solve_subproblem", fail)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_saddle_q_is_refused(self, no_subproblem, exact):
+        prog = ConvexProgram(smooth=QuadraticObjective(np.diag([1.0, -1.0]), np.zeros(2)))
+        with pytest.raises(ProblemFormatError, match="field 'Q'.*positive semidefinite"):
+            run(prog, PenaltySchedule.fixed(10.0), 0.5, inner=InnerOptions(exact=exact))
+
+    def test_indefinite_row_is_refused(self, no_subproblem):
+        prog = ConvexProgram(
+            smooth=QuadraticObjective(np.eye(2), np.zeros(2)),
+            ineqs=[QuadraticInequality(np.diag([1.0, -1.0]), np.zeros(2), -1.0),
+                   AffineInequality(np.ones(2), 1.0)],
+        )
+        with pytest.raises(ProblemFormatError, match=r"field 'ineq\[0\]\.P'.*positive semidefinite"):
+            run(prog, PenaltySchedule.fixed(10.0), 0.5)
+
+    def test_asymmetric_q_is_refused(self, no_subproblem):
+        prog = ConvexProgram(smooth=QuadraticObjective([[1.0, 5.0], [-5.0, 1.0]], np.zeros(2)))
+        with pytest.raises(ProblemFormatError, match="field 'Q'.*symmetric"):
+            run(prog, PenaltySchedule.fixed(10.0), 0.5)
+
+    @given(
+        n=st.integers(2, 4),
+        entries=st.lists(st.floats(-10.0, 10.0), min_size=16, max_size=16),
+        q=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
+        exact=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_indefinite_q_converges(self, n, entries, q, exact):
+        M = np.array(entries).reshape(4, 4)[:n, :n]
+        Q = 0.5 * (M + M.T)
+        ev = np.linalg.eigvalsh(Q)
+        assume(ev[0] < -2e-10 * max(1.0, ev[-1]))
+        prog = ConvexProgram(smooth=QuadraticObjective(Q, q[:n]))
+        with pytest.raises(ProblemFormatError, match="field 'Q'"):
+            run(prog, PenaltySchedule.fixed(10.0), 0.5, max_outer=20, inner=InnerOptions(exact=exact))
 
 
 class TestSerialization:

@@ -221,7 +221,7 @@ class TestLineSearchStep:
         lc_at = lc_evaluator(prog, p, c)
         curv = inner_mod.smooth_curvature_bound(prog, c)
         t_safe = 1.0 / curv if curv else None
-        return inner_mod._line_search(lc_at, prog.nonsmooth, x, lc_at(x), t, t_safe)
+        return inner_mod._line_search(lc_at, prog.nonsmooth, x, lc_at(x), t, t_safe)[:5]
 
     def test_smooth_certificate_is_gradient(self, sc_qp7):
         p = DualPoint.zeros(2, 3)

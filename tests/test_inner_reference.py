@@ -174,6 +174,37 @@ def test_solve_matches_reference_bit_for_bit(index, c, sigma):
         assert_same_solve(prog, p, c, sigma, w, x0)
 
 
+BENCH_SHAPES = [generate(GeneratorSpec("sc_qp", n=50, seed=3)),
+                generate(GeneratorSpec("sc_qp", n=200, m1=40, m2=80, seed=3))]
+
+
+@pytest.mark.parametrize("sigma", [0.01, 0.5])
+@pytest.mark.parametrize("c", [10.0, 1e4])
+@pytest.mark.parametrize("prog", BENCH_SHAPES, ids=[p.name for p in BENCH_SHAPES])
+def test_benchmark_shapes_match_reference_bit_for_bit(prog, c, sigma):
+    # the shapes the solver runs at in the benchmark's cli-grid and
+    # solve-large workloads, where BLAS takes longer vectors than at n <= 6
+    # cold start: the origin with zero multipliers
+    assert_same_solve(prog, DualPoint.zeros(prog.m1, prog.m2), c, sigma, np.zeros(prog.n), np.zeros(prog.n))
+
+
+@pytest.mark.parametrize("max_inner", [50, 450])
+def test_steps_whose_squared_norm_underflows_are_not_frozen(max_inner):
+    # Q = diag(1e300, 1) caps every step at t = 1e-300, so each one moves x
+    # by about 1e-300: dx != 0 while ||dx||^2 underflows to 0. The solver
+    # must count these steps as moves and end "criterion not met", as the
+    # reference does, never "frozen" (which 400 idle steps would give)
+    prog = ConvexProgram(smooth=QuadraticObjective(np.diag([1e300, 1.0]), np.array([0.0, -1.0])))
+    p, w, x0 = DualPoint.zeros(0, 0), np.zeros(2), np.zeros(2)
+    first = -1e-300 * prog.smooth.grad(x0)
+    assert first.any() and first.dot(first) == 0.0
+    with pytest.raises(MaxInnerIterationsError) as ref:
+        reference_solve(prog, p, 1.0, 0.5, w, x0.copy(), max_inner)
+    with pytest.raises(MaxInnerIterationsError, match=f"criterion not met within {max_inner} ") as got:
+        solve_subproblem(prog, p, 1.0, 0.5, w, x0, InnerOptions(max_inner=max_inner))
+    assert str(got.value).startswith(str(ref.value) + "; last trial step ")
+
+
 def floor_problem(seed):
     """An unconstrained QP scaled by 1e3..1e6 and started 1e-9 off its
     minimizer. Its criterion needs y = 0 exactly, and the gradient's noise
@@ -333,7 +364,7 @@ def test_line_search_rejects_a_trial_with_a_non_finite_gradient(t_try, certified
     first = lc_at.value_stage(x - t_try * cur.smooth_grad)
     assert math.isfinite(first.value)
     assert certified or first.value < cur.value - 1e-4 / t_try * t_try ** 2
-    x_next, y, nxt, t, bt = inner_mod._line_search(lc_at, None, x, cur, t_try, 1.0)
+    x_next, y, nxt, t, bt = inner_mod._line_search(lc_at, None, x, cur, t_try, 1.0)[:5]
     assert (t, bt) == (t_try / 2, 1)
     assert_bits_equal(x_next, [t_try / 2])
     ref = reference_line_search(prog, p, 1.0, x, auglag_eval(prog, x, p, 1.0), t_try, 1.0)
@@ -341,4 +372,25 @@ def test_line_search_rejects_a_trial_with_a_non_finite_gradient(t_try, certified
     assert_bits_equal(y, ref[1])
     assert nxt.value == ref[2].value
     assert_bits_equal(nxt.smooth_grad, ref[2].smooth_grad)
+    assert (t, bt) == ref[3:]
+
+
+def test_line_search_accepts_a_finite_gradient_whose_certificate_overflows():
+    # min -1e200 x from x = 0 with t = 1e-200: the trial x = 1 has a finite
+    # value and gradient, but ||y||^2 = 1e400 overflows; the gradient, not
+    # the overflowed norm, decides, and the trial is accepted as before (the
+    # solver's caller then reports |y| = inf; NumPy warns of the overflow)
+    prog = ConvexProgram(smooth=QuadraticObjective(np.zeros((1, 1)), np.array([-1e200])))
+    p, x = DualPoint.zeros(0, 0), np.zeros(1)
+    lc_at = lc_evaluator(prog, p, 1.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        x_next, y, nxt, t, bt, dx, dx_sq, y_sq = inner_mod._line_search(lc_at, None, x, lc_at(x), 1e-200, None)
+    assert (t, bt) == (1e-200, 0)
+    assert y_sq == math.inf and np.isfinite(y).all()
+    assert_bits_equal(dx, x_next - x)
+    assert dx_sq == float(dx @ dx)
+    ref = reference_line_search(prog, p, 1.0, x, auglag_eval(prog, x, p, 1.0), 1e-200, None)
+    assert_bits_equal(x_next, ref[0])
+    assert_bits_equal(y, ref[1])
+    assert nxt.value == ref[2].value
     assert (t, bt) == ref[3:]

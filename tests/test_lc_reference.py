@@ -133,6 +133,35 @@ def test_exact_mode_fallback_carries_the_accepted_evaluation(c, monkeypatch):
         assert_bits_equal(res.lc.g, ev.g)
 
 
+def _dot_forms(rng, n, m):
+    """(name, a, b) for every product form the inner loop takes with
+    ndarray.dot: the value's x.Q and the gradient's Q.x, the equality map's
+    A.x, the view A.T that multiplies lam + c h, the read-only cached jac of
+    grad_g, and the inner products of two vectors."""
+    Q, A = rng.standard_normal((n, n)), rng.standard_normal((m, n))
+    x, u, s = rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(m)
+    prog = ConvexProgram(smooth=QuadraticObjective(np.eye(n), np.zeros(n)),
+                         ineqs=[AffineInequality(row, 0.0) for row in rng.standard_normal((m, n))])
+    jac = prog.grad_g(x)
+    assert not jac.flags.writeable and A.T.flags.f_contiguous
+    return [("x.Q", x, Q), ("Q.x", Q, x), ("A.x", A, x), ("A.T.s", A.T, s),
+            ("jac.s", jac, s), ("u.v", x, u), ("s.s", s, s)]
+
+
+@pytest.mark.parametrize("form", ["x.Q", "Q.x", "A.x", "A.T.s", "jac.s", "u.v", "s.s"])
+def test_dot_gives_the_bits_of_matmul(form):
+    """The premise of the inner loop's a.dot(b) in place of a @ b: on the
+    installed NumPy both run the same BLAS kernel, so every trajectory keeps
+    its bits. Random shapes (n, m) up to (400, 160), the first (1, 1)."""
+    rng = np.random.default_rng(28)
+    shapes = [(1, 1), (400, 160)] + [(int(rng.integers(1, 401)), int(rng.integers(1, 161))) for _ in range(30)]
+    for n, m in shapes:
+        _, a, b = next(f for f in _dot_forms(rng, n, m) if f[0] == form)
+        got, want = np.asarray(a.dot(b)), np.asarray(a @ b)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), f"{form} at (n, m) = ({n}, {m})"
+
+
 def test_corpus_trajectory_counts():
     """The standard corpus at the verify settings: 66 of 293 accepted
     iterates snapped to y = 0, and 12006 inner iterations in total."""

@@ -36,7 +36,6 @@ from almlab import (
 from almlab import oracle as oracle_mod
 from almlab.cli import main
 from almlab.errors import EnumerationLimitError, InfeasibleError, ProblemFormatError
-from almlab.io import load_problem
 from almlab.oracle import DualPolyhedron
 from almlab.problem import lagrangian_grad
 
@@ -295,9 +294,11 @@ class TestRefusedQ:
     def test_rates_on_an_indefinite_problem_exits_1(self, tmp_path, capsys):
         path = tmp_path / "saddle.json"
         path.write_text(json.dumps({"n": 2, "Q": [[1.0, 0.0], [0.0, -1.0]], "q": [0.0, 0.0]}))
-        # solve refuses this file, so the trace comes from the library run
+        # solve and run both refuse this file, so the trace comes from a PSD
+        # program with n = 2; rates refuses in solve_qp_exact, before it
+        # compares fingerprints
         trace = tmp_path / "saddle.trace.json"
-        run(load_problem(path), PenaltySchedule.fixed(10.0), 0.5).to_json(trace)
+        run(_qp(np.eye(2), [0.0, 0.0]), PenaltySchedule.fixed(10.0), 0.5).to_json(trace)
         capsys.readouterr()
         code = main(["rates", "--trace", str(trace), "--problem", str(path), "--out", str(tmp_path)])
         assert code == 1

@@ -129,6 +129,7 @@ def smooth_curvature_bound(prog: ConvexProgram, c: float):
     return bound if bound > 0 else None
 
 
+@np.errstate(over="ignore")
 def solve_subproblem(
     prog: ConvexProgram,
     p_prev: DualPoint,
@@ -145,7 +146,11 @@ def solve_subproblem(
     exact mode; one block below decides acceptance for both. Neither mode
     records more than ``opts.max_inner`` inner iterations. Raises
     :class:`MaxInnerIterationsError` when the generator gives up and
-    :class:`NonFiniteError` if the iteration overflows.
+    :class:`NonFiniteError` if the iteration overflows. Both modes test the
+    values they decide on for finiteness, so NumPy's overflow warning is
+    off here: an overflow ends the same way whether or not warnings are
+    raised as errors (``-W error::RuntimeWarning``), while the other
+    warnings, an invalid value say, still reach the caller.
     """
     opts = opts or InnerOptions()
     if not c > 0:

@@ -6,9 +6,11 @@ finds the minimizer as the KKT point of a face, a set of inequality rows
 taken as active, typically with one face solve per active row plus one.
 Every face it visits is solved and tested by ``_solve_face`` on one of two
 kernels, neither of which builds the face's (n + k)-square KKT matrix:
-``_DefiniteHessian`` factors H once and solves a face on k rows as a k x k
-block of their Gram matrix C H^-1 C'; ``_UnitHessian`` (H = I on an
-orthonormal row basis, for a dual projection) solves it in closed form.
+``_DefiniteHessian`` factors an H other than I once and solves a face on k
+rows as a k x k block of their Gram matrix C H^-1 C'; ``_UnitHessian``
+(H = I, built by ``_unit_kernel`` on an orthonormal basis of the equality
+rows) solves it in closed form, with a block only for the face's
+inequality rows. Every projection takes the second.
 
 For a positive definite Q the search runs on the program itself. Any other
 PSD Q gets two projections, which refuse an empty feasible set
@@ -27,9 +29,8 @@ equality rows are replaced by an orthonormal row basis B of their rank r
 (at most m1 + m2) with right side beta, so each face solve carries r rows
 instead of n. With Q = I and orthonormal rows, the face with no pinned
 coordinate is z = p - B'(Bp - beta) with no solve, and a face pinning the
-coordinates J solves one r x r system, (B_F B_F') nu = B_F p_F - beta.
-Each distinct point is projected once; a repeated point returns the same
-read-only result.
+coordinates J solves one |J| x |J| block. Each distinct point is projected
+once; a repeated point returns the same read-only result.
 """
 from __future__ import annotations
 
@@ -92,35 +93,64 @@ def _tolerances(q, b, d):
 
 @dataclass(frozen=True)
 class _UnitHessian:
-    """Q = I for the projection QP of a DualPolyhedron. The search's A is
-    then a row basis B (r x k, orthonormal rows) and its G is -I on the
-    coordinates ``signs``, with d = 0; ``BT`` is B', fixed once per
-    polyhedron with ``signs``."""
+    """Q = I with the equality rows replaced by an orthonormal row basis B
+    (r x n) and right side beta (:func:`_unit_kernel`); ``BT`` is B'. The
+    search's A and b are B and beta, and its inequality rows are any.
 
+    No face solve needs a factorization of Q: with p = -q, the face with no
+    inequality row is x1 = p - B'(Bp - beta), and on the face S the
+    multipliers solve a |S| x |S| block.
+    """
+
+    B: np.ndarray
     BT: np.ndarray
-    signs: np.ndarray
+    beta: np.ndarray
 
-    def face(self, q, B, beta, S):
-        """(x, mu[S]) of the face pinning the coordinates J = signs[S] to zero.
+    def face(self, q, G, d, S):
+        """(x, mu[S], residual, scale, Bx - beta) of the face on which the
+        rows S of G are active.
 
-        With p = -q, the free block F satisfies B_F x_F = beta and
-        x_F = p_F - B_F' nu. Because BB' = I, face S = {} gives nu = Bp - beta
-        with no solve. Otherwise B_F B_F' = I - B_J B_J' is singular when B
-        is square, so (B_F B_F') nu = B_F p_F - beta is solved by least
-        squares, and the multipliers of J are mu_J = (B' nu)_J - p_J.
+        With R = G_S (I - B'B), the part of each row off span(B), the
+        multipliers solve (RR') nu = G_S x1 - d_S (:func:`_gram_solver`), and
+        x = x1 - R'nu; stationarity holds by construction. span(B) is
+        projected out twice, so R keeps no roundoff of the part in span(B),
+        which x would carry off the equality rows when a row lies close to
+        span(B) and nu is large. A row with ||R_i||^2 <= 1e-24 ||G_i||^2,
+        roundoff of a row in span(B), moves nothing and takes nu_i = 0;
+        :func:`_test_kkt_point` then finds whether G_i x = d_i holds.
+        residual is ||Bx - beta|| and scale ||(q, beta)||.
         """
         x = -q
-        J = self.signs[S]
-        p_J = x[J]
-        x[J] = 0.0
-        nu = B @ x - beta
+        x -= self.BT @ (self.B @ x - self.beta)
+        mu_S = np.zeros(len(S))
         if S:
-            BF = np.delete(B, J, axis=1)
-            nu = np.linalg.lstsq(BF @ BF.T, nu, rcond=None)[0]
-        w = self.BT @ nu
-        x -= w
-        x[J] = 0.0
-        return x, w[J] - p_J
+            G_S = G[S]
+            R = G_S - (G_S @ self.BT) @ self.B
+            R -= (R @ self.BT) @ self.B
+            M = R @ R.T
+            live = M.diagonal() > 1e-24 * np.einsum("ij,ij->i", G_S, G_S)
+            if live.any():
+                mu_S[live] = _gram_solver(M[np.ix_(live, live)])((G_S @ x - d[S])[live])
+                x -= R.T @ mu_S
+        gap = self.B @ x - self.beta
+        return x, mu_S, math.sqrt(gap @ gap), math.sqrt(q @ q + self.beta @ self.beta), gap
+
+
+def _unit_kernel(E, e):
+    """The :class:`_UnitHessian` of the rows Ex = e.
+
+    An SVD E = U S V' with r singular values above 1e-10 relative (the
+    cutoff of :func:`_null_space`) gives B = V_r' and beta = S_r^-1 U_r' e.
+    Raises :class:`InfeasibleError` when e has a component outside the range
+    of E above 1e-8 (1 + |e|).
+    """
+    U, s, vh = np.linalg.svd(E, full_matrices=False)
+    r = _rank(s)
+    e_r = U[:, :r].T @ e
+    if np.linalg.norm(e - U[:, :r] @ e_r) > 1e-8 * (1.0 + np.linalg.norm(e)):
+        raise InfeasibleError("the equality rows are inconsistent")
+    B = vh[:r]
+    return _UnitHessian(B, np.ascontiguousarray(B.T), e_r / s[:r])
 
 
 @dataclass(frozen=True)
@@ -135,7 +165,7 @@ class _DefiniteHessian:
     h = C x0 - r, which :meth:`with_q` re-derives for another q. A face
     costs matrix-vector products and one solve of a k x k block of M. norm
     is ||Q||_2. :meth:`face` reads the QP's data from the kernel, not from
-    the search's arguments.
+    the search's arguments, which are the same.
     """
 
     Q: np.ndarray
@@ -163,8 +193,8 @@ class _DefiniteHessian:
         x0 = -(self.Qinv @ q)
         return replace(self, q=q, x0=x0, h=self.C @ x0 - self.r)
 
-    def face(self, S):
-        """(x, mu[S], residual, rhs_norm) of the face on the k rows
+    def face(self, q, G, d, S):
+        """(x, mu[S], residual, scale, Ax - b) of the face on the k rows
         R = [A; G_S].
 
         The multipliers nu_R solve the Gram block, M_RR nu_R = h_R
@@ -172,8 +202,8 @@ class _DefiniteHessian:
         refinement on the face's KKT system, with the same factors, then
         corrects (x, nu_R) by its residual (stationarity s = Qx + C_R' nu_R + q
         and the gap g = C_R x - r_R): M_RR dnu = g - Y_R' s and
-        dx = -Q^-1 s - Y_R dnu. residual and rhs_norm are the 2-norms of
-        the refined KKT residual and of the right side (q, r_R).
+        dx = -Q^-1 s - Y_R dnu. residual is the 2-norm of the refined KKT
+        residual, and scale ||(q, r_R)|| + ||Q||_2 ||x|| the size of its terms.
         """
         R = np.concatenate([np.arange(self.m1), self.m1 + np.asarray(S, dtype=np.intp)])
         solve = _gram_solver(self.M[R[:, None], R])
@@ -188,7 +218,8 @@ class _DefiniteHessian:
         stat, gap = self._kkt_gap(x, nu, R)
         r_R = self.r[R]
         residual = math.sqrt(stat @ stat + gap @ gap)
-        return x, nu[self.m1:][S], residual, math.sqrt(self.q @ self.q + r_R @ r_R)
+        scale = math.sqrt(self.q @ self.q + r_R @ r_R) + self.norm * math.sqrt(x @ x)
+        return x, nu[self.m1:][S], residual, scale, gap[:self.m1]
 
     def _kkt_gap(self, x, nu, R):
         """(Qx + C'nu + q, (Cx - r)[R]): the KKT residual of the face on
@@ -216,21 +247,13 @@ def _gram_solver(M):
 def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
     """Solve and test the face on which the rows S of G (ascending) are active.
 
-    Q is a kernel. :meth:`_DefiniteHessian.face` solves the Gram block of
-    the rows of A and G[S], refined on the face's KKT system, whose residual
-    is relative to 1 + ||(q, b, d_S)|| + ||Q||_2 ||x||, the size of its
-    terms. :meth:`_UnitHessian.face` (a dual projection) is closed form, so
-    its residual is that of the rows of A, relative to 1 + ||(q, b)||.
-    Both handle duplicated rows; :func:`_test_kkt_point` tests the result.
+    Q is a kernel, :class:`_DefiniteHessian` or :class:`_UnitHessian`
+    (Q = I, A an orthonormal row basis), and its ``face`` gives the face's
+    point, multipliers, KKT residual, the size of that residual's terms and
+    the gap Ax - b of the equality rows, which are the kernel's own A and
+    b. Both handle duplicated rows; :func:`_test_kkt_point` tests the result.
     """
-    if isinstance(Q, _UnitHessian):
-        x, mu_S = Q.face(q, A, b, S)
-        eq_gap = A @ x - b
-        residual, scale = math.sqrt(eq_gap @ eq_gap), math.sqrt(q @ q + b @ b)
-    else:
-        x, mu_S, residual, rhs_norm = Q.face(S)
-        eq_gap, scale = A @ x - b, rhs_norm + Q.norm * math.sqrt(x @ x)
-    return _test_kkt_point(x, mu_S, residual, scale, eq_gap, G, d, S, feas_tol, mu_tol)
+    return _test_kkt_point(*Q.face(q, G, d, S), G, d, S, feas_tol, mu_tol)
 
 
 def _test_kkt_point(x, mu_S, residual, scale, eq_gap, G, d, S, feas_tol, mu_tol):
@@ -263,18 +286,19 @@ def _check_solvable(Q, q, A, b, G, d):
     """Refuse a PSD program that has no minimizer.
 
     A convex QP that is feasible and bounded below attains its minimum
-    (Frank & Wolfe 1956), so two projections (searches with the identity
-    factored as the Hessian) decide it. Projecting 0 onto {Ax = b, Gx <= d}
-    raises :class:`InfeasibleError` when that set is empty. With N an
-    orthonormal basis of null(Q) and c = N'q scaled to a norm of at most 1
-    (the cone below is closed under scaling, the search's tolerances are
-    not), a projection z of -c onto the recession cone {z : ANz = 0,
-    GNz <= 0} with ||z|| > 1e-8 (1 + ||c||) makes Nz a feasible descent ray
-    and raises :class:`UnboundedError`.
+    (Frank & Wolfe 1956), so two projections decide it, each a search on the
+    closed-form kernel of its equality rows (:func:`_unit_kernel`), which
+    factors nothing. Projecting 0 onto {Ax = b, Gx <= d} raises
+    :class:`InfeasibleError` when that set is empty. With N an orthonormal
+    basis of null(Q) and c = N'q scaled to a norm of at most 1 (the cone
+    below is closed under scaling, the search's tolerances are not), a
+    projection z of -c onto the recession cone {z : ANz = 0, GNz <= 0} with
+    ||z|| > 1e-8 (1 + ||c||) makes Nz a feasible descent ray and raises
+    :class:`UnboundedError`.
     """
     def project(p, A, b, G, d):
-        H = _DefiniteHessian.factor(np.eye(p.size), -p, A, b, G, d, 1.0)
-        return _dual_active_set_face(H, -p, A, b, G, d)[0]
+        H = _unit_kernel(A, b)
+        return _dual_active_set_face(H, -p, H.B, H.beta, G, d)[0]
 
     project(np.zeros(Q.shape[0]), A, b, G, d)
     N = _null_space(Q)
@@ -454,30 +478,21 @@ class DualPolyhedron:
 
     @cached_property
     def _reduced(self):
-        """(keep, H, B, beta, G, d) for the projection QP, built on first use.
+        """(keep, H, G, signs) for the projection QP, built on first use.
 
-        keep lists the coordinates not pinned to zero. On them the equality
-        rows E_k = eq_mat[:, keep] (n x k) become B = V_r' (r x k), the
-        orthonormal row basis of an SVD E_k = U S V' with r singular values
-        above 1e-10 relative (the cutoff of _null_space), and eq_rhs
-        becomes beta = S_r^-1 U_r' eq_rhs. G = -I on the sign-constrained
-        coordinates and d = 0. H is the :class:`_UnitHessian` that stands
-        for Q = I and carries B' and the sign positions in keep, so no face
-        rebuilds them. Raises :class:`InfeasibleError` when eq_rhs has a
-        component outside the range of E_k above 1e-8 (1 + |eq_rhs|).
+        keep lists the coordinates not pinned to zero, and signs the
+        positions in keep of the sign-constrained ones. H is the
+        :class:`_UnitHessian` of the equality rows on keep,
+        eq_mat[:, keep] z = eq_rhs, holding their orthonormal row basis B and
+        right side beta (:func:`_unit_kernel`, which raises
+        :class:`InfeasibleError` when the rows are inconsistent). G = -I on
+        the signs, with d = 0.
         """
         zero = set(self.zero_idx)
         keep = [i for i in range(self.m) if i not in zero]
-        U, s, vh = np.linalg.svd(self.eq_mat[:, keep], full_matrices=False)
-        r = _rank(s)
-        e_r = U[:, :r].T @ self.eq_rhs
-        if np.linalg.norm(self.eq_rhs - U[:, :r] @ e_r) > 1e-8 * (1.0 + np.linalg.norm(self.eq_rhs)):
-            raise InfeasibleError("the equality rows are inconsistent")
-        B = vh[:r]
+        H = _unit_kernel(self.eq_mat[:, keep], self.eq_rhs)
         signs = np.array([keep.index(j) for j in self.nonneg_idx], dtype=np.intp)
-        G = -np.eye(len(keep))[signs]
-        H = _UnitHessian(BT=np.ascontiguousarray(B.T), signs=signs)
-        return np.array(keep, dtype=np.intp), H, B, e_r / s[:r], G, np.zeros(signs.size)
+        return np.array(keep, dtype=np.intp), H, -np.eye(len(keep))[signs], signs
 
     def project(self, p):
         """(z, ||z - p||) for the Euclidean projection z of p.
@@ -487,17 +502,18 @@ class DualPolyhedron:
         (:attr:`_reduced`) and z_j >= 0 on the sign-constrained ones: a QP
         with Q = I, solved exactly by :func:`_dual_active_set_face`, whose
         faces :meth:`_UnitHessian.face` solves in closed form on the row
-        basis. Sign-constrained entries are clipped at zero, so roundoff
-        cannot leave them negative. The result is kept: projecting the same
-        p again returns the same tuple, whose z is read-only.
+        basis. The sign-constrained entries (signs of :attr:`_reduced`) are
+        clipped at zero, so roundoff cannot leave them negative. The result
+        is kept: projecting the same p again returns the same tuple, whose z
+        is read-only.
         """
         p = as_vector(p, self.m, "p")
         key = p.tobytes()
         if key in self._projections:
             return self._projections[key]
-        keep, H, B, beta, G, d = self._reduced
-        x = _dual_active_set_face(H, -p[keep], B, beta, G, d)[0]
-        x[H.signs] = np.maximum(x[H.signs], 0.0)
+        keep, H, G, signs = self._reduced
+        x = _dual_active_set_face(H, -p[keep], H.B, H.beta, G, np.zeros(signs.size))[0]
+        x[signs] = np.maximum(x[signs], 0.0)
         z = np.zeros(self.m)
         z[keep] = x
         z.setflags(write=False)

@@ -14,6 +14,8 @@ from almlab.verify import Failure, run_verification
 
 NAN_Q_DOC = {"n": 2, "Q": [[2.0, float("nan")], [float("nan"), 2.0]], "q": [0.0, 0.0]}
 
+OVERFLOW_DOC = {"n": 1, "Q": [[0.0]], "q": [-1e200], "ineq": [{"type": "affine", "G": [1.0], "d": 1e300}]}
+
 
 class _BrokenGradientObjective(QuadraticObjective):
     def grad(self, x):
@@ -145,6 +147,17 @@ class TestSolveCommand:
         key = f"sc_qp_n_6_m1_2_m2_3_seed_3___sigma{sigma}__{schedule}"
         for suffix in (".csv", ".trace.json", ".summary.json"):
             assert (grid / (key + suffix)).read_bytes() == (alone / (key + suffix)).read_bytes()
+
+    def test_overflow_in_a_subproblem_exits_3(self, tmp_path, capsys):
+        # min -1e200 x s.t. x <= 1e300 overflows in the first subproblem; the
+        # suite turns RuntimeWarnings into errors, and the run still ends as
+        # an InnerFailure of its line search, not a traceback
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOW_DOC))
+        assert main(["solve", "--problem", str(path), "--out", str(tmp_path)]) == 3
+        assert "InnerFailure" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "problem__sigma0.5__fixed.summary.json").read_text())
+        assert summary["failure"].startswith("iteration 1: line search failed to find a finite decreasing step; ")
 
     def test_max_outer_exit_code(self, tmp_path):
         code = main([
@@ -333,6 +346,29 @@ class TestRatesCommand:
         out, err = capfd.readouterr()
         assert "field 'Q'" in err
         assert "DLASCL" not in out + err
+
+    @pytest.mark.parametrize("doc, refusal", [
+        # x2 <= 0 and x2 >= 1
+        ({"n": 2, "Q": [[0.0, 0.0], [0.0, 1.0]], "q": [-1.0, 0.0],
+          "ineq": [{"type": "affine", "G": [0.0, 1.0], "d": 0.0},
+                   {"type": "affine", "G": [0.0, -1.0], "d": -1.0}]},
+         "inequality row 0 cannot hold together with the active rows"),
+        # min -x1 - x2 over the cone x1 <= 2 x2, x2 <= 2 x1
+        ({"n": 2, "Q": [[0.0, 0.0], [0.0, 0.0]], "q": [-1.0, -1.0],
+          "ineq": [{"type": "affine", "G": [1.0, -2.0], "d": 0.0},
+                   {"type": "affine", "G": [-2.0, 1.0], "d": 0.0}]},
+         "feasible descent ray found: the objective is unbounded below"),
+    ], ids=["infeasible", "unbounded"])
+    def test_problem_without_a_minimizer_is_refused(self, trace, tmp_path, capsys, doc, refusal):
+        # the oracle is built, and refuses the program, before the trace's
+        # fingerprint is compared with it
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["rates", "--trace", str(trace), "--problem", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not list(tmp_path.glob("*.rates.*"))
 
     def test_oracle_file_round_trip(self, trace, tmp_path):
         from almlab import GeneratorSpec, generate, solve_qp_exact

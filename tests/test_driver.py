@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -276,3 +278,21 @@ class TestSerialization:
                    max_outer=50, inner=InnerOptions(max_inner=2))
         assert hist.status == "InnerFailure"
         assert hist.failure
+
+    @pytest.mark.parametrize("exact, failure", [
+        (False, "line search failed to find a finite decreasing step; "),
+        (True, "exact subproblem solve stalled with gradient norm inf"),
+    ], ids=["prox", "exact"])
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_overflow_ends_as_inner_failure(self, action, exact, failure):
+        # min -1e200 x s.t. x <= 1e300: the first subproblem overflows.
+        # Raised as an error (the suite's filter) or ignored, the overflow
+        # ends the run with the same failure, not a traceback
+        prog = ConvexProgram(smooth=QuadraticObjective(np.zeros((1, 1)), np.array([-1e200])),
+                             ineqs=(AffineInequality(np.array([1.0]), 1e300),))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            hist = run(prog, PenaltySchedule.fixed(10.0), sigma=0.5, inner=InnerOptions(exact=exact))
+        assert hist.status == "InnerFailure"
+        assert hist.records == []
+        assert hist.failure.startswith("iteration 1: " + failure)

@@ -197,11 +197,13 @@ def test_face_refines_to_its_kkt_point():
                         prog.ineq_matrix(), prog.ineq_rhs())
     S = [0, 3, 7]
     kernel = oracle_mod._DefiniteHessian.factor(Q, q, A, b, G, d, prog.q_spectrum[-1])
-    x, mu_S, residual, rhs_norm = kernel.face(S)
+    x, mu_S, residual, scale, eq_gap = kernel.face(q, G, d, S)
     C = np.vstack([A, G[S]])
     nu = np.linalg.lstsq(C.T, -(Q @ x + q), rcond=None)[0]
     assert residual <= 1e-13 * _roundoff_scale(prog, x)
-    assert abs(rhs_norm - np.linalg.norm(np.concatenate([q, b, d[S]]))) <= 1e-15 * rhs_norm
+    rhs_norm = np.linalg.norm(np.concatenate([q, b, d[S]]))
+    assert abs(scale - (rhs_norm + kernel.norm * np.linalg.norm(x))) <= 1e-15 * scale
+    assert np.linalg.norm(eq_gap - (A @ x - b)) <= 1e-15 * (np.linalg.norm(b) + np.linalg.norm(A) * np.linalg.norm(x))
     assert np.linalg.norm(mu_S - nu[prog.m1:]) <= 1e-12 * np.linalg.norm(nu)
 
 

@@ -222,59 +222,78 @@ class TestCertificateBoundary:
 # x2 <= 0 and x2 >= 1 cannot both hold
 _EMPTY_ROWS = dict(rows=[[0.0, 1.0], [0.0, -1.0]], offsets=[0.0, -1.0])
 
+# the programs of TestSolvability by name; test_projection_kernel runs them too
+SOLVABILITY_PROGRAMS = {
+    # x2 <= 0 and x2 >= 1, with a flat x1 or no curvature at all
+    "flat-q": _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], **_EMPTY_ROWS),
+    "zero-q-with-equality": _qp(np.zeros((2, 2)), [-1.0, 0.0],
+                                eq=AffineMap(np.array([[0.0, 1.0]]), np.array([0.5])), **_EMPTY_ROWS),
+    # 21 rows, the last contradicting the others
+    "empty-beyond-cap": _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], rows=[[0.0, 1.0]] * 20 + [[0.0, -1.0]],
+                            offsets=[0.0] * 20 + [-1.0]),
+    # 21 copies of the row x2 <= 1
+    "21-rows": _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, 1.0]] * 21, offsets=[1.0] * 21),
+    # min -x1 - x2 over the cone x1 <= 2 x2, x2 <= 2 x1, which holds (1, 1)
+    "cone": _qp(np.zeros((2, 2)), [-1.0, -1.0], rows=[[1.0, -2.0], [-2.0, 1.0]], offsets=[0.0, 0.0]),
+    # min -x3 s.t. -1 <= x1 <= 1: x3 is free
+    "free-coordinate": _qp(np.zeros((3, 3)), [0.0, 0.0, -1.0], rows=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+                           offsets=[1.0, 1.0]),
+    # min 0.5 x2^2 - x1 - x2 s.t. -1 <= x1 <= 1: flat in x1, bounded by
+    # the box at x* = (1, 1)
+    "flat-coordinate-box": _qp(np.diag([0.0, 1.0]), [-1.0, -1.0], rows=[[1.0, 0.0], [-1.0, 0.0]],
+                               offsets=[1.0, 1.0]),
+}
+
+
+def _nearly_dependent_row(off_span):
+    """min 0.5 x2^2 s.t. x1 = 0, x1 + off_span x2 <= -1e-9: the row lies
+    off_span away from the equality row, and X* = {(0, -1e-9 / off_span)}."""
+    return _qp(np.diag([0.0, 1.0]), [0.0, 0.0], rows=[[1.0, off_span]], offsets=[-1e-9],
+               eq=AffineMap(np.array([[1.0, 0.0]]), np.array([0.0])))
+
 
 class TestSolvability:
     """A PSD program without a minimizer is refused before the proximal
     point steps, with the exception that names why."""
 
-    @pytest.mark.parametrize("prog", [
-        _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], **_EMPTY_ROWS),
-        _qp(np.zeros((2, 2)), [-1.0, 0.0], eq=AffineMap(np.array([[0.0, 1.0]]), np.array([0.5])),
-            **_EMPTY_ROWS),
-    ], ids=["flat-q", "zero-q-with-equality"])
-    def test_empty_feasible_set_is_infeasible_not_unbounded(self, spy, prog):
+    @pytest.mark.parametrize("name", ["flat-q", "zero-q-with-equality"])
+    def test_empty_feasible_set_is_infeasible_not_unbounded(self, spy, name):
         # -x1 descends without bound along a ray no row limits, but no x is
         # feasible
         with pytest.raises(InfeasibleError):
-            solve_qp_exact(prog)
+            solve_qp_exact(SOLVABILITY_PROGRAMS[name])
         assert spy.checks == [0]
         assert spy.faces == []
 
     def test_empty_feasible_set_beyond_the_cap_is_infeasible(self, spy):
-        # 21 rows, the last contradicting the others: emptiness is decided
-        # before any proximal point step
-        prog = _qp(np.diag([0.0, 1.0]), [-1.0, 0.0], rows=[[0.0, 1.0]] * 20 + [[0.0, -1.0]],
-                   offsets=[0.0] * 20 + [-1.0])
+        # emptiness is decided before any proximal point step
         with pytest.raises(InfeasibleError):
-            solve_qp_exact(prog)
+            solve_qp_exact(SOLVABILITY_PROGRAMS["empty-beyond-cap"])
         assert spy.checks == [0]
 
     def test_bounded_program_with_21_rows_returns_its_minimizer(self, spy):
-        # 21 copies of the row x2 <= 1
-        prog = _qp(np.diag([1.0, 0.0]), [0.0, -1.0], rows=[[0.0, 1.0]] * 21, offsets=[1.0] * 21)
-        orc = solve_qp_exact(prog)
+        orc = solve_qp_exact(SOLVABILITY_PROGRAMS["21-rows"])
         assert spy.checks == [0]
         np.testing.assert_allclose(orc.primal_point, [0.0, 1.0], atol=1e-12)
 
-    @pytest.mark.parametrize("prog", [
-        # min -x1 - x2 over the cone x1 <= 2 x2, x2 <= 2 x1, which holds (1, 1)
-        _qp(np.zeros((2, 2)), [-1.0, -1.0], rows=[[1.0, -2.0], [-2.0, 1.0]], offsets=[0.0, 0.0]),
-        # min -x3 s.t. -1 <= x1 <= 1: x3 is free
-        _qp(np.zeros((3, 3)), [0.0, 0.0, -1.0], rows=[[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],
-            offsets=[1.0, 1.0]),
-    ], ids=["cone", "free-coordinate"])
-    def test_descent_ray_raises_with_no_face_solved(self, spy, prog):
+    @pytest.mark.parametrize("name", ["cone", "free-coordinate"])
+    def test_descent_ray_raises_with_no_face_solved(self, spy, name):
         with pytest.raises(UnboundedError):
-            solve_qp_exact(prog)
+            solve_qp_exact(SOLVABILITY_PROGRAMS[name])
         assert spy.checks == [0]
         assert spy.faces == []
 
     def test_flat_coordinate_box_matches_the_reference(self, spy):
-        # min 0.5 x2^2 - x1 - x2 s.t. -1 <= x1 <= 1: flat in x1, bounded by
-        # the box at x* = (1, 1)
-        prog = _qp(np.diag([0.0, 1.0]), [-1.0, -1.0], rows=[[1.0, 0.0], [-1.0, 0.0]],
-                   offsets=[1.0, 1.0])
+        prog = SOLVABILITY_PROGRAMS["flat-coordinate-box"]
         orc = solve_qp_exact(prog)
         assert spy.checks == [0]
         np.testing.assert_allclose(orc.primal_point, [1.0, 1.0], atol=1e-12)
         assert_bitwise_equal(orc, reference_oracle(prog))
+
+    @pytest.mark.parametrize("off_span", [1e-4, 3e-6, 1e-7])
+    def test_nearly_dependent_row_passes_the_check(self, off_span):
+        # the row is independent of x1 = 0 by more than the search's 1e-8
+        # test, so its face must be solved, not taken as lying in span(B)
+        prog = _nearly_dependent_row(off_span)
+        oracle_mod._check_solvable(prog.smooth.Q, prog.smooth.q, prog.eq_matrix(), prog.eq_rhs(),
+                                   prog.ineq_matrix(), prog.ineq_rhs())

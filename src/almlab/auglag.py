@@ -152,8 +152,8 @@ def criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p) -> Cr
     right-hand side is sigma * ||delta_p||^2 / c^2 and agrees with the raw
     form up to roundoff. Equality 0 <= 0 counts as satisfied.
     """
-    if not c > 0:
-        raise ValueError("penalty parameter c must be positive")
+    if not (c > 0 and c * c > 0):  # sigma / (c * c) below
+        raise ValueError("penalty parameter c must be positive, with c * c > 0")
     if not 0.0 <= sigma < 1.0:
         raise ValueError("sigma must lie in [0, 1)")
     w_prev = np.asarray(w_prev, dtype=float)

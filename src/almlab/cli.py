@@ -61,9 +61,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ProblemFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except OracleMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORACLE_MISMATCH
@@ -140,43 +137,33 @@ def _run_key(prog_name: str, sigma: float, schedule: PenaltySchedule) -> str:
     return f"{safe}__sigma{sigma:g}__{schedule.kind}"
 
 
+# the flag that sets each field of driver.check_settings, PenaltySchedule and
+# InnerOptions, whose refusals lead with the field's name
+_FLAGS = {
+    "sigma": "--sigma", "tol": "--tol", "max_outer": "--max-outer", "max_inner": "--max-inner", "exact": "--exact",
+    "c0": "--c0", "growth": "--growth", "c_max": "--cmax", "adapt_ratio": "--adapt-ratio",
+}
+# how many of (c0, growth, c_max, adapt_ratio) each schedule kind reads; a
+# trace echoes only those, and only they are checked
+_SCHEDULE_ARITY = {"fixed": 1, "geometric": 3, "adaptive": 4}
+
+
 def cmd_solve(args) -> int:
     prog = _resolve_problem(args)
     prog.check_convex()
-    sigmas = args.sigma if args.sigma else [0.5]
-    for s in sigmas:
-        if not 0.0 <= s < 1.0:
-            print(f"error: --sigma must lie in [0, 1), got {s:g}", file=sys.stderr)
-            return EXIT_INPUT
-    if not 0.0 < args.tol < math.inf:
-        print(f"error: --tol must be positive and finite, got {args.tol:g}", file=sys.stderr)
-        return EXIT_INPUT
-    for flag in ("c0", "growth"):
-        if not math.isfinite(getattr(args, flag)):
-            print(f"error: --{flag} must be finite, got {getattr(args, flag):g}", file=sys.stderr)
-            return EXIT_INPUT
-    if args.max_outer < 1:
-        print(f"error: --max-outer must be >= 1, got {args.max_outer}", file=sys.stderr)
-        return EXIT_INPUT
-    if math.isnan(args.cmax):
-        print("error: --cmax must be a number (<= 0 means no cap), got nan", file=sys.stderr)
-        return EXIT_INPUT
+    sigmas = args.sigma or [0.5]
+    settings = (args.c0, args.growth, math.inf if args.cmax <= 0 else args.cmax, args.adapt_ratio)
     try:
         inner = InnerOptions(max_inner=args.max_inner, exact=args.exact)
+        inner.check(prog)
+        schedules = [PenaltySchedule(kind, *settings[:_SCHEDULE_ARITY[kind]])
+                     for kind in args.schedule or ["fixed"]]
+        for sigma in sigmas:
+            driver.check_settings(sigma, args.tol, args.max_outer)
     except ValueError as exc:
         field, _, rule = str(exc).partition(" ")
-        print(f"error: --{field.replace('_', '-')} {rule}", file=sys.stderr)
+        print(f"error: {_FLAGS[field]} {rule}", file=sys.stderr)
         return EXIT_INPUT
-    schedule_names = args.schedule if args.schedule else ["fixed"]
-    cmax = args.cmax if args.cmax > 0 else math.inf
-    schedules = []
-    for name in schedule_names:
-        if name == "fixed":
-            schedules.append(PenaltySchedule.fixed(args.c0))
-        elif name == "geometric":
-            schedules.append(PenaltySchedule.geometric(args.c0, args.growth, cmax))
-        else:
-            schedules.append(PenaltySchedule.adaptive(args.c0, args.growth, cmax, args.adapt_ratio))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -223,9 +210,6 @@ def cmd_rates(args) -> int:
     if not (args.oracle or args.problem or args.generator):
         raise ProblemFormatError("oracle", "one of --oracle, --problem or --generator is required")
     trace_path = Path(args.trace)
-    if not trace_path.exists():
-        print(f"error: trace file '{trace_path}' not found", file=sys.stderr)
-        return EXIT_INPUT
     hist = RunHistory.from_json(trace_path)
     if args.oracle:
         oracle = SolutionSetOracle.from_json(args.oracle)

@@ -24,7 +24,7 @@ import numpy as np
 from .auglag import CriterionReport, aux_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
-from .io import _get_array, _get_int, _get_number, _get_vector, _json_object
+from .io import _field_error, _get_array, _get_int, _get_number, _get_string, _get_vector, _json_object
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
 
 CONVERGED = "Converged"
@@ -55,16 +55,19 @@ class PenaltySchedule:
     adapt_ratio: float = 0.5
 
     def __post_init__(self):
+        # each message leads with the field name, which the CLI maps to its
+        # flag and a trace reader to config.schedule.<field>
         if self.kind not in ("fixed", "geometric", "adaptive"):
-            raise ValueError(f"unknown schedule kind '{self.kind}'")
-        if not (math.isfinite(self.c0) and self.c0 > 0):
-            raise ValueError(f"c0 must be positive and finite, got {self.c0:g}")
+            raise ValueError(f"kind must be fixed, geometric or adaptive, got {self.kind!r}")
+        # a c whose square underflows to 0 would divide by zero in the criterion
+        if not (math.isfinite(self.c0) and self.c0 > 0 and self.c0 * self.c0 > 0):
+            raise ValueError(f"c0 must be positive and finite, with c0 * c0 > 0, got {self.c0:g}")
         if not (math.isfinite(self.growth) and self.growth >= 1.0):
-            raise ValueError(f"growth factor must be finite and >= 1, got {self.growth:g}")
-        if not self.c_max > 0:
-            raise ValueError("c_max must be positive")
+            raise ValueError(f"growth must be finite and >= 1, got {self.growth:g}")
+        if not self.c_max >= self.c0:
+            raise ValueError(f"c_max must be >= c0 = {self.c0:g}, got {self.c_max:g}")
         if self.kind == "adaptive" and not 0.0 < self.adapt_ratio < 1.0:
-            raise ValueError("adapt_ratio must lie in (0, 1)")
+            raise ValueError(f"adapt_ratio must lie in (0, 1), got {self.adapt_ratio:g}")
 
     @classmethod
     def fixed(cls, c0):
@@ -172,20 +175,28 @@ class RunHistory:
         Raises :class:`ProblemFormatError` naming the first malformed field,
         e.g. ``records[3].mu``: every number a trace record holds must be
         finite, and every record vector must have the length that
-        ``config.x0``, ``p0_lam`` and ``p0_mu`` imply.
+        ``config.x0``, ``p0_lam`` and ``p0_mu`` imply; the config must pass
+        ``check_settings`` and ``PenaltySchedule`` (naming ``config.sigma``
+        or ``config.schedule.c0``, say) and carry its problem_fingerprint.
         """
         doc = _json_object(source)
         config = _container(doc, "config", dict, "an object")
         status = _container(doc, "status", str, "a string")
         records = _container(doc, "records", list, "a list")
-        sigma = _get_number(config, "sigma", parent="config")
-        if not 0.0 <= sigma < 1.0:
-            raise ProblemFormatError("config.sigma", f"must lie in [0, 1), got {sigma!r}")
+        settings = (_get_number(config, "sigma", "config"), _get_number(config, "tol", "config"),
+                    _get_int(config, "max_outer", "config"))
+        try:
+            check_settings(*settings)
+        except ValueError as exc:
+            raise _field_error(exc, "config") from None
         try:
             PenaltySchedule(**config["schedule"])
-        except (KeyError, TypeError, ValueError):
+        except ValueError as exc:
+            raise _field_error(exc, "config.schedule") from None
+        except (KeyError, TypeError, OverflowError):  # OverflowError: an integer past 1.8e308
             fields = ", ".join(PenaltySchedule.__dataclass_fields__)
             raise ProblemFormatError("config.schedule", f"expected an object with fields {fields}") from None
+        _get_string(config, "problem_fingerprint", "config")
         n, m1, m2 = (_get_vector(config, key, parent="config").shape[0]
                      for key in ("x0", "p0_lam", "p0_mu"))
         sizes = {"x": n, "y": n, "lam": m1, "mu": m2, "w": n, "u": m1 + m2, "delta_p": m1 + m2}
@@ -228,7 +239,7 @@ def _stacked(records, key, size):
         a = np.array([rec[key] for rec in records], dtype=float)
         if a.shape == (len(records), size) and np.isfinite(a).all():
             return a
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, OverflowError):
         pass
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
@@ -264,13 +275,17 @@ def _fmt(v: float) -> str:
 
 
 def next_penalty(schedule: PenaltySchedule, k: int, history: RunHistory) -> float:
-    """Penalty parameter for outer iteration k (1-based)."""
+    """Penalty parameter for outer iteration k (1-based); inf when it
+    overflows, which only an infinite c_max allows."""
     if k < 1:
         raise ValueError("iteration index k starts at 1")
     if schedule.kind == "fixed":
         return schedule.c0
     if schedule.kind == "geometric":
-        return min(schedule.c_max, schedule.c0 * schedule.growth ** (k - 1))
+        try:
+            return min(schedule.c_max, schedule.c0 * schedule.growth ** (k - 1))
+        except OverflowError:  # growth ** (k - 1) is past the float range
+            return schedule.c_max
     records = history.records if history is not None else []
     if not records:
         return schedule.c0
@@ -287,6 +302,17 @@ def check_stop(record: IterationRecord, tol: float):
     """CONVERGED when max(||(y, u)||, eq_feas, ineq_feas) <= tol, else None."""
     worst = max(record.residual(), record.kkt.eq_feas, record.kkt.ineq_feas)
     return CONVERGED if worst <= tol else None
+
+
+def check_settings(sigma, tol, max_outer):
+    """Raise ValueError, its message led by the field name, unless sigma
+    lies in [0, 1), tol is positive and finite and max_outer >= 1."""
+    if not 0.0 <= sigma < 1.0:
+        raise ValueError(f"sigma must lie in [0, 1), got {sigma:g}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol:g}")
+    if max_outer < 1:
+        raise ValueError(f"max_outer must be >= 1, got {max_outer!r}")
 
 
 def run(
@@ -332,12 +358,7 @@ def run(
         program a stationary point of L_c can be a saddle, and the run
         would report it as Converged.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol:g}")
-    if not 0.0 <= sigma < 1.0:
-        raise ValueError("sigma must lie in [0, 1)")
-    if max_outer < 1:
-        raise ValueError(f"max_outer must be >= 1, got {max_outer!r}")
+    check_settings(sigma, tol, max_outer)
     prog.check_convex()
     p = p0 if p0 is not None else DualPoint.zeros(prog.m1, prog.m2)
     if (p.mu < 0).any():
@@ -363,8 +384,10 @@ def run(
     history = RunHistory(records=[], status=MAX_OUTER, config=config)
 
     for k in range(1, max_outer + 1):
-        c = next_penalty(schedule, k, history)
         try:
+            c = next_penalty(schedule, k, history)
+            if c == math.inf:
+                raise NonFiniteError("the penalty overflows; give the schedule a finite c_max")
             sub = solve_subproblem(prog, p, c, sigma, w, x, opts=inner)
         except (MaxInnerIterationsError, NonFiniteError) as exc:
             history.status = INNER_FAILURE

@@ -70,6 +70,13 @@ class InnerOptions:
         if not self.max_inner >= 0:
             raise ValueError(f"max_inner must be >= 0, got {self.max_inner!r}")
 
+    def check(self, prog: ConvexProgram):
+        """Raise ValueError, led by the field name, when exact mode cannot
+        solve prog's subproblems."""
+        if self.exact and not prog.is_affine_qp():
+            raise ValueError("exact mode requires a quadratic objective with affine constraints "
+                             "and no nonsmooth term")
+
 
 @dataclass
 class SubproblemResult:
@@ -153,6 +160,7 @@ def solve_subproblem(
     warnings, an invalid value say, still reach the caller.
     """
     opts = opts or InnerOptions()
+    opts.check(prog)
     if not c > 0:
         raise ValueError("penalty parameter c must be positive")
     if not 0.0 <= sigma < 1.0:
@@ -206,6 +214,8 @@ def _prox_steps(prog, c, sigma, lc_at, x, cur, max_inner, values):
     trial step, then the Armijo line search. Appends L_c at each iterate it
     moves to onto values."""
     curv = smooth_curvature_bound(prog, c)
+    if curv == math.inf:
+        raise NonFiniteError(f"the curvature bound of L_c overflows at c = {c:.3g}; no trial step taken")
     # steps no longer than 1/curv are certified descent steps for the
     # composite objective and are accepted without a function-value test,
     # which keeps progress possible after the value hits its roundoff floor
@@ -239,7 +249,8 @@ def _prox_steps(prog, c, sigma, lc_at, x, cur, max_inner, values):
 
 
 def _newton_steps(prog, p, c, lc_at, x, max_steps):
-    """Semismooth Newton candidates for an affine QP, y the gradient of L_c.
+    """Semismooth Newton candidates for an affine QP (``InnerOptions.check``),
+    y the gradient of L_c.
 
     L_c's stationarity system is piecewise linear in the set of penalized
     inequalities, so Newton steps on that set end in finitely many steps;
@@ -247,11 +258,6 @@ def _newton_steps(prog, p, c, lc_at, x, max_steps):
     active set and the last step are reported as stalls; after a rejected
     repeat, up to three polish rounds of 200 gradient steps move x.
     """
-    if not prog.is_affine_qp():
-        raise ValueError(
-            "exact inner mode requires a quadratic objective with affine "
-            "constraints and no nonsmooth term"
-        )
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
     G, d = prog.ineq_matrix(), prog.ineq_rhs()
@@ -268,6 +274,8 @@ def _newton_steps(prog, p, c, lc_at, x, max_steps):
         try:
             x = np.linalg.solve(H, rhs)
         except np.linalg.LinAlgError:
+            if not np.isfinite(H).all():  # lstsq's SVD would fail on it too
+                raise NonFiniteError(f"the Newton matrix overflowed at c = {c:.3g}, step {iters}") from None
             x = np.linalg.lstsq(H, rhs, rcond=None)[0]
         ev = lc_at(x)
         gnorm = float(np.linalg.norm(ev.smooth_grad))

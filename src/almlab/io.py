@@ -59,13 +59,7 @@ def problem_from_dict(doc) -> ConvexProgram:
 
     nonsmooth = None
     if "l1_weight" in doc or "box" in doc:
-        weight = None
-        if "l1_weight" in doc:
-            name, weight = _get_array(doc, "l1_weight", "numbers")
-            if weight.ndim and weight.shape != (n,):
-                raise ProblemFormatError(name, f"expected a number or length {n}, got shape {weight.shape}")
-            if (weight < 0).any():
-                raise ProblemFormatError(name, "must be nonnegative")
+        weight = _get_array(doc, "l1_weight", "numbers")[1] if "l1_weight" in doc else None
         lo = hi = None
         if "box" in doc:
             box = doc["box"]
@@ -76,7 +70,7 @@ def problem_from_dict(doc) -> ConvexProgram:
         try:
             nonsmooth = BoxL1Regularizer(n, l1_weight=weight, lo=lo, hi=hi)
         except ValueError as exc:
-            raise ProblemFormatError("box", str(exc)) from exc
+            raise _field_error(exc) from exc
 
     eq = None
     if "A" in doc or "b" in doc:
@@ -137,11 +131,27 @@ def _get_array(doc, field, kind, parent=None, allow_inf=False):
         raise ProblemFormatError(name, "missing")
     try:
         a = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past 1.8e308
         raise ProblemFormatError(name, f"expected {kind}") from exc
     if (np.isnan(a) if allow_inf else ~np.isfinite(a)).any():
         raise ProblemFormatError(name, "must not be NaN" if allow_inf else "must be finite")
     return name, a
+
+
+def _get_string(doc, field, parent=None):
+    """doc[field] when it is a nonempty string."""
+    v = doc.get(field)
+    if isinstance(v, str) and v:
+        return v
+    name = f"{parent}.{field}" if parent else field
+    raise ProblemFormatError(name, "missing" if field not in doc else f"expected a nonempty string, got {v!r}")
+
+
+def _field_error(exc, parent=None):
+    """A ProblemFormatError from exc, whose message leads with the name of
+    the offending field, naming that field under parent."""
+    field, _, rule = str(exc).partition(" ")
+    return ProblemFormatError(f"{parent}.{field}" if parent else field, rule)
 
 
 def _get_number(doc, field, parent=None):

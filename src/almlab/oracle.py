@@ -50,7 +50,7 @@ from .errors import (
     ProblemFormatError,
     UnboundedError,
 )
-from .io import _get_matrix, _get_vector, _json_object
+from .io import _get_matrix, _get_string, _get_vector, _json_object
 from .problem import ConvexProgram, as_vector
 
 # face solves per row of G (plus one) before the dual active-set search gives up
@@ -423,7 +423,8 @@ def _dual_active_set_face(Q, q, A, b, G, d):
                 r = r[m1:]
                 give = [(mu[i] / ri, i) for i, ri in zip(W, r) if ri > 1e-12 * max(1.0, np.abs(r).max())]
                 if not give:
-                    raise InfeasibleError(f"inequality row {p} cannot hold together with the active rows")
+                    raise InfeasibleError(f"the feasible set is empty: inequality row {p} cannot hold "
+                                          "together with the active rows")
                 t, j = min(give)
                 mu[W] -= t * r
             else:
@@ -602,10 +603,7 @@ class SolutionSetOracle:
         dual = DualPolyhedron.from_dict(doc["dual"])
         if dual.eq_rhs.size != point.size:
             raise ProblemFormatError("dual.eq_rhs", f"expected length {point.size}, got {dual.eq_rhs.size}")
-        fingerprint = doc.get("fingerprint", "")
-        if not isinstance(fingerprint, str):
-            raise ProblemFormatError("fingerprint", "expected a string")
-        return cls(point, basis, dual, fingerprint)
+        return cls(point, basis, dual, _get_string(doc, "fingerprint"))
 
 
 def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
@@ -614,9 +612,10 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     x* comes from the dual active-set search (:func:`_dual_active_set_face`)
     on Q factored once when the program's cached spectrum certifies Q
     positive definite, else from :func:`_proximal_point`. Raises
-    :class:`ProblemFormatError` naming a non-finite Q, q, A, b, G or d, or a
-    Q that is not symmetric (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not
-    PSD (least eigenvalue below -2e-10 max(1, largest)); :class:`InfeasibleError`
+    :class:`ProblemFormatError` naming a Q, q, A, b, G or d that is not
+    finite or whose norm overflows, or a Q that is not symmetric
+    (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
+    below -2e-10 max(1, largest)); :class:`InfeasibleError`
     when the feasible set is empty or no face passes its tests;
     :class:`UnboundedError` for a feasible descent ray; and
     :class:`EnumerationLimitError` past 10 (m2 + 1) face solves in a search
@@ -628,9 +627,11 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
     G, d = prog.ineq_matrix(), prog.ineq_rhs()
-    for name, arr in (("Q", Q), ("q", q), ("A", A), ("b", b), ("G", G), ("d", d)):
-        if not np.isfinite(arr).all():
-            raise ProblemFormatError(name, "must be finite")
+    # a norm that overflows would make the proximal step 1e5 / (||Q||_2 + ||q||) zero
+    with np.errstate(over="ignore"):
+        for name, arr in (("Q", Q), ("q", q), ("A", A), ("b", b), ("G", G), ("d", d)):
+            if not math.isfinite(np.linalg.norm(arr)):
+                raise ProblemFormatError(name, "must be finite, with a finite norm")
     prog.check_convex()
     ev = prog.q_spectrum
     norm = float(max(-ev[0], ev[-1]))  # ||Q||_2

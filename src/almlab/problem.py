@@ -74,7 +74,7 @@ class BoxL1Regularizer:
             w = np.asarray(l1_weight, dtype=float)
             self.weight = np.full(self.n, float(w)) if w.ndim == 0 else as_vector(w, self.n, "l1_weight")
             if (self.weight < 0).any():
-                raise ValueError("l1 weights must be nonnegative")
+                raise ValueError("l1_weight must be nonnegative")
         if lo is None and hi is None:
             self.lo = self.hi = None
         else:

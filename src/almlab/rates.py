@@ -116,9 +116,9 @@ def _dual_distances(history: RunHistory, oracle: SolutionSetOracle):
 
 
 def check_oracle_match(history: RunHistory, oracle: SolutionSetOracle):
-    """Raise OracleMismatchError when trace and oracle fingerprints differ."""
-    hist_fp = history.config.get("problem_fingerprint", "")
-    if hist_fp and oracle.fingerprint and hist_fp != oracle.fingerprint:
+    """Raise OracleMismatchError when trace and oracle fingerprints differ;
+    both readers refuse a document without its fingerprint."""
+    if history.config["problem_fingerprint"] != oracle.fingerprint:
         raise OracleMismatchError("run trace and oracle solution come from different problems")
 
 

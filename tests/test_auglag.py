@@ -115,6 +115,14 @@ class TestAuxUpdate:
 
 
 class TestCriterionEval:
+    @pytest.mark.parametrize("c", [0.0, -1.0, float("nan"), 1e-170])
+    def test_penalty_whose_square_is_not_positive_rejected(self, c):
+        # sigma / (c * c) divides by zero for c = 1e-170
+        with pytest.raises(ValueError, match=r"c must be positive, with c \* c > 0"):
+            criterion_eval(c=c, sigma=0.5, w_prev=np.zeros(1), x=np.zeros(1), y=np.zeros(1),
+                           h_val=np.array([0.7]), g_val=np.zeros(0), mu_prev=np.zeros(0),
+                           delta_p=np.array([-0.7]))
+
     def test_exact_solve_satisfies_any_sigma(self):
         rep = criterion_eval(
             c=3.0, sigma=0.0, w_prev=np.array([5.0]), x=np.zeros(1), y=np.zeros(1),

@@ -1,9 +1,16 @@
+import contextlib
 import io
 import json
+import math
+import tempfile
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from almlab import cli as cli_mod
 from almlab.cli import main
@@ -258,6 +265,97 @@ class TestSolveCommand:
         assert not recwarn.list
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("flags, refusal", [
+        (["--c0", "-1"], "--c0 must be positive and finite, with c0 * c0 > 0, got -1"),
+        (["--c0", "1e-300"], "--c0 must be positive and finite, with c0 * c0 > 0, got 1e-300"),
+        (["--growth", "0.5", "--schedule", "geometric"], "--growth must be finite and >= 1, got 0.5"),
+        (["--adapt-ratio", "2", "--schedule", "adaptive"], "--adapt-ratio must lie in (0, 1), got 2"),
+        (["--cmax", "1e-300", "--schedule", "geometric"], "--cmax must be >= c0 = 10, got 1e-300"),
+        (["--cmax", "nan", "--schedule", "adaptive"], "--cmax must be >= c0 = 10, got nan"),
+        (["--sigma", "0.5", "--sigma", "1"], "--sigma must lie in [0, 1), got 1"),
+        (["--max-outer", "0"], "--max-outer must be >= 1, got 0"),
+        (["--max-inner", "-1"], "--max-inner must be >= 0, got -1"),
+        (["--exact", "--generator", "box_composite"],
+         "--exact mode requires a quadratic objective with affine constraints and no nonsmooth term"),
+    ], ids=["negative-c0", "c0-square-underflows", "growth-below-1", "adapt-ratio-2", "cmax-below-c0",
+            "nan-cmax", "sigma-1", "max-outer-0", "max-inner-negative", "exact-box-composite"])
+    def test_refused_flag_is_named_on_one_line(self, tmp_path, capsys, flags, refusal):
+        # the last --generator wins, so box_composite replaces reference1d
+        out = tmp_path / "out"
+        code = main(["solve", "--generator", "reference1d", *flags, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {refusal}\n"
+        assert not out.exists()
+
+    def test_flag_no_requested_schedule_reads_is_not_checked(self, tmp_path):
+        code = main(["solve", "--generator", "reference1d", "--schedule", "fixed", "--growth", "inf",
+                     "--cmax", "nan", "--adapt-ratio", "2", "--out", str(tmp_path)])
+        assert code == 0
+        schedule = json.loads((tmp_path / "reference1d__sigma0.5__fixed.summary.json").read_text())["config"]["schedule"]
+        assert schedule == {"kind": "fixed", "c0": 10.0, "growth": 1.0, "c_max": math.inf, "adapt_ratio": 0.5}
+
+
+# a setting drawn from anywhere in the float range, from the ranges where
+# the settings are valid, or from the values where a penalty or a tolerance
+# is at the edge of what the solver can use
+_SETTING = st.one_of(
+    st.floats(),
+    st.floats(0.0, 1.0),
+    st.floats(1.0, 1e4),
+    st.sampled_from([0.0, 1e-300, 1e-160, 1.5e-154, 1e-12, 0.5, 0.99, 1.0, 2.0, 10.0, 1e8,
+                     1e154, 1e300, 1.7e308, math.inf]),
+)
+_SOLVE_FLAGS = {
+    "--sigma": st.lists(_SETTING, max_size=2),
+    "--schedule": st.lists(st.sampled_from(["fixed", "geometric", "adaptive"]), max_size=2),
+    "--c0": st.lists(_SETTING, max_size=1),
+    "--growth": st.lists(_SETTING, max_size=1),
+    "--cmax": st.lists(_SETTING, max_size=1),
+    "--adapt-ratio": st.lists(_SETTING, max_size=1),
+    "--tol": st.lists(_SETTING, max_size=1),
+    # always given, and small: the defaults allow 200 x 10000 inner steps
+    "--max-outer": st.integers(-1, 30).map(lambda v: [v]),
+    "--max-inner": st.integers(-1, 200).map(lambda v: [v]),
+}
+
+
+@st.composite
+def _solve_argv(draw):
+    family = draw(st.sampled_from(["reference1d", "sc_qp", "quad_ineq", "box_composite"]))
+    argv = ["solve", "--generator", family]
+    for flag, values in _SOLVE_FLAGS.items():
+        # --flag=value, so that argparse reads -1e+16 as a value, not a flag
+        argv += [f"{flag}={v}" for v in draw(values)]
+    if draw(st.booleans()):
+        argv.append("--exact")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_solve_argv())
+@example(argv=["solve", "--generator", "reference1d", "--c0=1e-300"])
+@example(argv=["solve", "--generator", "reference1d", "--schedule", "geometric", "--cmax=1e-300"])
+# c = 1e-100 * 1e100 ** (k - 1) leaves the float range at k = 5
+@example(argv=["solve", "--generator", "reference1d", "--schedule", "geometric", "--c0=1e-100",
+               "--growth=1e100", "--cmax=2", "--tol=1e-100", "--max-outer=13", "--exact"])
+# the curvature bound of L_c, and the exact mode's Newton matrix, overflow
+@example(argv=["solve", "--generator", "box_composite", "--c0=1.7e308"])
+@example(argv=["solve", "--generator", "sc_qp", "--c0=1.7e308", "--exact"])
+def test_solve_flags_exit_with_a_documented_code(argv):
+    # no traceback: main returns for every argv; a refused flag exits 1 with
+    # one stderr line naming it, before the output directory is made
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*argv, "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: --"), lines
+            assert lines[0].split()[1] in cli_mod._FLAGS.values()
+            assert not out.exists()
+
 
 class TestRatesCommand:
     @pytest.fixture()
@@ -301,10 +399,51 @@ class TestRatesCommand:
         assert summary["margin_violations"] == expected
         assert f"bound_violations={expected} margin_violations={expected}" in capsys.readouterr().out
 
-    def test_missing_trace(self, tmp_path):
+    def test_missing_trace(self, tmp_path, capsys):
         code = main(["rates", "--trace", str(tmp_path / "missing.trace.json"),
                      "--generator", "reference1d"])
         assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and err.count("\n") == 1
+
+    def test_trace_without_records_is_refused(self, trace, tmp_path, capsys):
+        # a run that fails its first subproblem writes such a trace
+        doc = json.loads(trace.read_text())
+        doc.update(records=[], status="InnerFailure")
+        empty = tmp_path / "empty.trace.json"
+        empty.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = main(["rates", "--trace", str(empty), "--generator", "reference1d", "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: empty run history\n"
+        assert not list(tmp_path.glob("*.rates.*"))
+
+    def test_trace_without_its_fingerprint_is_refused(self, tmp_path, capsys):
+        # with the fingerprint the trace is judged against the wrong program
+        # (exit 4); without it, it was judged with no bound violations
+        assert main(["solve", "--generator", "sc_qp", "--seed", "3", "--out", str(tmp_path)]) == 0
+        trace = tmp_path / "sc_qp_n_6_m1_2_m2_3_seed_3___sigma0.5__fixed.trace.json"
+        argv = ["rates", "--trace", str(trace), "--generator", "sc_qp", "--seed", "4", "--out", str(tmp_path)]
+        assert main(argv) == 4
+        doc = json.loads(trace.read_text())
+        del doc["config"]["problem_fingerprint"]
+        trace.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: field 'config.problem_fingerprint': missing\n"
+        assert not list(tmp_path.glob("*.rates.*"))
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_data_whose_norm_overflows_is_refused(self, trace, tmp_path, capsys, action):
+        # ||q|| overflows and would make the oracle's proximal step zero
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(OVERFLOW_DOC))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            code = main(["rates", "--trace", str(trace), "--problem", str(path), "--out", str(tmp_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: field 'q': must be finite, with a finite norm\n"
 
     def test_oracle_mismatch(self, trace, tmp_path):
         code = main(["rates", "--trace", str(trace), "--generator", "sc_qp", "--seed", "0",
@@ -352,7 +491,7 @@ class TestRatesCommand:
         ({"n": 2, "Q": [[0.0, 0.0], [0.0, 1.0]], "q": [-1.0, 0.0],
           "ineq": [{"type": "affine", "G": [0.0, 1.0], "d": 0.0},
                    {"type": "affine", "G": [0.0, -1.0], "d": -1.0}]},
-         "inequality row 0 cannot hold together with the active rows"),
+         "the feasible set is empty: inequality row 0 cannot hold together with the active rows"),
         # min -x1 - x2 over the cone x1 <= 2 x2, x2 <= 2 x1
         ({"n": 2, "Q": [[0.0, 0.0], [0.0, 0.0]], "q": [-1.0, -1.0],
           "ineq": [{"type": "affine", "G": [1.0, -2.0], "d": 0.0},
@@ -404,8 +543,17 @@ class TestRatesCommand:
         ("dual.zero_idx", lambda doc: doc["dual"].update(zero_idx=[True])),
         ("dual.eq_mat", lambda doc: doc["dual"].update(eq_mat=[[1.0], [2.0]])),
         ("dual", lambda doc: doc.pop("dual")),
+        ("dual", lambda doc: doc.update(dual=[1.0])),
+        ("dual.zero_idx", lambda doc: doc["dual"].pop("zero_idx")),
+        ("dual.nonneg_idx", lambda doc: doc["dual"].update(nonneg_idx=[0, 0])),
+        ("dual.eq_rhs", lambda doc: doc.update(primal_point=[1.0, 2.0], primal_basis=[[], []])),
+        ("fingerprint", lambda doc: doc.pop("fingerprint")),
+        ("fingerprint", lambda doc: doc.update(fingerprint="")),
+        ("fingerprint", lambda doc: doc.update(fingerprint=7)),
     ], ids=["index-out-of-range", "missing-primal-point", "nan-eq-rhs", "overlapping-indices",
-            "non-integer-index", "bool-index", "eq-mat-shape", "missing-dual"])
+            "non-integer-index", "bool-index", "eq-mat-shape", "missing-dual", "list-dual",
+            "missing-zero-idx", "repeated-index", "eq-rhs-length", "missing-fingerprint",
+            "empty-fingerprint", "int-fingerprint"])
     def test_malformed_oracle_file_names_the_field(self, trace, tmp_path, capsys, field, edit):
         from almlab import GeneratorSpec, generate, solve_qp_exact
 
@@ -427,9 +575,18 @@ class TestRatesCommand:
         ("config.x0", lambda doc: doc["config"].update(x0="abc")),
         ("config.schedule", lambda doc: doc["config"].update(schedule="fixed")),
         ("config.schedule", lambda doc: doc["config"]["schedule"].update(growth="2")),
+        ("config.schedule", lambda doc: doc["config"]["schedule"].update(c0=10 ** 400)),
+        ("config.schedule.c0", lambda doc: doc["config"]["schedule"].update(c0=-1.0)),
+        ("config.schedule.kind", lambda doc: doc["config"]["schedule"].update(kind="cyclic")),
+        ("config.tol", lambda doc: doc["config"].update(tol=0.0)),
+        ("config.max_outer", lambda doc: doc["config"].update(max_outer=0)),
+        ("config.problem_fingerprint", lambda doc: doc["config"].pop("problem_fingerprint")),
+        ("config.problem_fingerprint", lambda doc: doc["config"].update(problem_fingerprint="")),
+        ("records[2]", lambda doc: doc["records"].__setitem__(2, [1.0])),
         ("records", lambda doc: doc.update(records={})),
         ("records[3].mu", lambda doc: doc["records"][3].update(mu="abc")),
         ("records[2].x", lambda doc: doc["records"][2].update(x=[1.0, 2.0])),
+        ("records[2].x", lambda doc: doc["records"][2].update(x=[10 ** 400])),
         ("records[1].lam", lambda doc: doc["records"][1].update(lam=[float("nan")])),
         ("records[4].u", lambda doc: doc["records"][4].pop("u")),
         ("records[0].c", lambda doc: doc["records"][0].update(c="abc")),
@@ -442,7 +599,9 @@ class TestRatesCommand:
          lambda doc: doc["records"][6]["criterion"].update(satisfied=1)),
         ("records[1].kkt.comp", lambda doc: doc["records"][1]["kkt"].update(comp=float("nan"))),
     ], ids=["empty-object", "missing-sigma", "sigma-out-of-range", "string-x0", "string-schedule", "string-growth",
-            "records-not-a-list", "string-mu", "x-length", "nan-lam", "missing-u", "string-c",
+            "overflowing-int-c0", "negative-c0", "unknown-kind", "zero-tol", "zero-max-outer", "missing-fingerprint",
+            "empty-fingerprint", "record-not-an-object",
+            "records-not-a-list", "string-mu", "x-length", "overflowing-int-x", "nan-lam", "missing-u", "string-c",
             "negative-c", "float-k", "inf-f_val", "empty-criterion", "string-criterion-lhs",
             "int-satisfied", "nan-kkt"])
     def test_malformed_trace_names_the_field(self, trace, tmp_path, capsys, field, edit):

@@ -112,6 +112,42 @@ class TestNextPenalty:
     def test_schedule_keeps_infinite_cap(self):
         assert PenaltySchedule.geometric(1.0, 2.0).c_max == float("inf")
 
+    @pytest.mark.parametrize("args, message", [
+        (("cyclic", 1.0), "kind must be fixed, geometric or adaptive, got 'cyclic'"),
+        (("fixed", -1.0), "c0 must be positive and finite, with c0 * c0 > 0, got -1"),
+        (("fixed", 1e-170), "c0 must be positive and finite, with c0 * c0 > 0, got 1e-170"),
+        (("geometric", 1.0, 0.5), "growth must be finite and >= 1, got 0.5"),
+        (("geometric", 10.0, 2.0, 5.0), "c_max must be >= c0 = 10, got 5"),
+        (("adaptive", 1.0, 2.0, 10.0, 1.0), "adapt_ratio must lie in (0, 1), got 1"),
+    ], ids=["kind", "negative-c0", "c0-square-underflows", "growth", "c-max-below-c0", "adapt-ratio"])
+    def test_schedule_message_leads_with_the_field(self, args, message):
+        with pytest.raises(ValueError) as err:
+            PenaltySchedule(*args)
+        assert str(err.value) == message
+
+    def test_smallest_c0_whose_square_is_positive_is_kept(self):
+        assert PenaltySchedule.fixed(1e-160).c0 == 1e-160
+
+    def test_iteration_index_starts_at_1(self):
+        with pytest.raises(ValueError, match="k starts at 1"):
+            next_penalty(PenaltySchedule.fixed(1.0), 0, RunHistory([], MAX_OUTER, {}))
+
+    def test_overflowing_penalty(self):
+        # growth ** (k - 1) leaves the float range at k = 3: capped it is
+        # c_max, uncapped it is inf, as is an adaptive c_prev * growth
+        empty = RunHistory([], MAX_OUTER, {})
+        assert next_penalty(PenaltySchedule.geometric(1.0, 1e300, 1e8), 3, empty) == 1e8
+        assert next_penalty(PenaltySchedule.geometric(1.0, 1e300), 3, empty) == float("inf")
+        stalled = RunHistory([_record(k=1, c=1e300, eq_feas=1.0), _record(k=2, c=1e300, eq_feas=1.0)],
+                             MAX_OUTER, {})
+        assert next_penalty(PenaltySchedule.adaptive(1.0, 1e10), 3, stalled) == float("inf")
+
+    def test_overflowing_penalty_ends_the_run(self, reference1d, monkeypatch):
+        monkeypatch.setattr(driver_mod, "next_penalty", lambda schedule, k, history: float("inf"))
+        hist = run(reference1d, PenaltySchedule.fixed(1.0), sigma=0.5)
+        assert hist.status == "InnerFailure"
+        assert hist.failure == "iteration 1: the penalty overflows; give the schedule a finite c_max"
+
 
 class TestCheckStop:
     def test_exact_kkt_point(self):
@@ -263,6 +299,29 @@ class TestSerialization:
         with pytest.raises(ValueError):
             run(generate(GeneratorSpec("quad_ineq")), PenaltySchedule.fixed(1.0),
                 sigma=0.5, p0=DualPoint(np.zeros(0), np.array([-1.0])))
+
+    @pytest.mark.parametrize("sigma, tol, max_outer, message", [
+        (1.0, 1e-8, 10, "sigma must lie in [0, 1), got 1"),
+        (0.5, float("inf"), 10, "tol must be positive and finite, got inf"),
+        (0.5, 1e-8, 0, "max_outer must be >= 1, got 0"),
+    ], ids=["sigma", "tol", "max_outer"])
+    def test_settings_message_leads_with_the_field(self, sigma, tol, max_outer, message):
+        with pytest.raises(ValueError) as err:
+            driver_mod.check_settings(sigma, tol, max_outer)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("family, exact, failure", [
+        ("box_composite", False, "the curvature bound of L_c overflows at c = 1.7e+308; no trial step taken"),
+        ("sc_qp", True, "the Newton matrix overflowed at c = 1.7e+308, step 2"),
+    ], ids=["prox", "exact"])
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_penalty_at_the_float_limit_ends_as_inner_failure(self, action, family, exact, failure):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            hist = run(generate(GeneratorSpec(family)), PenaltySchedule.fixed(1.7e308), sigma=0.5,
+                       inner=InnerOptions(exact=exact))
+        assert hist.status == "InnerFailure"
+        assert hist.failure == "iteration 1: " + failure
 
     def test_max_outer_zero_rejected(self, reference1d):
         with pytest.raises(ValueError, match=r"^max_outer must be >= 1, got 0$"):

@@ -157,6 +157,34 @@ class TestMalformedDocuments:
             problem_from_dict({"generator": {"family": "sc_qp", "n": 6, "seed": 2, field: value}})
         assert err.value.field == f"generator.{field}"
 
+    @pytest.mark.parametrize("generator", [5, {}, {"n": 3}])
+    def test_generator_without_a_family_rejected(self, generator):
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict({"generator": generator})
+        assert err.value.field == "generator"
+
+    def test_integer_number_loads_as_float(self):
+        doc = {"n": 1, "Q": [[1]], "q": [0], "ineq": [{"type": "affine", "G": [1], "d": 1}]}
+        d = problem_from_dict(doc).ineqs[0].offset
+        assert d == 1.0 and type(d) is float
+
+    @pytest.mark.parametrize("d", [[1.0], [[1.0]], 10 ** 400], ids=["list", "nested-list", "int-past-float-range"])
+    def test_non_scalar_or_overflowing_number_rejected(self, d):
+        doc = {"n": 1, "Q": [[1.0]], "q": [0.0], "ineq": [{"type": "affine", "G": [1.0], "d": d}]}
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict(doc)
+        assert err.value.field == "ineq[0].d"
+
+    @pytest.mark.parametrize("weight, rule", [
+        (-0.5, "must be nonnegative"),
+        ([1.0, 2.0, 3.0], "has length 3, expected 2"),
+        ([[1.0, 2.0]], "must be a vector, got shape (1, 2)"),
+    ], ids=["negative", "length", "matrix"])
+    def test_l1_weight_refusal_is_the_regularizer_s(self, weight, rule):
+        with pytest.raises(ProblemFormatError) as err:
+            problem_from_dict({"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, 0.0], "l1_weight": weight})
+        assert str(err.value) == f"field 'l1_weight': {rule}"
+
     def test_bad_generator_family(self):
         with pytest.raises(ProblemFormatError) as err:
             problem_from_dict({"generator": {"family": "bogus"}})

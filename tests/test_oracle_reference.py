@@ -207,7 +207,12 @@ class TestCertificateBoundary:
         ("b", _qp(np.eye(2), [0.0, 0.0], eq=AffineMap(np.ones((1, 2)), np.array([np.nan])))),
         ("G", _qp(np.eye(2), [0.0, 0.0], rows=[[1.0, np.nan]], offsets=[1.0])),
         ("d", _qp(np.eye(2), [0.0, 0.0], rows=[[1.0, 0.0]], offsets=[-np.inf])),
-    ], ids=["Q-nan-off-diagonal", "Q-nan-diagonal", "Q-inf-scalar", "q", "A", "b", "G", "d"])
+        # finite entries whose norm overflows
+        ("q", _qp([[0.0]], [-1e200], rows=[[1.0]], offsets=[1e300])),
+        ("Q", _qp([[1e200, 0.0], [0.0, 1.0]], np.zeros(2))),
+        ("G", _qp(np.eye(2), [0.0, 0.0], rows=[[1e155, 1e155]], offsets=[1.0])),
+    ], ids=["Q-nan-off-diagonal", "Q-nan-diagonal", "Q-inf-scalar", "q", "A", "b", "G", "d",
+            "q-norm-overflows", "Q-norm-overflows", "G-norm-overflows"])
     def test_non_finite_data_is_refused(self, spy, capfd, field, prog):
         # refused before any LAPACK call: nothing is printed (LAPACK's
         # DLASCL complaint on a NaN matrix goes to stdout), the solvability

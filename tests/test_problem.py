@@ -186,6 +186,20 @@ class TestProgramValidation:
                 eq=AffineMap(np.ones((1, 3)), np.ones(1)),
             )
 
+    def test_inequality_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="inequality 0 has dimension 3, expected 2"):
+            ConvexProgram(smooth=QuadraticObjective(np.eye(2), np.zeros(2)),
+                          ineqs=(AffineInequality(np.ones(3), 1.0),))
+
+    def test_nonsmooth_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatchError, match="nonsmooth term"):
+            ConvexProgram(smooth=QuadraticObjective(np.eye(2), np.zeros(2)),
+                          nonsmooth=BoxL1Regularizer(3, l1_weight=1.0))
+
+    def test_kkt_residual_dual_point_mismatch(self, reference1d):
+        with pytest.raises(DimensionMismatchError, match="dual point"):
+            kkt_residual(reference1d, np.zeros(1), DualPoint.zeros(2, 0), np.zeros(1))
+
     def test_fingerprint_distinguishes(self, reference1d, sc_qp7):
         assert reference1d.fingerprint() != sc_qp7.fingerprint()
         assert reference1d.fingerprint() == generate(GeneratorSpec("reference1d")).fingerprint()

@@ -13,6 +13,7 @@ from almlab import (
 )
 from almlab.errors import InconsistentSpecError, NotAvailableError
 from almlab.problems import standard_corpus
+from almlab.rng import Lcg
 
 
 class TestDeterminism:
@@ -80,6 +81,16 @@ class TestQuadIneq:
         assert abs(g_final[0]) <= 1e-6  # active
         assert hist.final().p.mu[0] > 0.1
 
+    def test_short_target_is_moved_off_the_origin(self):
+        # at n = 1 and seed 4 the drawn target has norm 0.137 < 0.5, so it is
+        # moved a unit away from the origin; the ball's radius is half its norm
+        raw = Lcg(4).normal(1)
+        assert np.linalg.norm(raw) < 0.5
+        prog = generate(GeneratorSpec("quad_ineq", n=1, seed=4))
+        target = raw + np.sign(raw + 1e-3)
+        np.testing.assert_array_equal(-prog.smooth.q, target)
+        assert prog.ineqs[0].s == -0.5 * (0.5 * abs(target[0])) ** 2
+
     def test_interior_feasible_point(self):
         prog = generate(GeneratorSpec("quad_ineq", seed=1))
         x = feasible_point(prog)
@@ -126,6 +137,19 @@ class TestSpecValidation:
     def test_degenerate_needs_rows_to_duplicate(self):
         with pytest.raises(InconsistentSpecError):
             GeneratorSpec("degenerate_dual_qp", m1=1)
+
+    @pytest.mark.parametrize("family, dims, message", [
+        ("sc_qp", {"n": 0}, "dimensions must be positive"),
+        ("sc_qp", {"m2": -1}, "dimensions must be positive"),
+        ("degenerate_dual_qp", {"n": 3, "m1": 4}, "m1 - 1 independent rows < n"),
+        ("quad_ineq", {"m1": 1}, "single quadratic inequality"),
+        ("quad_ineq", {"m2": 2}, "single quadratic inequality"),
+        ("box_composite", {"m2": 1}, "equalities only"),
+        ("box_composite", {"m1": 0}, "equalities only"),
+    ])
+    def test_family_dimensions_refused(self, family, dims, message):
+        with pytest.raises(InconsistentSpecError, match=message):
+            GeneratorSpec(family, **dims)
 
     @pytest.mark.parametrize("field, value", [
         ("seed", 2.5), ("n", 6.7), ("m1", 2.0), ("m2", "3"), ("seed", None),

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from almlab import (
     GeneratorSpec,
     InnerOptions,
     PenaltySchedule,
+    RunHistory,
     estimate_kappa,
     generate,
     penalty_threshold,
@@ -19,7 +21,8 @@ from almlab import (
     theoretical_rho,
 )
 from almlab import rates as rates_mod
-from almlab.errors import InsufficientIterationsError, OracleMismatchError
+from almlab.errors import InsufficientIterationsError, NoValidSamplesError, OracleMismatchError
+from almlab.rates import check_oracle_match
 from almlab.rng import Lcg
 
 
@@ -117,6 +120,20 @@ class TestRateReport:
         rep = rate_report(hist, orc, kappa, sigma=0.5)
         theory = [r.rho_theory for r in rep.rows if not math.isnan(r.rho_theory)]
         assert all(b < a for a, b in zip(theory, theory[1:]))
+
+    def test_empty_history_rejected(self, reference_run):
+        _, orc, hist = reference_run
+        empty = RunHistory([], "InnerFailure", hist.config)
+        with pytest.raises(NoValidSamplesError, match="empty run history"):
+            estimate_kappa(empty, orc)
+        with pytest.raises(ValueError, match="empty run history"):
+            rate_report(empty, orc, estimate_kappa(hist, orc), sigma=0.0)
+
+    def test_fingerprints_are_compared_as_strings(self, reference_run):
+        # an oracle without a fingerprint matches no trace
+        _, orc, hist = reference_run
+        with pytest.raises(OracleMismatchError):
+            check_oracle_match(hist, replace(orc, fingerprint=""))
 
     def test_oracle_mismatch_detected(self, reference_run):
         _, _, hist = reference_run

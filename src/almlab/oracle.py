@@ -4,33 +4,40 @@ Both sets come from one face search, the dual active-set search of
 Goldfarb & Idnani (1983) on a QP with a positive definite Hessian H. It
 finds the minimizer as the KKT point of a face, a set of inequality rows
 taken as active, typically with one face solve per active row plus one.
-Every face it visits is solved and tested by ``_solve_face`` on one of two
-kernels, neither of which builds the face's (n + k)-square KKT matrix:
-``_DefiniteHessian`` factors an H other than I once and solves a face on k
-rows as a k x k block of their Gram matrix C H^-1 C'; ``_UnitHessian``
-(H = I, built by ``_unit_kernel`` on an orthonormal basis of the equality
-rows) solves it in closed form, with a block only for the face's
-inequality rows. Every projection takes the second.
+Every face it visits is solved by one of two kernels, neither of which
+builds the face's (n + k)-square KKT matrix, and tested by
+``_test_kkt_point``: ``_DefiniteHessian`` factors an H other than I once
+and solves a face on k rows as a k x k block of their Gram matrix
+C H^-1 C'; ``_UnitHessian`` (H = I, built by ``_unit_kernel`` on an
+orthonormal basis of the equality rows) solves it in closed form, with a
+block only for the face's inequality rows. Every projection takes the
+second.
 
-For a positive definite Q the search runs on the program itself. Any other
-PSD Q gets two projections, which refuse an empty feasible set
-(InfeasibleError) and a feasible descent ray (UnboundedError), then
-proximal point steps (Rockafellar 1976; Luque 1984), each the search on
-Q + I/t (``_proximal_point``). A Q that is not symmetric or not PSD is
-refused. The dual solution set is the polyhedron
+For a positive definite Q the search runs on the program itself, and X* is
+the point x*. Any other PSD Q gets two projections, which refuse an empty
+feasible set (InfeasibleError) and a feasible descent ray (UnboundedError),
+then proximal point steps (Rockafellar 1976; Luque 1984), each the search
+on Q + I/t (``_proximal_point``), and X* is the polyhedron
+
+    { x : Ax = b, Gx <= d, Qx = Qx*, q'x = q'x* }
+
+(Mangasarian 1988, Oper. Res. Lett. 7). A Q that is not symmetric or not
+PSD is refused. The dual solution set is the polyhedron
 
     { p = (lam, mu) : A' lam + G' mu = -grad s(x*),
-      mu_i = 0 for inactive i, mu_j >= 0 for active j }
+      mu_i = 0 for inactive i, mu_j >= 0 for active j },
 
-and its Euclidean projection is the dual active-set search run with Q = I.
-A DualPolyhedron keeps its data read-only and is prepared once, on its
-first projection: the coordinates pinned to zero are dropped and the n
-equality rows are replaced by an orthonormal row basis B of their rank r
-(at most m1 + m2) with right side beta, so each face solve carries r rows
-instead of n. With Q = I and orthonormal rows, the face with no pinned
-coordinate is z = p - B'(Bp - beta) with no solve, and a face pinning the
-coordinates J solves one |J| x |J| block. Each distinct point is projected
-once; a repeated point returns the same read-only result.
+the same at every point of X* (Rockafellar 1970, Convex Analysis, sec. 28).
+One class, :class:`Polyhedron`, holds both sets and the solvability
+check's two, and projects onto each by the dual active-set search with
+Q = I. It keeps its data read-only and is prepared once, on its first
+projection: the coordinates pinned to zero are dropped and the equality
+rows are replaced by an orthonormal row basis B of their rank r with right
+side beta, so each face solve carries r rows. With Q = I and orthonormal
+rows, the face with no inequality row is z = p - B'(Bp - beta) with no
+solve, and a face on the rows J solves one |J| x |J| block. Each distinct
+point is projected once; a repeated point returns the same read-only
+result.
 """
 from __future__ import annotations
 
@@ -244,18 +251,6 @@ def _gram_solver(M):
     return lambda v: np.linalg.solve(M, v)
 
 
-def _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
-    """Solve and test the face on which the rows S of G (ascending) are active.
-
-    Q is a kernel, :class:`_DefiniteHessian` or :class:`_UnitHessian`
-    (Q = I, A an orthonormal row basis), and its ``face`` gives the face's
-    point, multipliers, KKT residual, the size of that residual's terms and
-    the gap Ax - b of the equality rows, which are the kernel's own A and
-    b. Both handle duplicated rows; :func:`_test_kkt_point` tests the result.
-    """
-    return _test_kkt_point(*Q.face(q, G, d, S), G, d, S, feas_tol, mu_tol)
-
-
 def _test_kkt_point(x, mu_S, residual, scale, eq_gap, G, d, S, feas_tol, mu_tol):
     """Test x, with the multipliers mu_S of the active rows S of G, as the
     KKT point of its face.
@@ -286,25 +281,20 @@ def _check_solvable(Q, q, A, b, G, d):
     """Refuse a PSD program that has no minimizer.
 
     A convex QP that is feasible and bounded below attains its minimum
-    (Frank & Wolfe 1956), so two projections decide it, each a search on the
-    closed-form kernel of its equality rows (:func:`_unit_kernel`), which
-    factors nothing. Projecting 0 onto {Ax = b, Gx <= d} raises
-    :class:`InfeasibleError` when that set is empty. With N an orthonormal
-    basis of null(Q) and c = N'q scaled to a norm of at most 1 (the cone
-    below is closed under scaling, the search's tolerances are not), a
-    projection z of -c onto the recession cone {z : ANz = 0, GNz <= 0} with
-    ||z|| > 1e-8 (1 + ||c||) makes Nz a feasible descent ray and raises
-    :class:`UnboundedError`.
+    (Frank & Wolfe 1956), so two projections onto a :class:`Polyhedron`
+    decide it, and neither factors a matrix. Projecting 0 onto
+    {Ax = b, Gx <= d} raises :class:`InfeasibleError` when that set is
+    empty. With N an orthonormal basis of null(Q) and c = N'q scaled to a
+    norm of at most 1 (the cone below is closed under scaling, the search's
+    tolerances are not), a projection z of -c onto the recession cone
+    {z : ANz = 0, GNz <= 0} with ||z|| > 1e-8 (1 + ||c||) makes Nz a
+    feasible descent ray and raises :class:`UnboundedError`.
     """
-    def project(p, A, b, G, d):
-        H = _unit_kernel(A, b)
-        return _dual_active_set_face(H, -p, H.B, H.beta, G, d)[0]
-
-    project(np.zeros(Q.shape[0]), A, b, G, d)
+    Polyhedron(A, b, ineq_mat=G, ineq_rhs=d).project(np.zeros(Q.shape[0]))
     N = _null_space(Q)
     c = N.T @ q
     c /= max(1.0, float(np.linalg.norm(c)))
-    z = project(-c, A @ N, np.zeros(A.shape[0]), G @ N, np.zeros(G.shape[0]))
+    z = Polyhedron(A @ N, np.zeros(A.shape[0]), ineq_mat=G @ N, ineq_rhs=np.zeros(G.shape[0])).project(-c)[0]
     if np.linalg.norm(z) > 1e-8 * (1.0 + np.linalg.norm(c)):
         raise UnboundedError("feasible descent ray found: the objective is unbounded below")
 
@@ -386,8 +376,11 @@ def _dual_active_set_face(Q, q, A, b, G, d):
     in the active normals instead; a G_p that no active row can give way to
     proves the program infeasible (:class:`InfeasibleError`). A face with no
     KKT point although G_p is independent of the active normals is a failed
-    solve, and raises :class:`InfeasibleError`. Every face is solved and
-    tested by :func:`_solve_face`; the first that passes is returned as
+    solve, and raises :class:`InfeasibleError`. Q is a kernel,
+    :class:`_DefiniteHessian` or :class:`_UnitHessian` (Q = I, A an
+    orthonormal row basis), whose ``face`` solves each face on the kernel's
+    own A and b, duplicated rows included; :func:`_test_kkt_point` tests it,
+    and the first face that passes is returned as
     (x, mu, W), mu holding the multipliers of all rows of G. More than
     _SEARCH_CAP * (m2 + 1) face solves raise :class:`EnumerationLimitError`.
     """
@@ -395,7 +388,7 @@ def _dual_active_set_face(Q, q, A, b, G, d):
     feas_tol, mu_tol = _tolerances(q, b, d)
     cap = _SEARCH_CAP * (m2 + 1)
     W = []
-    x, mu, consistent = _solve_face(Q, q, A, b, G, d, W, feas_tol, mu_tol)
+    x, mu, consistent = _test_kkt_point(*Q.face(q, G, d, W), G, d, W, feas_tol, mu_tol)
     if x is None:
         raise InfeasibleError("the equality rows are inconsistent")
     solves = 1
@@ -409,7 +402,7 @@ def _dual_active_set_face(Q, q, A, b, G, d):
             if solves >= cap:
                 raise EnumerationLimitError(f"the dual active-set search exceeded its cap of {cap} face solves")
             S = sorted(W + [p])
-            x_new, mu_new, consistent = _solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol)
+            x_new, mu_new, consistent = _test_kkt_point(*Q.face(q, G, d, S), G, d, S, feas_tol, mu_tol)
             solves += 1
             if x_new is None:
                 # G_p = A'r_A + G_W'r over the active normals: raising mu_p
@@ -442,24 +435,31 @@ def _dual_active_set_face(Q, q, A, b, G, d):
 
 
 @dataclass(frozen=True)
-class DualPolyhedron:
-    """{p : eq_mat p = eq_rhs, p_i = 0 (i in zero_idx), p_j >= 0 (j in nonneg_idx)}.
+class Polyhedron:
+    """{z : eq_mat z = eq_rhs, z_i = 0 (i in zero_idx), z_j >= 0 (j in nonneg_idx),
+    ineq_mat z <= ineq_rhs}.
 
-    The arrays are copied read-only and the index lists frozen to tuples at
-    construction, so the row basis and the projections it keeps cannot go
-    stale.
+    P* pins and sign-constrains coordinates, X* has general rows
+    (ineq_mat, none by default), and the solvability check's two sets have
+    both kinds of rows. The arrays are copied read-only and the index lists
+    frozen to tuples at construction, so the row basis and the projections
+    it keeps cannot go stale.
     """
 
     eq_mat: np.ndarray
     eq_rhs: np.ndarray
-    zero_idx: tuple
-    nonneg_idx: tuple
+    zero_idx: tuple = ()
+    nonneg_idx: tuple = ()
+    ineq_mat: np.ndarray = ()
+    ineq_rhs: np.ndarray = ()
     # p.tobytes() -> project(p), for every point projected so far
     _projections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("eq_mat", "eq_rhs"):
+        for name in ("eq_mat", "eq_rhs", "ineq_mat", "ineq_rhs"):
             a = np.array(getattr(self, name), dtype=float)
+            if a.shape == (0,) and name == "ineq_mat":  # no general rows: () by default, [] from a file
+                a = a.reshape(0, self.m)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         for name in ("zero_idx", "nonneg_idx"):
@@ -471,49 +471,51 @@ class DualPolyhedron:
 
     def contains(self, p, tol=1e-9) -> bool:
         p = as_vector(p, self.m, "p")
-        if np.linalg.norm(self.eq_mat @ p - self.eq_rhs) > tol:
-            return False
-        if any(abs(p[i]) > tol for i in self.zero_idx):
-            return False
-        return all(p[j] >= -tol for j in self.nonneg_idx)
+        return (np.linalg.norm(self.eq_mat @ p - self.eq_rhs) <= tol
+                and all(abs(p[i]) <= tol for i in self.zero_idx)
+                and all(p[j] >= -tol for j in self.nonneg_idx)
+                and not (self.ineq_mat @ p - self.ineq_rhs > tol).any())
 
     @cached_property
     def _reduced(self):
-        """(keep, H, G, signs) for the projection QP, built on first use.
+        """(keep, H, G, d, signs) for the projection QP, built on first use.
 
         keep lists the coordinates not pinned to zero, and signs the
         positions in keep of the sign-constrained ones. H is the
         :class:`_UnitHessian` of the equality rows on keep,
         eq_mat[:, keep] z = eq_rhs, holding their orthonormal row basis B and
         right side beta (:func:`_unit_kernel`, which raises
-        :class:`InfeasibleError` when the rows are inconsistent). G = -I on
-        the signs, with d = 0.
+        :class:`InfeasibleError` when the rows are inconsistent). The
+        inequality rows G z <= d are -z_j <= 0 on the signs, then
+        ineq_mat[:, keep] z <= ineq_rhs.
         """
         zero = set(self.zero_idx)
         keep = [i for i in range(self.m) if i not in zero]
         H = _unit_kernel(self.eq_mat[:, keep], self.eq_rhs)
         signs = np.array([keep.index(j) for j in self.nonneg_idx], dtype=np.intp)
-        return np.array(keep, dtype=np.intp), H, -np.eye(len(keep))[signs], signs
+        G = np.vstack([-np.eye(len(keep))[signs], self.ineq_mat[:, keep]])
+        d = np.concatenate([np.zeros(signs.size), self.ineq_rhs])
+        return np.array(keep, dtype=np.intp), H, G, d, signs
 
     def project(self, p):
         """(z, ||z - p||) for the Euclidean projection z of p.
 
         The projection minimizes 0.5||z - p||^2 over the coordinates not
-        pinned to zero, subject to the row basis of the equality rows
-        (:attr:`_reduced`) and z_j >= 0 on the sign-constrained ones: a QP
-        with Q = I, solved exactly by :func:`_dual_active_set_face`, whose
-        faces :meth:`_UnitHessian.face` solves in closed form on the row
-        basis. The sign-constrained entries (signs of :attr:`_reduced`) are
-        clipped at zero, so roundoff cannot leave them negative. The result
-        is kept: projecting the same p again returns the same tuple, whose z
-        is read-only.
+        pinned to zero, subject to the row basis of the equality rows and
+        the inequality rows of :attr:`_reduced`: a QP with Q = I, solved
+        exactly by :func:`_dual_active_set_face`, whose faces
+        :meth:`_UnitHessian.face` solves in closed form on the row basis.
+        The sign-constrained entries (signs of :attr:`_reduced`) are clipped
+        at zero, so roundoff cannot leave them negative. The result is kept:
+        projecting the same p again returns the same tuple, whose z is
+        read-only.
         """
         p = as_vector(p, self.m, "p")
         key = p.tobytes()
         if key in self._projections:
             return self._projections[key]
-        keep, H, G, signs = self._reduced
-        x = _dual_active_set_face(H, -p[keep], H.B, H.beta, G, np.zeros(signs.size))[0]
+        keep, H, G, d, signs = self._reduced
+        x = _dual_active_set_face(H, -p[keep], H.B, H.beta, G, d)[0]
         x[signs] = np.maximum(x[signs], 0.0)
         z = np.zeros(self.m)
         z[keep] = x
@@ -527,26 +529,35 @@ class DualPolyhedron:
             "eq_rhs": self.eq_rhs.tolist(),
             "zero_idx": list(self.zero_idx),
             "nonneg_idx": list(self.nonneg_idx),
+            "ineq_mat": self.ineq_mat.tolist(),
+            "ineq_rhs": self.ineq_rhs.tolist(),
         }
 
     @classmethod
-    def from_dict(cls, d):
-        """Read as_dict's form; raises :class:`ProblemFormatError` naming
-        the first malformed field (as ``dual.<field>``)."""
+    def from_dict(cls, d, name, m=None):
+        """Read as_dict's form, with m columns (any number when None);
+        raises :class:`ProblemFormatError` naming the first malformed field
+        (as ``<name>.<field>``). A file written before the general rows has
+        no ineq_mat and ineq_rhs, and reads as having none."""
         if not isinstance(d, dict):
-            raise ProblemFormatError("dual", "expected an object")
-        rhs = _get_vector(d, "eq_rhs", parent="dual")
-        mat = _get_matrix(d, "eq_mat", rhs.size, None, parent="dual")
-        zero, nonneg = (_get_indices(d, name, mat.shape[1]) for name in ("zero_idx", "nonneg_idx"))
+            raise ProblemFormatError(name, "expected an object")
+        d = {"ineq_mat": [], "ineq_rhs": [], **d}
+        rhs = _get_vector(d, "eq_rhs", parent=name)
+        mat = _get_matrix(d, "eq_mat", rhs.size, m, parent=name)
+        zero, nonneg = (_get_indices(d, f, mat.shape[1], name) for f in ("zero_idx", "nonneg_idx"))
         both = set(zero) & set(nonneg)
         if both:
-            raise ProblemFormatError("dual.nonneg_idx", f"repeats zero_idx entries {sorted(both)}")
-        return cls(mat, rhs, zero, nonneg)
+            raise ProblemFormatError(f"{name}.nonneg_idx", f"repeats zero_idx entries {sorted(both)}")
+        ineq_rhs = _get_vector(d, "ineq_rhs", parent=name)
+        # JSON keeps no column count for a 0-row matrix: [] has none to check
+        ineq_mat = (_get_matrix(d, "ineq_mat", ineq_rhs.size, mat.shape[1], parent=name) if ineq_rhs.size
+                    else _get_vector(d, "ineq_mat", 0, parent=name))
+        return cls(mat, rhs, zero, nonneg, ineq_mat, ineq_rhs)
 
 
-def _get_indices(d, field, m):
+def _get_indices(d, field, m, parent):
     """d[field] as a tuple of distinct integers in [0, m)."""
-    name = f"dual.{field}"
+    name = f"{parent}.{field}"
     if field not in d:
         raise ProblemFormatError(name, "missing")
     raw = d[field]
@@ -567,22 +578,25 @@ def _get_indices(d, field, m):
 class SolutionSetOracle:
     """Exact descriptions of the primal and dual solution sets.
 
-    The primal set is x0 + span(primal_basis); a strongly convex objective
-    gives an empty basis (a single point). The dual set is polyhedral.
+    X* is the :class:`Polyhedron` primal, or the single point primal_point
+    when primal is None, as it is for a positive definite Q. P* is the
+    polyhedron dual.
+
+    The file form holds primal_point, primal (null or a polyhedron in the
+    dual's field layout), dual and fingerprint. A file written when X* was
+    primal_point + span(primal_basis) still reads when that basis has no
+    columns, as X* = {primal_point}; one with columns is refused.
     """
 
     primal_point: np.ndarray
-    primal_basis: np.ndarray
-    dual: DualPolyhedron
+    primal: Polyhedron | None
+    dual: Polyhedron
     fingerprint: str = ""
-
-    def primal_is_singleton(self) -> bool:
-        return self.primal_basis.shape[1] == 0
 
     def to_json(self, path=None):
         doc = {
             "primal_point": self.primal_point.tolist(),
-            "primal_basis": self.primal_basis.tolist(),
+            "primal": None if self.primal is None else self.primal.as_dict(),
             "dual": self.dual.as_dict(),
             "fingerprint": self.fingerprint,
         }
@@ -597,13 +611,16 @@ class SolutionSetOracle:
         checked, and a malformed one raises :class:`ProblemFormatError`."""
         doc = _json_object(source)
         point = _get_vector(doc, "primal_point")
-        basis = _get_matrix(doc, "primal_basis", point.size, None)
-        if "dual" not in doc:
-            raise ProblemFormatError("dual", "missing")
-        dual = DualPolyhedron.from_dict(doc["dual"])
+        if "primal_basis" in doc and _get_matrix(doc, "primal_basis", point.size, None).shape[1]:
+            raise ProblemFormatError("primal_basis", "X* as x* + span(primal_basis) is no longer read")
+        # a file of the affine layout has no primal, and X* = {primal_point}
+        primal = doc.get("primal", None if "primal_basis" in doc else ())
+        if primal is not None:
+            primal = Polyhedron.from_dict(primal, "primal", point.size)
+        dual = Polyhedron.from_dict(doc.get("dual"), "dual")
         if dual.eq_rhs.size != point.size:
             raise ProblemFormatError("dual.eq_rhs", f"expected length {point.size}, got {dual.eq_rhs.size}")
-        return cls(point, basis, dual, _get_string(doc, "fingerprint"))
+        return cls(point, primal, dual, _get_string(doc, "fingerprint"))
 
 
 def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
@@ -611,7 +628,11 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
 
     x* comes from the dual active-set search (:func:`_dual_active_set_face`)
     on Q factored once when the program's cached spectrum certifies Q
-    positive definite, else from :func:`_proximal_point`. Raises
+    positive definite, and X* is then {x*}. Any other PSD Q takes
+    :func:`_proximal_point`, and X* is the polyhedron
+    {Ax = b, Gx <= d, Qx = Qx*, q'x = q'x*} (Mangasarian 1988), its
+    equality rows scaled to unit norm (a zero row stays zero) so that no
+    row's size swamps the others in the SVD of their row basis. Raises
     :class:`ProblemFormatError` naming a Q, q, A, b, G or d that is not
     finite or whose norm overflows, or a Q that is not symmetric
     (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
@@ -640,20 +661,24 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     # positive definite Q leaves no face a flat direction: the program is
     # strictly convex, X* is the single point x*, and the dual active-set
     # search needs no solvability check.
-    positive_definite = ev[0] >= 2e-10 * max(1.0, float(ev[-1]))
-    if positive_definite:
+    if ev[0] >= 2e-10 * max(1.0, float(ev[-1])):
         H = _DefiniteHessian.factor(Q, q, A, b, G, d, norm)
         x_star = _dual_active_set_face(H, q, A, b, G, d)[0]
+        primal = None
     else:
         x_star = _proximal_point(Q, q, A, b, G, d, norm)
+        E = np.vstack([A, Q, q])
+        e = np.concatenate([b, Q @ x_star, [q @ x_star]])
+        scale = np.linalg.norm(E, axis=1)
+        scale[scale == 0.0] = 1.0
+        primal = Polyhedron(E / scale[:, None], e / scale, ineq_mat=G, ineq_rhs=d)
 
-    primal_basis = np.zeros((n, 0)) if positive_definite else _null_space(np.vstack([Q, A, G]))
     grad_at_star = Q @ x_star + q
     g_star = G @ x_star - d if m2 else np.zeros(0)
     active = [i for i in range(m2) if g_star[i] >= -_ACTIVE_TOL]
     inactive = [i for i in range(m2) if i not in active]
     E = np.hstack([A.T, G.T]) if (m1 + m2) else np.zeros((n, 0))
-    dual = DualPolyhedron(
+    dual = Polyhedron(
         eq_mat=E,
         eq_rhs=-grad_at_star,
         zero_idx=tuple(m1 + i for i in inactive),
@@ -661,7 +686,7 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     )
     return SolutionSetOracle(
         primal_point=x_star,
-        primal_basis=primal_basis,
+        primal=primal,
         dual=dual,
         fingerprint=prog.fingerprint(),
     )
@@ -670,11 +695,9 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
 def project_primal(oracle: SolutionSetOracle, x):
     """Projection of x onto the primal solution set and its distance."""
     x = as_vector(x, oracle.primal_point.shape[0], "x")
-    z = oracle.primal_point
-    if oracle.primal_basis.shape[1]:
-        V = oracle.primal_basis
-        z = z + V @ (V.T @ (x - z))
-    return z, float(np.linalg.norm(x - z))
+    if oracle.primal is not None:
+        return oracle.primal.project(x)
+    return oracle.primal_point, float(np.linalg.norm(x - oracle.primal_point))
 
 
 def project_dual(oracle: SolutionSetOracle, p):
@@ -691,14 +714,10 @@ def joint_distance(oracle: SolutionSetOracle, x, p) -> float:
 
 @dataclass
 class ErrorBoundEstimate:
-    """Empirical lower estimate of the error-bound modulus kappa.
-
-    kappa_hat is the largest observed ratio dist((x, p), solution sets) over
-    ||(y, u)||; epsilon_used records the residual range the samples cover.
-    """
+    """Empirical lower estimate of the error-bound modulus kappa: the
+    largest observed ratio dist((x, p), solution sets) over ||(y, u)||."""
 
     kappa_hat: float
-    epsilon_used: float
 
 
 def estimate_kappa(history: RunHistory, oracle: SolutionSetOracle) -> ErrorBoundEstimate:
@@ -712,14 +731,12 @@ def estimate_kappa(history: RunHistory, oracle: SolutionSetOracle) -> ErrorBound
         raise NoValidSamplesError("empty run history")
     count = max(1, math.ceil(0.25 * len(records)))
     ratios = []
-    eps_used = 0.0
     for rec in records[-count:]:
         resid = rec.residual()
         if resid < 1e-13:
             continue
         dist = joint_distance(oracle, rec.x, rec.p.as_vector())
         ratios.append(dist / resid)
-        eps_used = max(eps_used, resid)
     if not ratios:
         raise NoValidSamplesError("all tail iterations have negligible residual")
-    return ErrorBoundEstimate(kappa_hat=float(max(ratios)), epsilon_used=eps_used)
+    return ErrorBoundEstimate(kappa_hat=float(max(ratios)))

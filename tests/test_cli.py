@@ -23,6 +23,12 @@ NAN_Q_DOC = {"n": 2, "Q": [[2.0, float("nan")], [float("nan"), 2.0]], "q": [0.0,
 
 OVERFLOW_DOC = {"n": 1, "Q": [[0.0]], "q": [-1e200], "ineq": [{"type": "affine", "G": [1.0], "d": 1e300}]}
 
+# min 0.5 (x1 + x2)^2 - 2 (x1 + x2) s.t. x1 + x2 <= 1, x1 <= 5, x2 <= 5: X*
+# is the segment from (5, -4) to (-4, 5)
+SEGMENT_DOC = {"n": 2, "Q": [[1.0, 1.0], [1.0, 1.0]], "q": [-2.0, -2.0],
+               "ineq": [{"type": "affine", "G": g, "d": d} for g, d in (([1.0, 1.0], 1.0), ([1.0, 0.0], 5.0),
+                                                                         ([0.0, 1.0], 5.0))]}
+
 
 class _BrokenGradientObjective(QuadraticObjective):
     def grad(self, x):
@@ -554,18 +560,59 @@ class TestRatesCommand:
             "non-integer-index", "bool-index", "eq-mat-shape", "missing-dual", "list-dual",
             "missing-zero-idx", "repeated-index", "eq-rhs-length", "missing-fingerprint",
             "empty-fingerprint", "int-fingerprint"])
-    def test_malformed_oracle_file_names_the_field(self, trace, tmp_path, capsys, field, edit):
+    @pytest.mark.parametrize("action", ["error", "default"])
+    def test_malformed_oracle_file_names_the_field(self, trace, tmp_path, field, edit, action):
         from almlab import GeneratorSpec, generate, solve_qp_exact
 
         doc = solve_qp_exact(generate(GeneratorSpec("reference1d"))).to_json()
         edit(doc)
-        oracle_path = tmp_path / "oracle.json"
-        oracle_path.write_text(json.dumps(doc))
-        code = main(["rates", "--trace", str(trace), "--oracle", str(oracle_path),
-                     "--out", str(tmp_path)])
-        assert code == 1
-        assert f"field '{field}'" in capsys.readouterr().err
-        assert not list(tmp_path.glob("*.rates.*"))
+        _assert_oracle_file_refused(trace, tmp_path, doc, field, action)
+
+    @pytest.mark.parametrize("field, edit", [
+        ("primal", lambda doc: doc.pop("primal")),
+        ("primal", lambda doc: doc.update(primal=[1.0])),
+        ("primal.eq_mat", lambda doc: doc["primal"].update(eq_mat=[[1.0]] * 3)),
+        ("primal.eq_rhs", lambda doc: doc["primal"].update(eq_rhs=[float("nan")] * 3)),
+        ("primal.ineq_mat", lambda doc: doc["primal"].update(ineq_mat=[[1.0, 0.0]])),
+        ("primal.ineq_mat", lambda doc: doc["primal"].pop("ineq_mat")),
+        ("primal.ineq_rhs", lambda doc: doc["primal"].update(ineq_rhs=[float("inf"), 5.0, 5.0])),
+        ("primal.zero_idx", lambda doc: doc["primal"].update(zero_idx=[2])),
+        ("dual.ineq_mat", lambda doc: doc["dual"].update(ineq_mat=[[1.0, 0.0, 0.0]])),
+        # a file written when X* was x* + span(primal_basis)
+        ("primal_basis", lambda doc: doc.update(primal_basis=[[1.0], [-1.0]])),
+        ("primal_basis", lambda doc: doc.update(primal_basis=[[]])),
+    ], ids=["missing", "list", "eq-mat-columns", "nan-eq-rhs", "ineq-mat-rows", "missing-ineq-mat",
+            "inf-ineq-rhs", "index-out-of-range", "dual-ineq-mat-rows", "basis-with-a-column",
+            "basis-rows"])
+    @pytest.mark.parametrize("action", ["error", "default"])
+    def test_malformed_polyhedral_x_star_names_the_field(self, trace, tmp_path, field, edit, action):
+        from almlab import solve_qp_exact
+        from almlab.io import problem_from_dict
+
+        doc = solve_qp_exact(problem_from_dict(SEGMENT_DOC)).to_json()
+        edit(doc)
+        _assert_oracle_file_refused(trace, tmp_path, doc, field, action)
+
+    @pytest.mark.parametrize("family", ["reference1d", "sc_qp"])
+    def test_oracle_file_of_the_affine_layout_gives_the_same_report(self, tmp_path, family):
+        # the layout written before X* became a polyhedron: primal_basis
+        # with no columns, and no general rows in the dual
+        from almlab import GeneratorSpec, generate, solve_qp_exact
+
+        assert main(["solve", "--generator", family, "--seed", "0", "--out", str(tmp_path)]) == 0
+        (trace,) = tmp_path.glob("*.trace.json")
+        doc = solve_qp_exact(generate(GeneratorSpec(family, seed=0))).to_json()
+        old = {"primal_point": doc["primal_point"], "primal_basis": [[] for _ in doc["primal_point"]],
+               "dual": {k: doc["dual"][k] for k in ("eq_mat", "eq_rhs", "zero_idx", "nonneg_idx")},
+               "fingerprint": doc["fingerprint"]}
+        reports = []
+        for name, oracle_doc in (("new", doc), ("old", old)):
+            (tmp_path / f"{name}.json").write_text(json.dumps(oracle_doc))
+            out = tmp_path / name
+            assert main(["rates", "--trace", str(trace), "--oracle", str(tmp_path / f"{name}.json"), "--probe",
+                         "--out", str(out)]) == 0
+            reports.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert reports[0] == reports[1] and len(reports[0]) == 2
 
 
     @pytest.mark.parametrize("field, edit", [
@@ -630,6 +677,22 @@ class TestRatesCommand:
         assert code == 1
         assert "field '<document>'" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.rates.*"))
+
+
+def _assert_oracle_file_refused(trace, tmp_path, doc, field, action):
+    """rates --oracle on the document doc, with NumPy's RuntimeWarnings
+    under the filter action, exits 1 with one stderr line naming field and
+    writes no report."""
+    oracle_path = tmp_path / "oracle.json"
+    oracle_path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter(action, RuntimeWarning)
+        code = main(["rates", "--trace", str(trace), "--oracle", str(oracle_path), "--out", str(tmp_path)])
+    assert code == 1
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: field '{field}'"), lines
+    assert not list(tmp_path.glob("*.rates.*"))
 
 
 def test_json_files_match_json_dump(tmp_path):

@@ -1,5 +1,10 @@
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from almlab import (
     AffineInequality,
@@ -22,9 +27,10 @@ from almlab import (
 from almlab.errors import (
     InfeasibleError,
     NoValidSamplesError,
+    ProblemFormatError,
     UnboundedError,
 )
-from almlab.oracle import DualPolyhedron
+from almlab.oracle import Polyhedron
 
 from conftest import make_halfspace_qp, make_zero_objective_eq
 
@@ -35,7 +41,7 @@ class TestSolveQpExact:
     def test_reference_solution_sets(self, reference1d):
         orc = solve_qp_exact(reference1d)
         np.testing.assert_allclose(orc.primal_point, [1.0], atol=1e-12)
-        assert orc.primal_is_singleton()
+        assert orc.primal is None
         proj, dist = project_dual(orc, np.zeros(1))
         np.testing.assert_allclose(proj, [-1.0], atol=1e-12)
         assert dist == pytest.approx(1.0)
@@ -136,7 +142,7 @@ class TestProjections:
 
     def test_dual_ray_structure(self):
         # {(lam, mu): lam = 0, mu >= 0}: projection of (1, -1) is the origin
-        poly = DualPolyhedron(
+        poly = Polyhedron(
             eq_mat=np.array([[1.0, 0.0]]), eq_rhs=np.zeros(1),
             zero_idx=(), nonneg_idx=(1,),
         )
@@ -155,12 +161,35 @@ class TestProjections:
         # X* = {x : x1 = 0} in R^2
         orc = SolutionSetOracle(
             primal_point=np.zeros(2),
-            primal_basis=np.array([[0.0], [1.0]]),
-            dual=DualPolyhedron(np.zeros((0, 1)), np.zeros(0), (), ()),
+            primal=Polyhedron(np.array([[1.0, 0.0]]), np.zeros(1)),
+            dual=Polyhedron(np.zeros((2, 0)), np.zeros(2)),
         )
         proj, dist = project_primal(orc, np.array([3.0, 5.0]))
         np.testing.assert_allclose(proj, [0.0, 5.0])
         assert dist == pytest.approx(3.0)
+
+    def test_flat_objective_has_the_feasible_set_as_x_star(self):
+        # min 0 s.t. x <= 1: every feasible point is a minimizer, while the
+        # affine set x* + null([Q; G]) is the single point x*
+        prog = ConvexProgram(smooth=QuadraticObjective(np.zeros((1, 1)), np.zeros(1)),
+                             ineqs=(AffineInequality(np.array([1.0]), 1.0),))
+        orc = solve_qp_exact(prog)
+        proj, dist = project_primal(orc, [-3.0])
+        assert proj[0] == -3.0 and dist == 0.0
+        proj, dist = project_primal(orc, [5.0])
+        assert proj[0] == 1.0 and dist == 4.0
+
+    def test_segment_x_star(self):
+        # min 0.5 (x1 + x2)^2 - 2 (x1 + x2) s.t. x1 + x2 <= 1, x1 <= 5,
+        # x2 <= 5: X* is the segment from (5, -4) to (-4, 5), while the
+        # affine set x* + null([Q; G]) is the single point x*
+        rows = [(np.array([1.0, 1.0]), 1.0), (np.array([1.0, 0.0]), 5.0), (np.array([0.0, 1.0]), 5.0)]
+        prog = ConvexProgram(smooth=QuadraticObjective(np.ones((2, 2)), np.array([-2.0, -2.0])),
+                             ineqs=tuple(AffineInequality(g, d) for g, d in rows))
+        orc = solve_qp_exact(prog)
+        proj, dist = project_primal(orc, [6.0, -3.0])
+        np.testing.assert_allclose(proj, [5.0, -4.0], rtol=0, atol=1e-12)
+        assert dist == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_dual_projection_variational_inequality(self, seed):
@@ -190,6 +219,90 @@ class TestProjections:
         p = np.ones(orc.dual.m)
         np.testing.assert_allclose(project_dual(back, p)[0], project_dual(orc, p)[0], atol=1e-12)
 
+    @pytest.mark.parametrize("ineqs", [(), ((1.0, 1.0, 1.0), (1.0, 0.0, 5.0))], ids=["no-rows", "rows"])
+    def test_polyhedral_x_star_round_trips(self, tmp_path, ineqs):
+        # min 0.5 (x1 + x2)^2 - 2 (x1 + x2), with no rows (X* the line
+        # x1 + x2 = 2) or with x1 + x2 <= 1 and x1 <= 5. JSON writes a
+        # 0-row ineq_mat as [], which must read back with its m columns
+        prog = ConvexProgram(smooth=QuadraticObjective(np.ones((2, 2)), np.array([-2.0, -2.0])),
+                             ineqs=tuple(AffineInequality(np.array(r[:2]), r[2]) for r in ineqs))
+        orc = solve_qp_exact(prog)
+        path = tmp_path / "oracle.json"
+        orc.to_json(path)
+        assert json.loads(path.read_text())["dual"]["ineq_mat"] == []
+        back = SolutionSetOracle.from_json(path)
+        for got, want in ((back.primal, orc.primal), (back.dual, orc.dual)):
+            for name in ("eq_mat", "eq_rhs", "ineq_mat", "ineq_rhs"):
+                assert getattr(got, name).shape == getattr(want, name).shape
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert (got.zero_idx, got.nonneg_idx) == (want.zero_idx, want.nonneg_idx)
+        assert back.primal.ineq_mat.shape == (len(ineqs), 2)
+        x = np.array([6.0, -3.0])
+        assert np.array_equal(project_primal(back, x)[0], project_primal(orc, x)[0])
+
+
+def _oracle_documents():
+    """to_json documents of three oracles, a point X* and two polyhedral
+    ones, and the first in the layout written when X* was x* +
+    span(primal_basis)."""
+    point = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=4, m1=1, m2=2, seed=0))).to_json()
+    flat = solve_qp_exact(ConvexProgram(smooth=QuadraticObjective(np.zeros((1, 1)), np.zeros(1)),
+                                        ineqs=(AffineInequality(np.array([1.0]), 1.0),))).to_json()
+    segment = solve_qp_exact(ConvexProgram(
+        smooth=QuadraticObjective(np.ones((2, 2)), np.array([-2.0, -2.0])),
+        ineqs=(AffineInequality(np.array([1.0, 1.0]), 1.0), AffineInequality(np.array([1.0, 0.0]), 5.0)))).to_json()
+    old = {"primal_point": point["primal_point"], "primal_basis": [[] for _ in point["primal_point"]],
+           "dual": {k: point["dual"][k] for k in ("eq_mat", "eq_rhs", "zero_idx", "nonneg_idx")},
+           "fingerprint": point["fingerprint"]}
+    return [point, flat, segment, old]
+
+
+_ORACLE_DOCS = _oracle_documents()
+_POLYHEDRON_FIELDS = ("eq_mat", "eq_rhs", "zero_idx", "nonneg_idx", "ineq_mat", "ineq_rhs")
+_ORACLE_FIELDS = (("primal_point",), ("primal_basis",), ("primal",), ("dual",), ("fingerprint",)) + tuple(
+    (parent, name) for parent in ("primal", "dual") for name in _POLYHEDRON_FIELDS)
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 4), st.just(10 ** 400), st.floats(), st.text(max_size=2),
+    st.lists(st.floats(), max_size=3), st.lists(st.integers(-1, 4), max_size=3),
+    st.lists(st.lists(st.floats(-4.0, 4.0), max_size=3), max_size=4),
+    st.lists(st.lists(st.lists(st.just(1.0), max_size=1), max_size=2), max_size=2),
+    st.dictionaries(st.sampled_from(_POLYHEDRON_FIELDS), st.lists(st.just(0.0), max_size=2), max_size=2),
+)
+
+
+@st.composite
+def _mutated_oracle_document(draw):
+    """One of _ORACLE_DOCS with one to three fields dropped or replaced."""
+    doc = copy.deepcopy(draw(st.sampled_from(_ORACLE_DOCS)))
+    for _ in range(draw(st.integers(1, 3))):
+        *parents, name = draw(st.sampled_from(_ORACLE_FIELDS))
+        target = doc.get(parents[0]) if parents else doc
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()):
+            target.pop(name, None)
+        else:
+            target[name] = draw(_JSON_VALUES)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=_mutated_oracle_document())
+def test_oracle_reader_accepts_or_names_the_field(doc):
+    # the reader returns an oracle whose sets have the point's dimension,
+    # or refuses with a ProblemFormatError naming a field of the layout
+    try:
+        orc = SolutionSetOracle.from_json(doc)
+    except ProblemFormatError as exc:
+        assert tuple(exc.field.split(".")) in _ORACLE_FIELDS, exc
+        return
+    n = orc.primal_point.size
+    assert orc.dual.eq_mat.shape[0] == orc.dual.eq_rhs.size == n
+    if orc.primal is not None:
+        assert orc.primal.m == n and orc.primal.ineq_mat.shape == (orc.primal.ineq_rhs.size, n)
+    assert orc.dual.ineq_mat.shape == (orc.dual.ineq_rhs.size, orc.dual.m)
+    assert isinstance(orc.fingerprint, str) and orc.fingerprint
+
 
 class TestEstimateKappa:
     def test_reference_exact_trace_bound(self, reference1d):
@@ -201,7 +314,6 @@ class TestEstimateKappa:
         est = estimate_kappa(hist, orc)
         assert est.kappa_hat == pytest.approx(np.sqrt(2.0), rel=1e-6)
         assert est.kappa_hat <= PHI
-        assert est.epsilon_used > 0
 
     def test_single_exact_iterate_has_no_samples(self, reference1d):
         orc = solve_qp_exact(reference1d)

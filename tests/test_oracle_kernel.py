@@ -39,6 +39,7 @@ from almlab import oracle as oracle_mod
 from almlab.errors import InfeasibleError
 from almlab.problem import lagrangian_grad
 
+from conftest import face_solves
 from test_oracle_proximal import LPS, PSD_FAMILY, SMALL_PSD
 from test_oracle_reference import CORPUS_QPS, LADDER, _qp
 from test_projection_kernel import reference_solve_face
@@ -90,26 +91,18 @@ PROGRAMS = ([generate(spec) for spec in LADDER] + CORPUS_QPS + list(DEGENERATE.v
 IDS = [spec.label() for spec in LADDER] + [prog.name for prog in CORPUS_QPS] + list(DEGENERATE)
 
 
-def _kkt_face(Q, q, *args):
-    """reference_solve_face on the matrix behind the factored kernel."""
-    if isinstance(Q, oracle_mod._DefiniteHessian):
-        Q = Q.Q
-    return reference_solve_face(Q, q, *args)
+def _kkt_face(H, q, G, d, S, *tols):
+    """reference_solve_face on the matrix and equality rows behind the
+    factored kernel H."""
+    return reference_solve_face(H.Q, q, H.C[:H.m1], H.r[:H.m1], G, d, S, *tols)
 
 
-def _search(prog, kernel=None):
-    """solve_qp_exact with the face solve ``kernel`` (the production one when
-    None). Returns (x* or the exception raised, faces), where faces lists
-    (S, x) for every face solved, x None when it has no KKT point."""
-    solve = kernel or oracle_mod._solve_face
-    faces = []
-
-    def face(Q, q, A, b, G, d, S, *args):
-        result = solve(Q, q, A, b, G, d, S, *args)
-        faces.append((list(S), result[0]))
-        return result
-
-    with mock.patch.object(oracle_mod, "_solve_face", face):
+def _search(prog, reference=None):
+    """solve_qp_exact with each face solved by ``reference`` (the production
+    face solve when None; see conftest.face_solves). Returns (x* or the
+    exception raised, faces), where faces lists (S, x) for every face
+    solved, x None when it has no KKT point."""
+    with face_solves(reference, keep=lambda S, x: (S, x)) as faces:
         try:
             return solve_qp_exact(prog).primal_point, faces
         except InfeasibleError as exc:
@@ -134,20 +127,24 @@ def _lstsq_calls():
     """(shape, face) for every matrix handed to np.linalg.lstsq in the block:
     face is the list S of the face being solved, or None outside a face."""
     calls, current = [], [None]
-    real_lstsq, real_face = np.linalg.lstsq, oracle_mod._solve_face
+    real_lstsq = np.linalg.lstsq
 
     def lstsq(a, *args, **kwargs):
         calls.append((np.shape(a), current[0]))
         return real_lstsq(a, *args, **kwargs)
 
-    def face(Q, q, A, b, G, d, S, *args):
-        current[0] = list(S)
-        try:
-            return real_face(Q, q, A, b, G, d, S, *args)
-        finally:
-            current[0] = None
+    def spy(real):
+        def face(self, q, G, d, S):
+            current[0] = list(S)
+            try:
+                return real(self, q, G, d, S)
+            finally:
+                current[0] = None
+        return face
 
-    with mock.patch.object(np.linalg, "lstsq", lstsq), mock.patch.object(oracle_mod, "_solve_face", face):
+    with mock.patch.object(np.linalg, "lstsq", lstsq), \
+            mock.patch.object(oracle_mod._UnitHessian, "face", spy(oracle_mod._UnitHessian.face)), \
+            mock.patch.object(oracle_mod._DefiniteHessian, "face", spy(oracle_mod._DefiniteHessian.face)):
         yield calls
 
 

@@ -6,7 +6,8 @@ face, and every output array must agree, bit for bit or (x* and the dual
 right side) to roundoff. For any other PSD Q it first refuses an empty
 feasible set or a feasible descent ray, then takes proximal point steps,
 which may end at another point of a non-singleton X*: there the objective
-and the dual sets must agree.
+must agree, and the two X* and the two P* are compared as sets, by
+projecting seeded points onto each.
 """
 from types import SimpleNamespace
 
@@ -25,7 +26,9 @@ from almlab import (
 )
 from almlab import oracle as oracle_mod
 from almlab.errors import InfeasibleError, ProblemFormatError, UnboundedError
-from almlab.oracle import DualPolyhedron, SolutionSetOracle
+from almlab.oracle import Polyhedron, SolutionSetOracle
+
+from conftest import face_solves
 
 
 def reference_oracle(prog):
@@ -62,14 +65,20 @@ def reference_oracle(prog):
     active = [i for i in range(m2) if g_star[i] >= -1e-8]
     inactive = [i for i in range(m2) if i not in active]
     E = np.hstack([A.T, G.T]) if (m1 + m2) else np.zeros((n, 0))
-    dual = DualPolyhedron(E, -(Q @ x_star + q), tuple(m1 + i for i in inactive),
-                          tuple(m1 + i for i in active))
-    ref = SolutionSetOracle(x_star, oracle_mod._null_space(np.vstack([Q, A, G])), dual,
-                            prog.fingerprint())
+    dual = Polyhedron(E, -(Q @ x_star + q), tuple(m1 + i for i in inactive),
+                      tuple(m1 + i for i in active))
     # solve_qp_exact's certificate: it solves these programs' faces on the
-    # factored kernel, not by the least squares above
+    # factored kernel, not by the least squares above, and X* is {x*}
     ev = prog.q_spectrum
-    ref.positive_definite = bool(ev[0] >= 2e-10 * max(1.0, float(ev[-1])))
+    positive_definite = bool(ev[0] >= 2e-10 * max(1.0, float(ev[-1])))
+    # else X* is the set of feasible x with Qx = Qx* and q'x = q'x*
+    # (Mangasarian 1988). Each equality row is scaled to unit norm, or the
+    # row basis drops a row of Q = diag(1, 1e-11) and X* gains a ray
+    E, e = np.vstack([A, Q, q]), np.concatenate([b, Q @ x_star, [q @ x_star]])
+    norms = np.array([np.linalg.norm(row) or 1.0 for row in E])
+    primal = None if positive_definite else Polyhedron(E / norms[:, None], e / norms, ineq_mat=G, ineq_rhs=d)
+    ref = SolutionSetOracle(x_star, primal, dual, prog.fingerprint())
+    ref.positive_definite = positive_definite
     return ref
 
 
@@ -84,9 +93,12 @@ def assert_bitwise_equal(got, ref):
     """Every output bit for bit, except that for positive definite Q the
     point x* and the dual right side -grad s(x*) come from the factored
     face solve and agree with the reference's least squares to roundoff,
-    1e-12 (1 + ||ref||)."""
+    1e-12 (1 + ||ref||), and that a polyhedral X* is compared as a set
+    (:func:`assert_same_primal_set`): the oracle scales its rows."""
     _assert_same(got.primal_point, ref.primal_point, ref.positive_definite, "primal_point")
-    assert np.array_equal(got.primal_basis, ref.primal_basis), "primal_basis"
+    assert (got.primal is None) == ref.positive_definite, "primal"
+    if got.primal is not None:
+        assert_same_primal_set(got, ref)
     assert np.array_equal(got.dual.eq_mat, ref.dual.eq_mat)
     _assert_same(got.dual.eq_rhs, ref.dual.eq_rhs, ref.positive_definite, "dual.eq_rhs")
     assert got.dual.zero_idx == ref.dual.zero_idx
@@ -94,13 +106,25 @@ def assert_bitwise_equal(got, ref):
     assert got.fingerprint == ref.fingerprint
 
 
+def assert_same_primal_set(got, ref):
+    """The projections of x* and of three seeded points onto the two
+    polyhedral X* agree within 1e-9 (1 + ||z||)."""
+    x = ref.primal_point
+    rng = np.random.default_rng(1)
+    for p in [x] + [x + (1.0 + np.linalg.norm(x)) * rng.normal(size=x.size) for _ in range(3)]:
+        z, z_ref = got.primal.project(p)[0], ref.primal.project(p)[0]
+        assert np.linalg.norm(z - z_ref) <= 1e-9 * (1.0 + np.linalg.norm(z_ref)), "primal projection"
+
+
 def assert_same_solution_sets(got, ref, prog):
     """For a Q that is not positive definite X* need not be a point, and
     two oracles may return different points of it. The objective at x*
-    must agree within 1e-12 (1 + |f|), and the projections of 0 and of a
+    must agree within 1e-12 (1 + |f|), the two X* as sets
+    (:func:`assert_same_primal_set`), and the projections of 0 and of a
     seeded point onto the two dual sets within 1e-9 (1 + ||z||)."""
     f, f_ref = prog.smooth.value(got.primal_point), prog.smooth.value(ref.primal_point)
     assert abs(f - f_ref) <= 1e-12 * (1.0 + abs(f_ref)), "objective"
+    assert_same_primal_set(got, ref)
     for p in (np.zeros(ref.dual.m), np.random.default_rng(0).normal(size=ref.dual.m)):
         z, z_ref = got.dual.project(p)[0], ref.dual.project(p)[0]
         assert np.linalg.norm(z - z_ref) <= 1e-9 * (1.0 + np.linalg.norm(z_ref)), "dual projection"
@@ -140,26 +164,20 @@ def test_sign_constrained_rows_are_the_active_rows(prog):
 def spy(monkeypatch):
     """checks: for each call of _check_solvable, the number of faces solved
     before it; faces: every face solved outside it, in order."""
-    log = SimpleNamespace(checks=[], faces=[])
-    inside = []
-    real_check, real_face = oracle_mod._check_solvable, oracle_mod._solve_face
+    real_check = oracle_mod._check_solvable
+    with face_solves() as faces:
+        log = SimpleNamespace(checks=[], faces=faces)
 
-    def check(*args):
-        log.checks.append(len(log.faces))
-        inside.append(True)
-        try:
-            return real_check(*args)
-        finally:
-            inside.pop()
+        def check(*args):
+            start = len(faces)
+            log.checks.append(start)
+            try:
+                return real_check(*args)
+            finally:
+                del faces[start:]
 
-    def face(Q, q, A, b, G, d, S, *args):
-        if not inside:
-            log.faces.append(list(S))
-        return real_face(Q, q, A, b, G, d, S, *args)
-
-    monkeypatch.setattr(oracle_mod, "_check_solvable", check)
-    monkeypatch.setattr(oracle_mod, "_solve_face", face)
-    return log
+        monkeypatch.setattr(oracle_mod, "_check_solvable", check)
+        yield log
 
 
 def _qp(Q, q, rows=(), offsets=(), eq=None):
@@ -173,7 +191,7 @@ class TestCertificateBoundary:
         orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=6, seed=0)))
         assert spy.checks == []
         assert spy.faces
-        assert orc.primal_is_singleton()
+        assert orc.primal is None
 
     def test_psd_with_kkt_point_is_checked_once_before_any_face(self, spy):
         # min 0.5*x1^2 - x2 s.t. x2 <= 1: flat in x2 but bounded by the row

@@ -1,12 +1,12 @@
 """The oracle's dual active-set search on positive definite Q.
 
-Each face the search visits is solved by ``oracle._solve_face``; the tests
-count those solves, watch which faces are visited, and check the result
-against the full enumeration of test_oracle_reference.py, bit for bit
-wherever the first consistent face is unique. They also cover the Q the
-oracle refuses, an indefinite or asymmetric one, and how a DualPolyhedron
-serves its projections: one search per distinct point, on the row basis of
-its equality rows.
+Each face the search visits is solved by its kernel and tested by
+``oracle._test_kkt_point``; the tests count those solves, watch which faces
+are visited, and check the result against the full enumeration of
+test_oracle_reference.py, bit for bit wherever the first consistent face is
+unique. They also cover the Q the oracle refuses, an indefinite or
+asymmetric one, and how a Polyhedron serves its projections: one search per
+distinct point, on the row basis of its equality rows.
 """
 import dataclasses
 import json
@@ -36,26 +36,19 @@ from almlab import (
 from almlab import oracle as oracle_mod
 from almlab.cli import main
 from almlab.errors import EnumerationLimitError, InfeasibleError, ProblemFormatError
-from almlab.oracle import DualPolyhedron
+from almlab.oracle import Polyhedron
 from almlab.problem import lagrangian_grad
 
+from conftest import face_solves
 from test_oracle_reference import LADDER, assert_bitwise_equal, assert_same_solution_sets, reference_oracle
 from test_projection_reference import reference_project
 
 
 @pytest.fixture
-def faces(monkeypatch):
+def faces():
     """(face, solvable) for every face solved, in order."""
-    visited = []
-    real = oracle_mod._solve_face
-
-    def spy(Q, q, A, b, G, d, S, *args, **kwargs):
-        result = real(Q, q, A, b, G, d, S, *args, **kwargs)
-        visited.append((list(S), result[0] is not None))
-        return result
-
-    monkeypatch.setattr(oracle_mod, "_solve_face", spy)
-    return visited
+    with face_solves() as visited:
+        yield visited
 
 
 def _qp(Q, q, rows=(), offsets=(), eq=None):
@@ -87,7 +80,7 @@ def test_search_is_not_exponential(faces, seed):
 def test_unconstrained_minimum_costs_one_solve(faces):
     orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=20, m1=4, m2=0, seed=0)))
     assert faces == [([], True)]
-    assert orc.primal_is_singleton()
+    assert orc.primal is None
 
 
 def test_definite_q_has_a_single_point_primal_set():
@@ -95,7 +88,7 @@ def test_definite_q_has_a_single_point_primal_set():
     # has a singular value below 1e-10 of its largest: a null-space SVD of
     # the stack would give a direction along which the minimizer is unique
     prog = _qp(np.diag([1.0, 1e-9]), [-1.0, 0.0], rows=[[100.0, 0.0]], offsets=[50.0])
-    assert solve_qp_exact(prog).primal_basis.shape == (2, 0)
+    assert solve_qp_exact(prog).primal is None
 
 
 class TestDegenerateBranches:
@@ -178,14 +171,14 @@ class TestDegenerateBranches:
         # face {0} of min 0.5 ||x||^2 s.t. x1 <= -1 made to fail as an
         # unequilibrated solve can: its row does not depend on the (empty)
         # active set, so the search stops instead of exchanging rows
-        real = oracle_mod._solve_face
+        real = oracle_mod._test_kkt_point
         visited = []
 
-        def failing(Q, q, A, b, G, d, S, *args, **kwargs):
+        def failing(x, mu_S, residual, scale, eq_gap, G, d, S, *tols):
             visited.append(list(S))
-            return (None, None, False) if S == [0] else real(Q, q, A, b, G, d, S, *args, **kwargs)
+            return (None, None, False) if S == [0] else real(x, mu_S, residual, scale, eq_gap, G, d, S, *tols)
 
-        monkeypatch.setattr(oracle_mod, "_solve_face", failing)
+        monkeypatch.setattr(oracle_mod, "_test_kkt_point", failing)
         prog = _qp(np.eye(2), [0.0, 0.0], rows=[[1.0, 0.0]], offsets=[-1.0])
         with pytest.raises(InfeasibleError, match="independent of the active rows"):
             solve_qp_exact(prog)
@@ -268,7 +261,7 @@ class TestDegenerateBranches:
         assert_bitwise_equal(orc, reference_oracle(prog))
 
         faces.clear()
-        poly = DualPolyhedron(E, e, (), (0, 1, 2, 3))
+        poly = Polyhedron(E, e, (), (0, 1, 2, 3))
         z, dist = poly.project(p)
         assert _drops_a_row(faces)
         # the projection searches the row basis of E, not E itself, so it
@@ -338,7 +331,7 @@ def searches(monkeypatch):
 
 
 def _fresh(poly):
-    return DualPolyhedron(poly.eq_mat, poly.eq_rhs, poly.zero_idx, poly.nonneg_idx)
+    return dataclasses.replace(poly)
 
 
 class TestProjectionMemo:
@@ -353,7 +346,7 @@ class TestProjectionMemo:
 
     def test_projection_and_data_are_read_only(self):
         E, e = np.array([[1.0, 1.0]]), np.array([1.0])
-        poly = DualPolyhedron(E, e, (), (1,))
+        poly = Polyhedron(E, e, (), (1,))
         z, _ = poly.project(np.array([2.0, -1.0]))
         for arr in (z, poly.eq_mat, poly.eq_rhs):
             with pytest.raises(ValueError, match="read-only"):
@@ -396,13 +389,13 @@ class TestRowBasis:
         # the cli-grid shape: n = 50 equality rows of rank at most m = 5
         orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", n=50, seed=seed)))
         rows = []
-        real = oracle_mod._solve_face
+        real = oracle_mod._UnitHessian.face
 
-        def spy(Q, q, A, *args, **kwargs):
-            rows.append(A.shape[0])
-            return real(Q, q, A, *args, **kwargs)
+        def spy(H, *args):
+            rows.append(H.B.shape[0])
+            return real(H, *args)
 
-        monkeypatch.setattr(oracle_mod, "_solve_face", spy)
+        monkeypatch.setattr(oracle_mod._UnitHessian, "face", spy)
         poly = orc.dual
         keep = [i for i in range(poly.m) if i not in poly.zero_idx]
         rank = np.linalg.matrix_rank(poly.eq_mat[:, keep])
@@ -412,7 +405,7 @@ class TestRowBasis:
 
     def test_inconsistent_equality_rows_are_infeasible(self, searches):
         # z1 = 1 and z1 = 2
-        poly = DualPolyhedron(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]), (), (1,))
+        poly = Polyhedron(np.array([[1.0, 0.0], [1.0, 0.0]]), np.array([1.0, 2.0]), (), (1,))
         for _ in range(2):
             with pytest.raises(InfeasibleError, match="the equality rows are inconsistent"):
                 poly.project(np.zeros(2))

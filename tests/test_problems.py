@@ -45,7 +45,7 @@ class TestScQp:
 
     def test_unique_kkt_point(self):
         orc = solve_qp_exact(generate(GeneratorSpec("sc_qp", seed=5)))
-        assert orc.primal_is_singleton()
+        assert orc.primal is None
         # dual singleton: stationarity plus pins leave no free directions
         E = orc.dual.eq_mat
         pins = np.zeros((len(orc.dual.zero_idx), E.shape[1]))
@@ -61,7 +61,7 @@ class TestDegenerateDual:
         # duplicated equality row drops the rank
         assert np.linalg.matrix_rank(prog.eq_matrix(), tol=1e-8) < prog.m1
         orc = solve_qp_exact(prog)
-        assert orc.primal_is_singleton()
+        assert orc.primal is None
         E = orc.dual.eq_mat
         pins = np.zeros((len(orc.dual.zero_idx), E.shape[1]))
         for r, i in enumerate(orc.dual.zero_idx):

@@ -1,4 +1,4 @@
-"""The closed-form face solve of DualPolyhedron.project against the
+"""The closed-form face solve of Polyhedron.project against the
 equality-KKT least-squares solve it replaced.
 
 A dual projection is the dual active-set search run with Q = I on the
@@ -12,6 +12,7 @@ same kernel (``oracle._unit_kernel``) solves faces of general inequality
 rows, dependent ones included, for the projections of the solvability
 check, which factors no matrix.
 """
+import dataclasses
 from contextlib import contextmanager
 from unittest import mock
 
@@ -21,7 +22,9 @@ import pytest
 from almlab import solve_qp_exact
 from almlab import oracle as oracle_mod
 from almlab.errors import InfeasibleError, UnboundedError
-from almlab.oracle import DualPolyhedron, _tolerances
+from almlab.oracle import Polyhedron, _tolerances
+
+from conftest import face_solves
 
 from test_oracle_proximal import PSD_FAMILY
 from test_oracle_reference import SOLVABILITY_PROGRAMS
@@ -54,11 +57,10 @@ def reference_solve_face(Q, q, A, b, G, d, S, feas_tol, mu_tol):
     return x, mu, consistent
 
 
-def _unit_as_matrix(Q, q, *args):
-    """reference_solve_face with the projection's Q = I as a matrix."""
-    if isinstance(Q, oracle_mod._UnitHessian):
-        Q = np.eye(q.size)
-    return reference_solve_face(Q, q, *args)
+def _unit_as_matrix(H, q, G, d, S, *tols):
+    """reference_solve_face with the projection's Q = I as a matrix, on the
+    row basis of its kernel H."""
+    return reference_solve_face(np.eye(q.size), q, H.B, H.beta, G, d, S, *tols)
 
 
 @contextmanager
@@ -75,22 +77,14 @@ def _lstsq_shapes():
         yield shapes
 
 
-def _project(poly, p, kernel=None):
-    """Project p on a fresh copy of poly with the face solve ``kernel`` (the
-    production one when None). Returns (z, faces, lstsq_shapes): every face
-    solved as (S, has a KKT point), and the shape of every matrix handed to
-    np.linalg.lstsq during the projection."""
-    solve = kernel or oracle_mod._solve_face
-    faces = []
-
-    def face(Q, q, A, b, G, d, S, *args):
-        result = solve(Q, q, A, b, G, d, S, *args)
-        faces.append((list(S), result[0] is not None))
-        return result
-
-    fresh = DualPolyhedron(poly.eq_mat, poly.eq_rhs, poly.zero_idx, poly.nonneg_idx)
-    with mock.patch.object(oracle_mod, "_solve_face", face), _lstsq_shapes() as shapes:
-        z, _ = fresh.project(p)
+def _project(poly, p, reference=None):
+    """Project p on a fresh copy of poly, each face solved by ``reference``
+    (the production face solve when None; see conftest.face_solves).
+    Returns (z, faces, lstsq_shapes): every face solved as (S, has a KKT
+    point), and the shape of every matrix handed to np.linalg.lstsq during
+    the projection."""
+    with face_solves(reference) as faces, _lstsq_shapes() as shapes:
+        z, _ = dataclasses.replace(poly).project(p)
     return z, faces, shapes
 
 
@@ -99,7 +93,7 @@ def test_closed_form_faces_match_the_kkt_solve(index):
     prog = PROGRAMS[index]
     oracle = solve_qp_exact(prog)
     poly = oracle.dual
-    keep, H, _, _ = poly._reduced
+    keep, H, _, _, _ = poly._reduced
     k, r = keep.size, H.B.shape[0]
     assert np.linalg.norm(H.B @ H.B.T - np.eye(r)) <= 1e-14 * max(1, r)
     for p in points(prog, oracle, index):
@@ -126,7 +120,7 @@ def test_pinned_faces_match_the_kkt_solve():
         rng = np.random.default_rng(seed)
         k = int(rng.integers(3, 7))
         E = rng.normal(size=(int(rng.integers(1, k + 1)), k))
-        poly = DualPolyhedron(E, E @ np.maximum(rng.normal(size=k), 0.0), (), tuple(range(k)))
+        poly = Polyhedron(E, E @ np.maximum(rng.normal(size=k), 0.0), (), tuple(range(k)))
         for _ in range(5):
             p = 2.0 * rng.normal(size=k)
             z, faces, shapes = _project(poly, p)
@@ -144,17 +138,16 @@ def test_square_basis_with_a_pinned_coordinate():
     # point (1, 0, 2): the face pinning coordinate 1 has a KKT point, and
     # the pinned row -e_1 lies in span(B), so it moves nothing
     E = np.array([[2.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
-    poly = DualPolyhedron(E, E @ [1.0, 0.0, 2.0], (), (0, 1, 2))
-    _, H, G, signs = poly._reduced
+    poly = Polyhedron(E, E @ [1.0, 0.0, 2.0], (), (0, 1, 2))
+    _, H, G, d, _ = poly._reduced
     B, beta = H.B, H.beta
     assert B.shape == (3, 3)
-    d = np.zeros(signs.size)
     p = np.array([0.5, 2.0, -1.0])
     q = -p
     tols = _tolerances(q, beta, d)
     S = [1]
     with _lstsq_shapes() as shapes:
-        x, mu, _ = oracle_mod._solve_face(H, q, B, beta, G, d, S, *tols)
+        x, mu, _ = oracle_mod._test_kkt_point(*H.face(q, G, d, S), G, d, S, *tols)
     x_ref, _, _ = reference_solve_face(np.eye(3), q, B, beta, G, d, S, *tols)
     assert shapes == []
     assert x is not None and x_ref is not None
@@ -181,23 +174,14 @@ def _row_polyhedron(seed):
     return E, E @ x0, G, d
 
 
-def _project_rows(E, e, G, d, p, kernel=None):
-    """Project p onto {Ex = e, Gx <= d} by the dual active-set search on
-    _unit_kernel(E, e), with the face solve ``kernel`` (the production one
-    when None). Returns (z or the InfeasibleError raised, faces), faces
-    listing every face solved as (S, has a KKT point)."""
-    solve = kernel or oracle_mod._solve_face
-    faces = []
-
-    def face(Q, q, A, b, G, d, S, *args):
-        result = solve(Q, q, A, b, G, d, S, *args)
-        faces.append((list(S), result[0] is not None))
-        return result
-
-    H = oracle_mod._unit_kernel(E, e)
-    with mock.patch.object(oracle_mod, "_solve_face", face):
+def _project_rows(E, e, G, d, p, reference=None):
+    """Project p onto the Polyhedron {Ex = e, Gx <= d}, each face solved by
+    ``reference`` (the production face solve when None; see
+    conftest.face_solves). Returns (z or the InfeasibleError raised,
+    faces), faces listing every face solved as (S, has a KKT point)."""
+    with face_solves(reference) as faces:
         try:
-            return oracle_mod._dual_active_set_face(H, -p, H.B, H.beta, G, d)[0], faces
+            return Polyhedron(E, e, ineq_mat=G, ineq_rhs=d).project(p)[0], faces
         except InfeasibleError as exc:
             return exc, faces
 
@@ -301,7 +285,7 @@ def test_solvability_check_factors_nothing():
 def test_projection_through_the_dependent_normal_branch():
     # {z1 - 2 z2 = 1, z >= 0}: pinning z1 leaves z2 = -1/2, and pinning both
     # contradicts the row, so z1's row gives way to z2's
-    poly = DualPolyhedron(np.array([[1.0, -2.0]]), np.array([1.0]), (), (0, 1))
+    poly = Polyhedron(np.array([[1.0, -2.0]]), np.array([1.0]), (), (0, 1))
     p = np.array([-1.0, -3.0])
     z, faces, shapes = _project(poly, p)
     assert faces == [([], True), ([0], True), ([0, 1], False), ([1], True)]

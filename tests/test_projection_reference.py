@@ -1,4 +1,4 @@
-"""Cross-check of DualPolyhedron.project against the nearest-of-all-faces
+"""Cross-check of Polyhedron.project against the nearest-of-all-faces
 enumeration it replaced.
 
 The reference below visits every face of the polyhedron (each subset of the
@@ -16,7 +16,7 @@ import pytest
 
 from almlab import GeneratorSpec, generate, run, solve_qp_exact, standard_corpus
 from almlab.errors import InfeasibleError
-from almlab.oracle import DualPolyhedron
+from almlab.oracle import Polyhedron
 from almlab.verify import VERIFY_SIGMA, VERIFY_TOL, _SCHEDULE
 
 
@@ -104,7 +104,7 @@ def test_projection_matches_reference(index):
 def test_projection_is_homogeneous(index, s):
     prog = PROGRAMS[index]
     poly = solve_qp_exact(prog).dual
-    scaled = DualPolyhedron(poly.eq_mat, s * poly.eq_rhs, poly.zero_idx, poly.nonneg_idx)
+    scaled = Polyhedron(poly.eq_mat, s * poly.eq_rhs, poly.zero_idx, poly.nonneg_idx)
     rng = np.random.default_rng(index)
     for p in (np.zeros(poly.m), rng.normal(size=poly.m)):
         z = poly.project(p)[0]

@@ -24,7 +24,7 @@ import numpy as np
 from .auglag import CriterionReport, aux_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
-from .io import _field_error, _get_array, _get_int, _get_number, _get_string, _get_vector, _json_object
+from .io import Fields
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
 
 CONVERGED = "Converged"
@@ -172,101 +172,82 @@ class RunHistory:
     def from_json(cls, source) -> "RunHistory":
         """Rebuild a history from a trace document or a file path.
 
-        Raises :class:`ProblemFormatError` naming the first malformed field,
-        e.g. ``records[3].mu``: every number a trace record holds must be
-        finite, and every record vector must have the length that
-        ``config.x0``, ``p0_lam`` and ``p0_mu`` imply; the config must pass
-        ``check_settings`` and ``PenaltySchedule`` (naming ``config.sigma``
-        or ``config.schedule.c0``, say) and carry its problem_fingerprint.
+        Raises :class:`ProblemFormatError` naming the first malformed or
+        unknown field, e.g. ``records[3].mu``: every number a trace record
+        holds must be finite, and every record vector must have the length
+        that ``config.x0``, ``p0_lam`` and ``p0_mu`` imply; the config must
+        pass ``check_settings``, ``PenaltySchedule`` and ``InnerOptions``
+        (naming ``config.sigma`` or ``config.schedule.c0``, say) and carry
+        its problem_fingerprint.
         """
-        doc = _json_object(source)
-        config = _container(doc, "config", dict, "an object")
-        status = _container(doc, "status", str, "a string")
-        records = _container(doc, "records", list, "a list")
-        settings = (_get_number(config, "sigma", "config"), _get_number(config, "tol", "config"),
-                    _get_int(config, "max_outer", "config"))
-        try:
-            check_settings(*settings)
-        except ValueError as exc:
-            raise _field_error(exc, "config") from None
-        try:
-            PenaltySchedule(**config["schedule"])
-        except ValueError as exc:
-            raise _field_error(exc, "config.schedule") from None
-        except (KeyError, TypeError, OverflowError):  # OverflowError: an integer past 1.8e308
+        doc = Fields.load(source)
+        config = doc.obj("config")
+        config.build(check_settings, config.number("sigma"), config.number("tol"), config.int("max_outer"))
+        schedule = config.obj("schedule")
+        try:  # PenaltySchedule refuses a field it does not know
+            schedule.build(PenaltySchedule, **schedule.doc)
+        except (TypeError, OverflowError):  # OverflowError: an integer past 1.8e308
             fields = ", ".join(PenaltySchedule.__dataclass_fields__)
-            raise ProblemFormatError("config.schedule", f"expected an object with fields {fields}") from None
-        _get_string(config, "problem_fingerprint", "config")
-        n, m1, m2 = (_get_vector(config, key, parent="config").shape[0]
-                     for key in ("x0", "p0_lam", "p0_mu"))
+            raise ProblemFormatError(schedule.name, f"expected an object with fields {fields}") from None
+        config.build(InnerOptions, max_inner=config.int("max_inner"), exact=config.boolean("exact"))
+        config.string("problem_fingerprint")
+        config.string("problem_name", empty=True)
+        n, m1, m2 = (config.vector(key).size for key in ("x0", "p0_lam", "p0_mu"))
+        config.vector("w0", n)
+        config.done()
+        status, failure = doc.string("status"), doc.string("failure", empty=True)
+        records = doc.objs("records")
+        doc.done()
         sizes = {"x": n, "y": n, "lam": m1, "mu": m2, "w": n, "u": m1 + m2, "delta_p": m1 + m2}
         vec = {key: _stacked(records, key, size) for key, size in sizes.items()}
         out = []
-        for i, rec in enumerate(records):  # _stacked has found every record an object
-            parent = f"records[{i}]"
-            c = _get_number(rec, "c", parent)
+        for i, rec in enumerate(records):
+            c = rec.number("c")
             if not c > 0:
-                raise ProblemFormatError(f"{parent}.c", f"must be positive, got {c!r}")
+                raise rec.refuse("c", f"must be positive, got {c!r}")
             out.append(IterationRecord(
-                k=_get_int(rec, "k", parent), c=c,
+                k=rec.int("k"), c=c,
                 x=vec["x"][i], y=vec["y"][i], p=DualPoint(vec["lam"][i], vec["mu"][i]),
                 w=vec["w"][i], u=vec["u"][i], delta_p=vec["delta_p"][i],
-                criterion=_record_part(rec, "criterion", CriterionReport, parent),
-                kkt=_record_part(rec, "kkt", KktResidual, parent),
-                inner_iters=_get_int(rec, "inner_iters", parent),
-                backtracks=_get_int(rec, "backtracks", parent),
-                f_val=_get_number(rec, "f_val", parent),
-                auglag_val=_get_number(rec, "auglag_val", parent),
+                criterion=_record_part(rec, "criterion", CriterionReport),
+                kkt=_record_part(rec, "kkt", KktResidual),
+                inner_iters=rec.int("inner_iters"),
+                backtracks=rec.int("backtracks"),
+                f_val=rec.number("f_val"),
+                auglag_val=rec.number("auglag_val"),
             ))
-        return cls(records=out, status=status, config=config, failure=doc.get("failure", ""))
-
-
-def _container(doc, key, kind, what):
-    """doc[key] when it is a kind."""
-    v = doc.get(key)
-    if isinstance(v, kind):
-        return v
-    raise ProblemFormatError(key, "missing" if key not in doc else f"expected {what}, got {v!r}")
+            rec.done()
+        return cls(records=out, status=status, config=config.doc, failure=failure)
 
 
 def _stacked(records, key, size):
-    """records[i][key] for every i as one finite len(records) x size array.
+    """The field key of every record view as one finite
+    len(records) x size array.
 
     One conversion covers every record; the per-record pass that names the
     offending entry runs only when that conversion fails a check.
     """
     try:
-        a = np.array([rec[key] for rec in records], dtype=float)
+        a = np.array([rec.get(key) for rec in records], dtype=float)
         if a.shape == (len(records), size) and np.isfinite(a).all():
             return a
-    except (KeyError, TypeError, ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # a missing field is a ProblemFormatError, a ValueError
         pass
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise ProblemFormatError(f"records[{i}]", "expected an object")
-        name, v = _get_array(rec, key, "a numeric vector", f"records[{i}]")
-        if v.shape != (size,):
-            raise ProblemFormatError(name, f"expected length {size}, got shape {v.shape}")
+    for rec in records:
+        rec.vector(key, size)
     # only an empty record list gets here: any other failure names a record above
     return np.empty((0, size))
 
 
-def _record_part(rec, key, data_cls, parent):
-    """data_cls built from the object rec[key]: exactly its fields, the bool
-    ones true or false and every other one a finite number."""
-    name = f"{parent}.{key}"
-    part = rec.get(key)
+def _record_part(rec, key, data_cls):
+    """data_cls built from the object field key of the record view rec:
+    exactly its fields, the bool ones true or false and every other one a
+    finite number."""
     fields = data_cls.__dataclass_fields__
-    if not isinstance(part, dict) or part.keys() != fields.keys():
-        raise ProblemFormatError(name, f"expected an object with fields {', '.join(fields)}")
-    values = {}
-    for field, spec in fields.items():
-        if spec.type not in (bool, "bool"):
-            values[field] = _get_number(part, field, name)
-        elif isinstance(part[field], bool):
-            values[field] = part[field]
-        else:
-            raise ProblemFormatError(f"{name}.{field}", f"expected true or false, got {part[field]!r}")
+    part = rec.obj(key, *fields)
+    values = {field: part.boolean(field) if spec.type in (bool, "bool") else part.number(field)
+              for field, spec in fields.items()}
+    part.done()
     return data_cls(**values)
 
 

@@ -1,19 +1,24 @@
-"""Problem file schema (JSON).
+"""Problem file schema (JSON), and :class:`Fields`, the one view through
+which the problem, trace and oracle readers read every JSON object.
 
-Explicit form: fields n, Q, q, optional const, optional l1_weight, optional
-box {lo, hi}, optional A and b, optional ineq list whose entries are
-{"type": "affine", "G": [...], "d": ...} or
+Explicit form: fields n, Q, q, optional name, optional const, optional
+l1_weight, optional box {lo, hi}, optional A and b, optional ineq list
+whose entries are {"type": "affine", "G": [...], "d": ...} or
 {"type": "quadratic", "P": [[...]], "r": [...], "s": ...}.
 Matrices are row-major lists of lists; n, m1, m2 and seed are JSON
 integers, every other number a finite double (box bounds may be +-Infinity).
 
 Generated form: {"generator": {"family": ..., "n": ..., "m1": ..., "m2": ...,
 "seed": ..., "conditioning": [lo, hi]}} in place of explicit matrices.
+
+A field that no reader reads is refused, naming it: a misspelled key is an
+error, not a default.
 """
 from __future__ import annotations
 
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -30,153 +35,191 @@ from .problems import GeneratorSpec, generate
 
 
 def load_problem(path) -> ConvexProgram:
-    return problem_from_dict(_json_object(path))
-
-
-def _json_object(source) -> dict:
-    """The JSON object in the file at path source, or source itself when it
-    is already a document; anything else raises a ProblemFormatError
-    naming '<document>'."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source) as fh:
-            try:
-                source = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ProblemFormatError("<document>", f"invalid JSON: {exc}") from exc
-    if not isinstance(source, dict):
-        raise ProblemFormatError("<document>", "expected a JSON object")
-    return source
+    return problem_from_dict(path)
 
 
 def problem_from_dict(doc) -> ConvexProgram:
-    doc = _json_object(doc)
+    """The program of a problem document, or of the JSON file at path doc."""
+    doc = Fields.load(doc)
     if "generator" in doc:
-        return generate(_generator_spec(doc["generator"]))
-    n = _get_int(doc, "n")
-    Q = _get_matrix(doc, "Q", n, n)
-    q = _get_vector(doc, "q", n)
-    smooth = QuadraticObjective(Q, q, const=_get_number(doc, "const") if "const" in doc else 0.0)
+        spec = _generator_spec(doc.obj("generator", "family"))
+        doc.done()
+        return generate(spec)
+    n = doc.int("n")
+    Q = doc.matrix("Q", n, n)
+    q = doc.vector("q", n)
+    smooth = QuadraticObjective(Q, q, const=doc.number("const") if "const" in doc else 0.0)
 
     nonsmooth = None
     if "l1_weight" in doc or "box" in doc:
-        weight = _get_array(doc, "l1_weight", "numbers")[1] if "l1_weight" in doc else None
+        weight = doc.array("l1_weight") if "l1_weight" in doc else None
         lo = hi = None
         if "box" in doc:
-            box = doc["box"]
-            if not isinstance(box, dict) or "lo" not in box or "hi" not in box:
-                raise ProblemFormatError("box", "expected an object with 'lo' and 'hi'")
-            lo = _get_vector(box, "lo", n, parent="box", allow_inf=True)
-            hi = _get_vector(box, "hi", n, parent="box", allow_inf=True)
-        try:
-            nonsmooth = BoxL1Regularizer(n, l1_weight=weight, lo=lo, hi=hi)
-        except ValueError as exc:
-            raise _field_error(exc) from exc
+            box = doc.obj("box", "lo", "hi")
+            lo, hi = box.vector("lo", n, allow_inf=True), box.vector("hi", n, allow_inf=True)
+            box.done()
+        nonsmooth = doc.build(BoxL1Regularizer, n, l1_weight=weight, lo=lo, hi=hi)
 
     eq = None
     if "A" in doc or "b" in doc:
         if "A" not in doc or "b" not in doc:
-            raise ProblemFormatError("A", "equalities need both 'A' and 'b'")
-        b = _get_vector(doc, "b")
-        A = _get_matrix(doc, "A", b.shape[0], n)
-        eq = AffineMap(A, b)
+            raise doc.refuse("A", "equalities need both 'A' and 'b'")
+        b = doc.vector("b")
+        eq = AffineMap(doc.matrix("A", b.size, n), b)
 
     ineqs = []
-    for i, entry in enumerate(doc.get("ineq", [])):
-        field = f"ineq[{i}]"
-        if not isinstance(entry, dict) or "type" not in entry:
-            raise ProblemFormatError(field, "expected an object with a 'type'")
-        if entry["type"] == "affine":
-            ineqs.append(AffineInequality(
-                _get_vector(entry, "G", n, parent=field),
-                _get_number(entry, "d", parent=field),
-            ))
-        elif entry["type"] == "quadratic":
-            ineqs.append(QuadraticInequality(
-                _get_matrix(entry, "P", n, n, parent=field),
-                _get_vector(entry, "r", n, parent=field),
-                _get_number(entry, "s", parent=field),
-            ))
+    for entry in doc.objs("ineq", "type") if "ineq" in doc else ():
+        if entry.get("type") == "affine":
+            ineqs.append(AffineInequality(entry.vector("G", n), entry.number("d")))
+        elif entry.get("type") == "quadratic":
+            ineqs.append(QuadraticInequality(entry.matrix("P", n, n), entry.vector("r", n), entry.number("s")))
         else:
-            raise ProblemFormatError(f"{field}.type", f"unknown type '{entry['type']}'")
+            raise entry.refuse("type", f"unknown type '{entry.get('type')}'")
+        entry.done()
 
-    return ConvexProgram(smooth=smooth, eq=eq, ineqs=tuple(ineqs), nonsmooth=nonsmooth, name=str(doc.get("name", "")))
+    name = doc.string("name", empty=True) if "name" in doc else ""
+    doc.done()
+    return ConvexProgram(smooth=smooth, eq=eq, ineqs=tuple(ineqs), nonsmooth=nonsmooth, name=name)
 
 
-def _generator_spec(d) -> GeneratorSpec:
-    if not isinstance(d, dict) or "family" not in d:
-        raise ProblemFormatError("generator", "expected an object with a 'family'")
-    conditioning = (tuple(_get_vector(d, "conditioning", 2, parent="generator"))
-                    if "conditioning" in d else (1.0, 10.0))
-    ints = {k: _get_int(d, k, parent="generator") for k in ("n", "m1", "m2", "seed") if k in d}
+def _generator_spec(gen: Fields) -> GeneratorSpec:
+    family = gen.string("family")
+    conditioning = tuple(gen.vector("conditioning", 2)) if "conditioning" in gen else (1.0, 10.0)
+    ints = {k: gen.int(k) for k in ("n", "m1", "m2", "seed") if k in gen}
+    gen.done()
     try:
-        return GeneratorSpec(family=d["family"], conditioning=conditioning, **ints)
-    except (ValueError, TypeError) as exc:
-        raise ProblemFormatError("generator", str(exc)) from exc
+        return GeneratorSpec(family=family, conditioning=conditioning, **ints)
+    except ValueError as exc:
+        raise ProblemFormatError(gen.name, str(exc)) from exc
 
 
-def _get_int(doc, field, parent=None):
-    v = doc.get(field)
-    # JSON true/false load as bool, a subclass of int; 1.0 and "1" are not integers
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
-        return int(v)
-    name = f"{parent}.{field}" if parent else field
-    raise ProblemFormatError(name, "missing" if field not in doc else f"expected an integer, got {v!r}")
+class Fields:
+    """A view of one JSON object doc, named name in its document (None for
+    the document itself).
 
+    Each read method returns one field, checked, or raises a
+    :class:`ProblemFormatError` naming it as ``<name>.<field>``; the object
+    itself is refused, naming name, when it is not an object or lacks a
+    field of required. Every field a read asks for is recorded, so
+    :meth:`done` can refuse the first field, in document order, that no
+    read asked for: a field is known when a reader reads it.
+    """
 
-def _get_array(doc, field, kind, parent=None, allow_inf=False):
-    """(name, doc[field] as a float array); NaN is never accepted, and
-    infinities only with allow_inf."""
-    name = f"{parent}.{field}" if parent else field
-    if field not in doc:
-        raise ProblemFormatError(name, "missing")
-    try:
-        a = np.asarray(doc[field], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past 1.8e308
-        raise ProblemFormatError(name, f"expected {kind}") from exc
-    if (np.isnan(a) if allow_inf else ~np.isfinite(a)).any():
-        raise ProblemFormatError(name, "must not be NaN" if allow_inf else "must be finite")
-    return name, a
+    def __init__(self, doc, name=None, required=()):
+        if not isinstance(doc, dict) or required and not all(map(doc.__contains__, required)):
+            fields = f" with fields {', '.join(required)}" if required else ""
+            raise ProblemFormatError(name or "<document>", f"expected an object{fields}")
+        self.doc, self.name, self._read = doc, name, set()
 
+    @classmethod
+    def load(cls, source):
+        """A view of source, a document or the path of a JSON file holding one."""
+        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+            with open(source) as fh:
+                try:
+                    source = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ProblemFormatError("<document>", f"invalid JSON: {exc}") from exc
+        return cls(source)
 
-def _get_string(doc, field, parent=None):
-    """doc[field] when it is a nonempty string."""
-    v = doc.get(field)
-    if isinstance(v, str) and v:
+    def __contains__(self, field):
+        return field in self.doc
+
+    def _name(self, field):
+        return field if self.name is None else f"{self.name}.{field}"
+
+    def refuse(self, field, rule) -> ProblemFormatError:
+        """The error that refuses field of this object by rule."""
+        return ProblemFormatError(self._name(field), rule)
+
+    def done(self):
+        """Refuse the first field, in document order, that no read asked for."""
+        if len(self._read) < len(self.doc):  # every field read is in doc
+            raise self.refuse(next(field for field in self.doc if field not in self._read), "unknown field")
+
+    def get(self, field):
+        """doc[field] as it is."""
+        try:
+            v = self.doc[field]
+        except KeyError:
+            raise self.refuse(field, "missing") from None
+        self._read.add(field)
         return v
-    name = f"{parent}.{field}" if parent else field
-    raise ProblemFormatError(name, "missing" if field not in doc else f"expected a nonempty string, got {v!r}")
 
+    def _typed(self, field, ok, expected):
+        """doc[field] when ok holds for it."""
+        v = self.get(field)
+        if ok(v):
+            return v
+        raise self.refuse(field, f"expected {expected}, got {v!r}")
 
-def _field_error(exc, parent=None):
-    """A ProblemFormatError from exc, whose message leads with the name of
-    the offending field, naming that field under parent."""
-    field, _, rule = str(exc).partition(" ")
-    return ProblemFormatError(f"{parent}.{field}" if parent else field, rule)
+    def build(self, make, *args, **kwargs):
+        """make(*args, **kwargs); a ValueError whose message leads with a
+        field's name is refused as that field of this object."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            field, _, rule = str(exc).partition(" ")
+            raise self.refuse(field, rule) from exc
 
+    def obj(self, field, *required) -> "Fields":
+        """A view of the object field, refused whole without a field of required."""
+        return type(self)(self.get(field), self._name(field), required)
 
-def _get_number(doc, field, parent=None):
-    v = doc.get(field)
-    if type(v) is float and math.isfinite(v):  # what JSON floats load as; skips the array round trip
+    def objs(self, field, *required) -> list:
+        """A view of each entry of the list field, named ``<field>[i]``."""
+        name = self._name(field)
+        entries = self._typed(field, lambda v: isinstance(v, list), "a list")
+        return [type(self)(entry, f"{name}[{i}]", required) for i, entry in enumerate(entries)]
+
+    def int(self, field) -> int:
+        # JSON true/false load as bool, a subclass of int; 1.0 and "1" are not integers
+        return operator.index(self._typed(field, lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+                                          "an integer"))
+
+    def boolean(self, field) -> bool:
+        return self._typed(field, lambda v: isinstance(v, bool), "true or false")
+
+    def string(self, field, empty=False) -> str:
+        """A string, nonempty unless empty is true."""
+        return self._typed(field, lambda v: isinstance(v, str) and (v or empty),
+                           "a string" if empty else "a nonempty string")
+
+    def array(self, field, kind="numbers", allow_inf=False) -> np.ndarray:
+        """The field as a float array of any shape; NaN is never accepted,
+        and infinities only with allow_inf."""
+        v = self.get(field)
+        # NumPy reads true and false as 1 and 0
+        if isinstance(v, bool) or (isinstance(v, list) and v and all(isinstance(e, bool) for e in v)):
+            raise self.refuse(field, f"expected {kind}, not true or false")
+        try:
+            a = np.asarray(v, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past 1.8e308
+            raise self.refuse(field, f"expected {kind}") from exc
+        if (np.isnan(a) if allow_inf else ~np.isfinite(a)).any():
+            raise self.refuse(field, "must not be NaN" if allow_inf else "must be finite")
+        return a
+
+    def number(self, field) -> float:
+        v = self.get(field)
+        if type(v) is float and math.isfinite(v):  # what JSON floats load as; skips the array round trip
+            return v
+        a = self.array(field, "a number")
+        if a.ndim != 0:
+            raise self.refuse(field, "expected a number")
+        return float(a)
+
+    def vector(self, field, n=None, allow_inf=False) -> np.ndarray:
+        """A vector of length n, or of any length when n is None."""
+        v = self.array(field, "a numeric vector", allow_inf)
+        if v.ndim != 1 or n not in (None, v.size):
+            raise self.refuse(field, f"expected a vector{'' if n is None else f' of length {n}'}, got shape {v.shape}")
         return v
-    name, a = _get_array(doc, field, "a number", parent)
-    if a.ndim != 0:
-        raise ProblemFormatError(name, "expected a number")
-    return float(a)
 
-
-def _get_vector(doc, field, n=None, parent=None, allow_inf=False):
-    """A vector of length n, or of any length when n is None."""
-    name, v = _get_array(doc, field, "a numeric vector", parent, allow_inf)
-    v = v.ravel()
-    if n is not None and v.shape[0] != n:
-        raise ProblemFormatError(name, f"expected length {n}, got {v.shape[0]}")
-    return v
-
-
-def _get_matrix(doc, field, rows, cols, parent=None):
-    """A rows x cols matrix, or rows x anything when cols is None."""
-    name, M = _get_array(doc, field, "a numeric matrix", parent)
-    if M.ndim != 2 or M.shape[0] != rows or cols not in (None, M.shape[1]):
-        expected = f"{rows}x{'k' if cols is None else cols}"
-        raise ProblemFormatError(name, f"expected shape {expected}, got {'x'.join(map(str, M.shape))}")
-    return M
+    def matrix(self, field, rows, cols) -> np.ndarray:
+        """A rows x cols matrix, or rows x anything when cols is None."""
+        M = self.array(field, "a numeric matrix")
+        if M.ndim != 2 or M.shape[0] != rows or cols not in (None, M.shape[1]):
+            expected = f"{rows}x{'k' if cols is None else cols}"
+            raise self.refuse(field, f"expected shape {expected}, got {'x'.join(map(str, M.shape))}")
+        return M

@@ -57,7 +57,7 @@ from .errors import (
     ProblemFormatError,
     UnboundedError,
 )
-from .io import _get_matrix, _get_string, _get_vector, _json_object
+from .io import Fields
 from .problem import ConvexProgram, as_vector
 
 # face solves per row of G (plus one) before the dual active-set search gives up
@@ -534,44 +534,52 @@ class Polyhedron:
         }
 
     @classmethod
-    def from_dict(cls, d, name, m=None):
-        """Read as_dict's form, with m columns (any number when None);
-        raises :class:`ProblemFormatError` naming the first malformed field
-        (as ``<name>.<field>``). A file written before the general rows has
-        no ineq_mat and ineq_rhs, and reads as having none."""
-        if not isinstance(d, dict):
-            raise ProblemFormatError(name, "expected an object")
-        d = {"ineq_mat": [], "ineq_rhs": [], **d}
-        rhs = _get_vector(d, "eq_rhs", parent=name)
-        mat = _get_matrix(d, "eq_mat", rhs.size, m, parent=name)
-        zero, nonneg = (_get_indices(d, f, mat.shape[1], name) for f in ("zero_idx", "nonneg_idx"))
+    def from_dict(cls, d: Fields, m=None):
+        """Read as_dict's form from the view d, with m columns (any number
+        when None); raises :class:`ProblemFormatError` naming the first
+        malformed or unknown field. A file written before the general rows
+        has no ineq_mat and ineq_rhs, and reads as having none."""
+        rhs = d.vector("eq_rhs")
+        mat = d.matrix("eq_mat", rhs.size, m)
+        zero, nonneg = (_get_indices(d, f, mat.shape[1]) for f in ("zero_idx", "nonneg_idx"))
         both = set(zero) & set(nonneg)
         if both:
-            raise ProblemFormatError(f"{name}.nonneg_idx", f"repeats zero_idx entries {sorted(both)}")
-        ineq_rhs = _get_vector(d, "ineq_rhs", parent=name)
+            raise d.refuse("nonneg_idx", f"repeats zero_idx entries {sorted(both)}")
+        ineq_rhs = d.vector("ineq_rhs") if "ineq_rhs" in d else np.zeros(0)
         # JSON keeps no column count for a 0-row matrix: [] has none to check
-        ineq_mat = (_get_matrix(d, "ineq_mat", ineq_rhs.size, mat.shape[1], parent=name) if ineq_rhs.size
-                    else _get_vector(d, "ineq_mat", 0, parent=name))
+        ineq_mat = (d.matrix("ineq_mat", ineq_rhs.size, mat.shape[1]) if ineq_rhs.size
+                    else d.vector("ineq_mat", 0) if "ineq_mat" in d else ())
+        d.done()
         return cls(mat, rhs, zero, nonneg, ineq_mat, ineq_rhs)
 
 
-def _get_indices(d, field, m, parent):
-    """d[field] as a tuple of distinct integers in [0, m)."""
-    name = f"{parent}.{field}"
-    if field not in d:
-        raise ProblemFormatError(name, "missing")
-    raw = d[field]
+def _get_indices(d: Fields, field, m):
+    """The field of the view d as a tuple of distinct integers in [0, m)."""
+    raw = d.get(field)
     if not isinstance(raw, list) or any(isinstance(i, bool) for i in raw):
-        raise ProblemFormatError(name, "expected a list of integers")
+        raise d.refuse(field, "expected a list of integers")
     try:
         idx = tuple(operator.index(i) for i in raw)
     except TypeError as exc:
-        raise ProblemFormatError(name, "expected a list of integers") from exc
+        raise d.refuse(field, "expected a list of integers") from exc
     if any(not 0 <= i < m for i in idx):
-        raise ProblemFormatError(name, f"indices must lie in [0, {m}), got {list(idx)}")
+        raise d.refuse(field, f"indices must lie in [0, {m}), got {list(idx)}")
     if len(set(idx)) != len(idx):
-        raise ProblemFormatError(name, f"repeated index in {list(idx)}")
+        raise d.refuse(field, f"repeated index in {list(idx)}")
     return idx
+
+
+class _OracleFields(Fields):
+    """A view of an oracle file's object whose arrays must also have finite
+    squared norms: the projections and distances that rates computes square
+    them."""
+
+    def array(self, field, kind="numbers", allow_inf=False):
+        a = super().array(field, kind, allow_inf)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.vdot(a, a)):
+                raise self.refuse(field, "must have a finite squared norm")
+        return a
 
 
 @dataclass
@@ -608,19 +616,24 @@ class SolutionSetOracle:
     @classmethod
     def from_json(cls, source) -> "SolutionSetOracle":
         """Read to_json's document, from a path or as a dict; every field is
-        checked, and a malformed one raises :class:`ProblemFormatError`."""
-        doc = _json_object(source)
-        point = _get_vector(doc, "primal_point")
-        if "primal_basis" in doc and _get_matrix(doc, "primal_basis", point.size, None).shape[1]:
-            raise ProblemFormatError("primal_basis", "X* as x* + span(primal_basis) is no longer read")
+        checked, and a malformed or unknown one raises
+        :class:`ProblemFormatError`, as does an array whose squared norm
+        overflows."""
+        doc = _OracleFields.load(source)
+        point = doc.vector("primal_point")
+        if "primal_basis" in doc and doc.matrix("primal_basis", point.size, None).shape[1]:
+            raise doc.refuse("primal_basis", "X* as x* + span(primal_basis) is no longer read")
         # a file of the affine layout has no primal, and X* = {primal_point}
-        primal = doc.get("primal", None if "primal_basis" in doc else ())
-        if primal is not None:
-            primal = Polyhedron.from_dict(primal, "primal", point.size)
-        dual = Polyhedron.from_dict(doc.get("dual"), "dual")
+        primal = None
+        if ("primal" in doc or "primal_basis" not in doc) and doc.get("primal") is not None:
+            primal = Polyhedron.from_dict(doc.obj("primal"), point.size)
+        dual_fields = doc.obj("dual")
+        dual = Polyhedron.from_dict(dual_fields)
         if dual.eq_rhs.size != point.size:
-            raise ProblemFormatError("dual.eq_rhs", f"expected length {point.size}, got {dual.eq_rhs.size}")
-        return cls(point, primal, dual, _get_string(doc, "fingerprint"))
+            raise dual_fields.refuse("eq_rhs", f"expected length {point.size}, got {dual.eq_rhs.size}")
+        fingerprint = doc.string("fingerprint")
+        doc.done()
+        return cls(point, primal, dual, fingerprint)
 
 
 def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
@@ -634,7 +647,8 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     equality rows scaled to unit norm (a zero row stays zero) so that no
     row's size swamps the others in the SVD of their row basis. Raises
     :class:`ProblemFormatError` naming a Q, q, A, b, G or d that is not
-    finite or whose norm overflows, or a Q that is not symmetric
+    finite, whose norm overflows, or whose squared norm overflows when added
+    to those of the arrays before it in that order, or a Q that is not symmetric
     (max |Q - Q'| > 1e-10 max(1, max |Q|)) or not PSD (least eigenvalue
     below -2e-10 max(1, largest)); :class:`InfeasibleError`
     when the feasible set is empty or no face passes its tests;
@@ -648,11 +662,17 @@ def solve_qp_exact(prog: ConvexProgram) -> SolutionSetOracle:
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
     G, d = prog.ineq_matrix(), prog.ineq_rhs()
-    # a norm that overflows would make the proximal step 1e5 / (||Q||_2 + ||q||) zero
+    # a norm that overflows would make the proximal step 1e5 / (||Q||_2 + ||q||)
+    # zero, and squared norms that overflow in sum would make a face solve's
+    # scale sqrt(q'q + r'r) infinite
+    total = 0.0
     with np.errstate(over="ignore"):
         for name, arr in (("Q", Q), ("q", q), ("A", A), ("b", b), ("G", G), ("d", d)):
-            if not math.isfinite(np.linalg.norm(arr)):
-                raise ProblemFormatError(name, "must be finite, with a finite norm")
+            square = float(np.vdot(arr, arr))
+            total += square
+            if not math.isfinite(total):
+                raise ProblemFormatError(name, "must be finite, with a finite norm" if not math.isfinite(square)
+                                         else "its squared norm overflows when added to those before it")
     prog.check_convex()
     ev = prog.q_spectrum
     norm = float(max(-ev[0], ev[-1]))  # ||Q||_2

@@ -32,7 +32,7 @@ from .errors import (
     OracleMismatchError,
     ProblemFormatError,
 )
-from .io import load_problem
+from .io import load_problem, write_json
 from .oracle import SolutionSetOracle, estimate_kappa, solve_qp_exact
 from .problems import GeneratorSpec, generate
 from .rates import check_oracle_match, rate_report, superlinearity_probe
@@ -200,8 +200,7 @@ def _write_summary(path, hist: RunHistory):
             "lam": final.p.lam.tolist(),
             "mu": final.p.mu.tolist(),
         }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(doc, indent=1))
+    write_json(path, doc)
 
 
 def cmd_rates(args) -> int:

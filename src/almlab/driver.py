@@ -14,17 +14,16 @@ max(||(y, u)||, ||h||, ||max(0, g)||) falls below the tolerance.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .auglag import CriterionReport, aux_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
-from .io import Fields
+from .io import Fields, no_bool, write_csv, write_json
 from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
 
 CONVERGED = "Converged"
@@ -123,18 +122,12 @@ class RunHistory:
         return sum(r.inner_iters for r in self.records)
 
     def to_csv(self, path):
-        """One row per iteration, fixed column order, 17 significant digits."""
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_COLUMNS)
-            for r in self.records:
-                writer.writerow([
-                    r.k, _fmt(r.c), _fmt(r.f_val), _fmt(r.auglag_val),
-                    _fmt(r.criterion.lhs), _fmt(r.criterion.rhs_raw),
-                    _fmt(float(np.linalg.norm(r.y))), _fmt(float(np.linalg.norm(r.u))),
-                    _fmt(r.kkt.eq_feas), _fmt(r.kkt.ineq_feas), _fmt(r.kkt.comp),
-                    r.inner_iters,
-                ])
+        """One row per iteration, fixed column order, written by :func:`write_csv`."""
+        write_csv(path, CSV_COLUMNS, ([
+            r.k, r.c, r.f_val, r.auglag_val, r.criterion.lhs, r.criterion.rhs_raw,
+            np.linalg.norm(r.y), np.linalg.norm(r.u), r.kkt.eq_feas, r.kkt.ineq_feas, r.kkt.comp,
+            r.inner_iters,
+        ] for r in self.records))
 
     def to_json(self, path=None):
         """Full-vector trace; returns the document when path is None."""
@@ -164,8 +157,7 @@ class RunHistory:
             ],
         }
         if path is not None:
-            with open(path, "w") as fh:
-                fh.write(json.dumps(doc, indent=1))
+            write_json(path, doc)
         return doc
 
     @classmethod
@@ -222,14 +214,15 @@ class RunHistory:
 
 def _stacked(records, key, size):
     """The field key of every record view as one finite
-    len(records) x size array.
+    len(records) x size array, with no true or false in it.
 
     One conversion covers every record; the per-record pass that names the
     offending entry runs only when that conversion fails a check.
     """
     try:
-        a = np.array([rec.get(key) for rec in records], dtype=float)
-        if a.shape == (len(records), size) and np.isfinite(a).all():
+        rows = [rec.get(key) for rec in records]
+        a = np.array(rows, dtype=float)
+        if a.shape == (len(records), size) and np.isfinite(a).all() and no_bool(chain.from_iterable(rows)):
             return a
     except (TypeError, ValueError, OverflowError):  # a missing field is a ProblemFormatError, a ValueError
         pass
@@ -249,10 +242,6 @@ def _record_part(rec, key, data_cls):
               for field, spec in fields.items()}
     part.done()
     return data_cls(**values)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
 
 
 def next_penalty(schedule: PenaltySchedule, k: int, history: RunHistory) -> float:

@@ -1,5 +1,7 @@
-"""Problem file schema (JSON), and :class:`Fields`, the one view through
-which the problem, trace and oracle readers read every JSON object.
+"""Problem file schema (JSON); :class:`Fields`, the one view through which
+the problem, trace and oracle readers read every JSON object; and
+:func:`write_json` and :func:`write_csv`, the one writer of every output
+file.
 
 Explicit form: fields n, Q, q, optional name, optional const, optional
 l1_weight, optional box {lo, hi}, optional A and b, optional ineq list
@@ -12,13 +14,15 @@ Generated form: {"generator": {"family": ..., "n": ..., "m1": ..., "m2": ...,
 "seed": ..., "conditioning": [lo, hi]}} in place of explicit matrices.
 
 A field that no reader reads is refused, naming it: a misspelled key is an
-error, not a default.
+error, not a default. A JSON true or false is never read as a number.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 import operator
+from itertools import chain
 
 import numpy as np
 
@@ -80,6 +84,44 @@ def problem_from_dict(doc) -> ConvexProgram:
     name = doc.string("name", empty=True) if "name" in doc else ""
     doc.done()
     return ConvexProgram(smooth=smooth, eq=eq, ineqs=tuple(ineqs), nonsmooth=nonsmooth, name=name)
+
+
+def write_json(path, doc):
+    """Write doc to path as JSON with indent 1, a NumPy scalar as the plain
+    number or bool it holds. The text is built before the file is opened,
+    so a doc that cannot be written raises TypeError and leaves the file
+    as it was."""
+    text = json.dumps(doc, indent=1, default=_json_default)
+    with open(path, "w") as fh:
+        fh.write(text)
+
+
+def _json_default(v):
+    if isinstance(v, (np.integer, np.floating, np.bool_)):
+        return v.item()
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def write_csv(path, columns, rows):
+    """Write the header columns, then each of rows, as CSV with \\n line
+    ends: a float with 17 significant digits, any other value as str gives
+    it."""
+    with open(path, "w", newline="\n") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([format(v, ".17g") if isinstance(v, (float, np.floating)) else v for v in row]
+                         for row in rows)
+
+
+def no_bool(values) -> bool:
+    """Whether no entry of values is true or false: JSON loads them as bool,
+    a subclass of int that NumPy and operator.index read as 1 and 0."""
+    return bool not in map(type, values)
+
+
+def _is_int(v) -> bool:
+    # 1.0 and "1" are not integers
+    return isinstance(v, (int, np.integer)) and no_bool((v,))
 
 
 def _generator_spec(gen: Fields) -> GeneratorSpec:
@@ -173,9 +215,17 @@ class Fields:
         return [type(self)(entry, f"{name}[{i}]", required) for i, entry in enumerate(entries)]
 
     def int(self, field) -> int:
-        # JSON true/false load as bool, a subclass of int; 1.0 and "1" are not integers
-        return operator.index(self._typed(field, lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
-                                          "an integer"))
+        return operator.index(self._typed(field, _is_int, "an integer"))
+
+    def indices(self, field, m) -> tuple:
+        """A tuple of distinct integers in [0, m)."""
+        raw = self._typed(field, lambda v: isinstance(v, list) and all(map(_is_int, v)), "a list of integers")
+        idx = tuple(map(operator.index, raw))
+        if any(not 0 <= i < m for i in idx):
+            raise self.refuse(field, f"indices must lie in [0, {m}), got {list(idx)}")
+        if len(set(idx)) != len(idx):
+            raise self.refuse(field, f"repeated index in {list(idx)}")
+        return idx
 
     def boolean(self, field) -> bool:
         return self._typed(field, lambda v: isinstance(v, bool), "true or false")
@@ -186,16 +236,18 @@ class Fields:
                            "a string" if empty else "a nonempty string")
 
     def array(self, field, kind="numbers", allow_inf=False) -> np.ndarray:
-        """The field as a float array of any shape; NaN is never accepted,
-        and infinities only with allow_inf."""
+        """The field as a float array of any shape; true and false and NaN
+        are never accepted, and infinities only with allow_inf."""
         v = self.get(field)
-        # NumPy reads true and false as 1 and 0
-        if isinstance(v, bool) or (isinstance(v, list) and v and all(isinstance(e, bool) for e in v)):
-            raise self.refuse(field, f"expected {kind}, not true or false")
         try:
             a = np.asarray(v, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer past 1.8e308
             raise self.refuse(field, f"expected {kind}") from exc
+        entries = [v]
+        for _ in range(a.ndim):
+            entries = chain.from_iterable(entries)
+        if not no_bool(entries):
+            raise self.refuse(field, f"expected {kind}, not true or false")
         if (np.isnan(a) if allow_inf else ~np.isfinite(a)).any():
             raise self.refuse(field, "must not be NaN" if allow_inf else "must be finite")
         return a

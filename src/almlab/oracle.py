@@ -41,15 +41,12 @@ result.
 """
 from __future__ import annotations
 
-import json
 import math
-import operator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .driver import RunHistory
 from .errors import (
     EnumerationLimitError,
     InfeasibleError,
@@ -57,7 +54,7 @@ from .errors import (
     ProblemFormatError,
     UnboundedError,
 )
-from .io import Fields
+from .io import Fields, write_json
 from .problem import ConvexProgram, as_vector
 
 # face solves per row of G (plus one) before the dual active-set search gives up
@@ -541,7 +538,7 @@ class Polyhedron:
         has no ineq_mat and ineq_rhs, and reads as having none."""
         rhs = d.vector("eq_rhs")
         mat = d.matrix("eq_mat", rhs.size, m)
-        zero, nonneg = (_get_indices(d, f, mat.shape[1]) for f in ("zero_idx", "nonneg_idx"))
+        zero, nonneg = (d.indices(f, mat.shape[1]) for f in ("zero_idx", "nonneg_idx"))
         both = set(zero) & set(nonneg)
         if both:
             raise d.refuse("nonneg_idx", f"repeats zero_idx entries {sorted(both)}")
@@ -551,22 +548,6 @@ class Polyhedron:
                     else d.vector("ineq_mat", 0) if "ineq_mat" in d else ())
         d.done()
         return cls(mat, rhs, zero, nonneg, ineq_mat, ineq_rhs)
-
-
-def _get_indices(d: Fields, field, m):
-    """The field of the view d as a tuple of distinct integers in [0, m)."""
-    raw = d.get(field)
-    if not isinstance(raw, list) or any(isinstance(i, bool) for i in raw):
-        raise d.refuse(field, "expected a list of integers")
-    try:
-        idx = tuple(operator.index(i) for i in raw)
-    except TypeError as exc:
-        raise d.refuse(field, "expected a list of integers") from exc
-    if any(not 0 <= i < m for i in idx):
-        raise d.refuse(field, f"indices must lie in [0, {m}), got {list(idx)}")
-    if len(set(idx)) != len(idx):
-        raise d.refuse(field, f"repeated index in {list(idx)}")
-    return idx
 
 
 class _OracleFields(Fields):
@@ -609,8 +590,7 @@ class SolutionSetOracle:
             "fingerprint": self.fingerprint,
         }
         if path is not None:
-            with open(path, "w") as fh:
-                fh.write(json.dumps(doc, indent=1))
+            write_json(path, doc)
         return doc
 
     @classmethod
@@ -740,7 +720,7 @@ class ErrorBoundEstimate:
     kappa_hat: float
 
 
-def estimate_kappa(history: RunHistory, oracle: SolutionSetOracle) -> ErrorBoundEstimate:
+def estimate_kappa(history, oracle: SolutionSetOracle) -> ErrorBoundEstimate:
     """Estimate kappa from the last ceil(N/4) of a run's N iterations.
 
     Iterations with ||(y, u)|| < 1e-13 are skipped (roundoff dominates);

@@ -16,15 +16,13 @@ doubled modulus provides the safety-margin check.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import RunHistory, _fmt
 from .errors import InsufficientIterationsError, OracleMismatchError
+from .io import write_csv, write_json
 from .oracle import ErrorBoundEstimate, SolutionSetOracle, project_dual, project_primal
 
 _DIST_FLOOR = 1e-13
@@ -76,34 +74,20 @@ class RateReport:
     probe: dict = None
 
     def to_csv(self, path):
-        with open(path, "w", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["k", "c", "dist_p", "dist_x", "rho_hat", "rho_theory", "primal_bound", "threshold_ok"])
-            for r in self.rows:
-                writer.writerow([
-                    r.k, _fmt(r.c), _fmt(r.dist_p), _fmt(r.dist_x), _fmt(r.rho_hat),
-                    _fmt(r.rho_theory), _fmt(r.primal_bound), int(r.threshold_ok),
-                ])
+        write_csv(path, ["k", "c", "dist_p", "dist_x", "rho_hat", "rho_theory", "primal_bound", "threshold_ok"],
+                  ([r.k, r.c, r.dist_p, r.dist_x, r.rho_hat, r.rho_theory, r.primal_bound, int(r.threshold_ok)]
+                   for r in self.rows))
 
     def to_json(self, path=None):
         doc = {"summary": self.summary.as_dict(), "rows": [vars(r) for r in self.rows]}
         if self.probe is not None:
             doc["probe"] = self.probe
         if path is not None:
-            with open(path, "w") as fh:
-                fh.write(json.dumps(doc, indent=1, default=_json_default))
+            write_json(path, doc)
         return doc
 
 
-def _json_default(v):
-    if isinstance(v, (np.floating, np.integer)):
-        return v.item()
-    if isinstance(v, np.bool_):
-        return bool(v)
-    raise TypeError(type(v))
-
-
-def _dual_distances(history: RunHistory, oracle: SolutionSetOracle):
+def _dual_distances(history, oracle: SolutionSetOracle):
     """dist(p_k, P*) for k = 0..N, with p_0 read from the config echo."""
     p0 = np.concatenate([
         np.asarray(history.config.get("p0_lam", []), dtype=float),
@@ -115,14 +99,14 @@ def _dual_distances(history: RunHistory, oracle: SolutionSetOracle):
     return dists
 
 
-def check_oracle_match(history: RunHistory, oracle: SolutionSetOracle):
+def check_oracle_match(history, oracle: SolutionSetOracle):
     """Raise OracleMismatchError when trace and oracle fingerprints differ;
     both readers refuse a document without its fingerprint."""
     if history.config["problem_fingerprint"] != oracle.fingerprint:
         raise OracleMismatchError("run trace and oracle solution come from different problems")
 
 
-def rate_report(history: RunHistory, oracle: SolutionSetOracle, kappa: ErrorBoundEstimate, sigma: float) -> RateReport:
+def rate_report(history, oracle: SolutionSetOracle, kappa: ErrorBoundEstimate, sigma: float) -> RateReport:
     """Per-iteration contraction ratios and bound checks for one run.
 
     The tail window ("sufficiently large k") is the final quartile of
@@ -194,7 +178,7 @@ class ProbeResult:
         return self.ok
 
 
-def superlinearity_probe(history: RunHistory, oracle: SolutionSetOracle) -> ProbeResult:
+def superlinearity_probe(history, oracle: SolutionSetOracle) -> ProbeResult:
     """True when the contraction ratios keep shrinking under a growing penalty.
 
     Applies only to unbounded geometric schedules; the valid ratio sequence

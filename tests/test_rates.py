@@ -20,7 +20,7 @@ from almlab import (
     superlinearity_probe,
     theoretical_rho,
 )
-from almlab import rates as rates_mod
+from almlab import io as io_mod
 from almlab.errors import InsufficientIterationsError, NoValidSamplesError, OracleMismatchError
 from almlab.rates import check_oracle_match
 from almlab.rng import Lcg
@@ -163,14 +163,14 @@ class TestRateReport:
         rep = rate_report(hist, orc, estimate_kappa(hist, orc), sigma=0.5)
         assert all(type(r.threshold_ok) is np.bool_ for r in rep.rows)
         calls = []
-        real = rates_mod._json_default
-        monkeypatch.setattr(rates_mod, "_json_default", lambda v: calls.append(type(v)) or real(v))
+        real = io_mod._json_default
+        monkeypatch.setattr(io_mod, "_json_default", lambda v: calls.append(type(v)) or real(v))
         rep.to_json(tmp_path / "r.json")
         assert calls and set(calls) <= {np.bool_, np.float64}
         rows = json.loads((tmp_path / "r.json").read_text())["rows"]
         assert [r["threshold_ok"] for r in rows] == [bool(r.threshold_ok) for r in rep.rows]
         with pytest.raises(TypeError):
-            rates_mod._json_default(object())
+            io_mod._json_default(object())
 
 
 class TestSuperlinearityProbe:

@@ -424,3 +424,61 @@ def test_trace_reader_accepts_or_names_the_field(action, doc):
     for rec in hist.records:
         assert rec.x.shape == rec.w.shape == (n,) and rec.delta_p.shape == rec.u.shape == (m,)
         assert rec.c > 0 and np.isfinite(rec.x).all()
+
+
+def _set(path, value):
+    """An edit that sets the entry at path, a tuple of keys and indices, to value."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("field, doc", [
+    ("Q", {"n": 1, "Q": [[True]], "q": [0.0]}),
+    ("q", {"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, True]}),
+], ids=["Q-entry", "q-entry"])
+def test_problem_refuses_a_boolean_inside_a_number(tmp_path, action, field, doc):
+    # NumPy reads true and false as 1 and 0, wherever they stand
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    _assert_refused(["solve", "--problem", str(path), "--out", str(out)], out, field, action,
+                    f"expected a numeric {'matrix' if field == 'Q' else 'vector'}, not true or false")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("field, edit", [
+    ("config.x0", _set(("config", "x0", 0), True)),
+    ("records[0].lam", _set(("records", 0, "lam", 0), False)),
+    ("records[2].x", _set(("records", 2, "x", 0), True)),
+], ids=["x0", "record-lam", "record-x"])
+def test_trace_refuses_a_boolean_inside_a_number(tmp_path, action, field, edit):
+    # vectors of two or more entries: a list of booleans alone was refused before
+    problem = ["--generator", "sc_qp", "--n", "6", "--seed", "3"]
+    hist = run(generate(GeneratorSpec("sc_qp", n=6, seed=3)), PenaltySchedule.fixed(10.0), 0.5)
+    path = tmp_path / "bad.trace.json"
+    path.write_text(json.dumps(_edited(json.loads(json.dumps(hist.to_json())), edit)))
+    _assert_refused(["rates", "--trace", str(path), *problem, "--out", str(tmp_path)],
+                    tmp_path, field, action, "expected a numeric vector, not true or false")
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("field, edit, rule", [
+    ("dual.eq_mat", _set(("dual", "eq_mat", 0, 0), True), "expected a numeric matrix, not true or false"),
+    ("dual.zero_idx", _set(("dual", "zero_idx"), [True]), "expected a list of integers, got [True]"),
+    ("dual.nonneg_idx", _set(("dual", "nonneg_idx"), [0.0]), "expected a list of integers, got [0.0]"),
+    ("dual.nonneg_idx", _set(("dual", "nonneg_idx"), [1]), "indices must lie in [0, 1), got [1]"),
+    ("dual.nonneg_idx", _set(("dual", "nonneg_idx"), [0, 0]), "repeated index in [0, 0]"),
+], ids=["eq-mat-entry", "bool-index", "float-index", "index-range", "repeated-index"])
+def test_oracle_refuses_a_boolean_inside_a_number_or_an_index(trace_doc, tmp_path, action, field, edit, rule):
+    # an index is read by the rule that reads every integer: never true or false
+    doc = _edited(solve_qp_exact(generate(GeneratorSpec("reference1d"))).to_json(), edit)
+    (tmp_path / "trace.json").write_text(json.dumps(trace_doc))
+    (tmp_path / "oracle.json").write_text(json.dumps(doc))
+    argv = ["rates", "--trace", str(tmp_path / "trace.json"), "--oracle", str(tmp_path / "oracle.json"),
+            "--out", str(tmp_path)]
+    _assert_refused(argv, tmp_path, field, action, rule)

@@ -32,15 +32,16 @@ from .problem import ConvexProgram, DualPoint, as_vector
 @dataclass
 class AugLagEval:
     """One evaluation of L_c at x: value, gradient of the smooth part, the
-    constraint values h(x) and g(x), and the shifted multiplier
-    max(0, mu + c g(x)). The gradient is None after the value stage of
-    ``lc_evaluator`` alone."""
+    constraint values h(x) and g(x), the shifted multiplier
+    max(0, mu + c g(x)) and ||h(x)||^2. The gradient is None after the
+    value stage of ``lc_evaluator`` alone."""
 
     value: float
     smooth_grad: np.ndarray
     shifted_mu: np.ndarray
     h: np.ndarray
     g: np.ndarray
+    h_sq: float
 
 
 def auglag_eval(prog: ConvexProgram, x, p: DualPoint, c: float) -> AugLagEval:
@@ -57,11 +58,12 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
 
     This is the one formula of L_c: ``auglag_eval``, the inner solver, the
     driver and the checks all read it. What does not depend on x (||mu||^2,
-    A^T, which blocks exist, the nonsmooth term) is fixed once here, so a
-    subproblem solve binds it once and evaluates it per trial point.
+    c/2 and 2c, A^T, which blocks exist, the nonsmooth term) is fixed once
+    here, so a subproblem solve binds it once and evaluates it per trial
+    point.
 
     The map runs in two stages, which it also carries as attributes:
-    ``value_stage(x)`` gives h, g, the shifted multiplier and the value,
+    ``value_stage(x)`` gives h, ||h||^2, g, the shifted multiplier and the value,
     with ``smooth_grad`` None, and ``grad_stage(x, ev, grad=None)`` fills in
     ``ev.smooth_grad`` from that evaluation's h and shifted multiplier and
     returns ev; ``grad`` is the objective's gradient at x when the caller
@@ -71,6 +73,8 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
     smooth, nonsmooth = prog.smooth, prog.nonsmooth
     lam, mu = p.lam, p.mu
     mu_sq = float(mu @ mu)
+    # 0.5 * c * a multiplies as (0.5 * c) * a, so binding 0.5 * c keeps the bits
+    half_c, two_c = 0.5 * c, 2.0 * c
     At = prog.eq_matrix().T if prog.m1 else None
     has_g = bool(prog.m2)
 
@@ -78,15 +82,11 @@ def lc_evaluator(prog: ConvexProgram, p: DualPoint, c: float):
         h = prog.eval_h(x)
         g = prog.eval_g(x)
         shifted = np.maximum(0.0, mu + c * g)
-        value = (
-            smooth.value(x)
-            + float(lam.dot(h))
-            + 0.5 * c * float(h.dot(h))
-            + (float(shifted.dot(shifted)) - mu_sq) / (2.0 * c)
-        )
+        h_sq = float(h.dot(h))
+        value = smooth.value(x) + float(lam.dot(h)) + half_c * h_sq + (float(shifted.dot(shifted)) - mu_sq) / two_c
         if nonsmooth is not None:
             value += nonsmooth.value(x)
-        return AugLagEval(value=value, smooth_grad=None, shifted_mu=shifted, h=h, g=g)
+        return AugLagEval(value=value, smooth_grad=None, shifted_mu=shifted, h=h, g=g, h_sq=h_sq)
 
     def grad_stage(x, ev: AugLagEval, grad=None) -> AugLagEval:
         if grad is None:
@@ -164,17 +164,25 @@ def criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p) -> Cr
     h_val = np.asarray(h_val, dtype=float)
     delta_p = np.asarray(delta_p, dtype=float)
 
-    lhs, rhs_raw = criterion_sides(c, sigma, w_prev, x, y, h_val, g_val, mu_prev)
+    sides = criterion_tester(c, sigma, w_prev, mu_prev)
+    lhs, rhs_raw = sides(x, y, float(y.dot(y)), h_val, float(h_val.dot(h_val)), g_val)
     rhs_rewritten = (sigma / (c * c)) * float(delta_p @ delta_p)
     return CriterionReport(lhs=lhs, rhs_raw=rhs_raw, rhs_rewritten=rhs_rewritten, satisfied=lhs <= rhs_raw)
 
 
-def criterion_sides(c, sigma, w_prev, x, y, h_val, g_val, mu_prev):
-    """(lhs, rhs_raw) of the relative error criterion for float vectors,
-    unchecked: the two numbers the acceptance test compares. The inner
-    solver tests every candidate with this and builds the full report with
-    ``criterion_eval`` only for the one it accepts."""
-    lhs = (2.0 / c) * abs(float((w_prev - x).dot(y))) + float(y.dot(y))
-    shifted_min = np.minimum(mu_prev / c, -g_val)
-    rhs_raw = sigma * (float(h_val.dot(h_val)) + float(shifted_min.dot(shifted_min)))
-    return lhs, rhs_raw
+def criterion_tester(c, sigma, w_prev, mu_prev):
+    """The map (x, y, ||y||^2, h(x), ||h(x)||^2, g(x)) -> (lhs, rhs_raw) of
+    the relative error criterion, with (c, sigma, w_prev, mu_prev) bound
+    once, for float vectors and unchecked: the two numbers the acceptance
+    test compares. This is the one formula of the criterion: the inner
+    solver binds it once per subproblem and tests every candidate with it,
+    reading the squares it already has, and ``criterion_eval`` builds its
+    report on it."""
+    two_over_c, mu_over_c = 2.0 / c, mu_prev / c
+
+    def sides(x, y, y_sq, h_val, h_sq, g_val):
+        lhs = two_over_c * abs(float((w_prev - x).dot(y))) + y_sq
+        shifted_min = np.minimum(mu_over_c, -g_val)
+        return lhs, sigma * (h_sq + float(shifted_min.dot(shifted_min)))
+
+    return sides

@@ -23,8 +23,8 @@ import numpy as np
 from .auglag import CriterionReport, aux_update
 from .errors import MaxInnerIterationsError, NonFiniteError, ProblemFormatError
 from .inner import InnerOptions, solve_subproblem
-from .io import Fields, no_bool, write_csv, write_json
-from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual
+from .io import Fields, non_numbers, write_csv, write_json
+from .problem import ConvexProgram, DualPoint, KktResidual, as_vector, kkt_residual, norm
 
 CONVERGED = "Converged"
 MAX_OUTER = "MaxOuterIterations"
@@ -104,8 +104,9 @@ class IterationRecord:
     auglag_val: float
 
     def residual(self) -> float:
-        """||(y, u)||, the subgradient norm controlled by the theory."""
-        return math.hypot(float(np.linalg.norm(self.y)), float(np.linalg.norm(self.u)))
+        """||(y, u)||, the subgradient norm controlled by the theory; ||y|| is
+        kkt.stationarity."""
+        return math.hypot(self.kkt.stationarity, norm(self.u))
 
 
 @dataclass
@@ -214,7 +215,7 @@ class RunHistory:
 
 def _stacked(records, key, size):
     """The field key of every record view as one finite
-    len(records) x size array, with no true or false in it.
+    len(records) x size array, with no true, false or string in it.
 
     One conversion covers every record; the per-record pass that names the
     offending entry runs only when that conversion fails a check.
@@ -222,7 +223,7 @@ def _stacked(records, key, size):
     try:
         rows = [rec.get(key) for rec in records]
         a = np.array(rows, dtype=float)
-        if a.shape == (len(records), size) and np.isfinite(a).all() and no_bool(chain.from_iterable(rows)):
+        if a.shape == (len(records), size) and np.isfinite(a).all() and not non_numbers(chain.from_iterable(rows)):
             return a
     except (TypeError, ValueError, OverflowError):  # a missing field is a ProblemFormatError, a ValueError
         pass

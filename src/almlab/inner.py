@@ -17,10 +17,11 @@ once per subproblem to (prog, p_prev, c). The line search runs its value
 stage on every trial and its gradient stage only on a trial with a finite
 value that is certified or passes the Armijo test, so a rejected trial
 costs one value stage. A candidate is tested on the two sides of the
-criterion alone (``auglag.criterion_sides``); the multiplier update and
-the full ``CriterionReport`` are built only for the one that passes and
-returned with the evaluation of L_c there (``SubproblemResult.lc``), so
-the driver evaluates neither again.
+criterion alone (``auglag.criterion_tester``), reading the ||y||^2 its
+generator yields and the ||h||^2 of its evaluation; the multiplier update
+and the full ``CriterionReport`` are built only for the one that passes
+and returned with the evaluation of L_c there (``SubproblemResult.lc``),
+so the driver evaluates neither again.
 
 Inner products are written a.dot(b), not a @ b, for the reason ``auglag``
 gives: the same BLAS kernel and bits at about half the call cost. The line
@@ -37,12 +38,12 @@ from .auglag import (
     AugLagEval,
     CriterionReport,
     criterion_eval,
-    criterion_sides,
+    criterion_tester,
     lc_evaluator,
     multiplier_update,
 )
 from .errors import MaxInnerIterationsError, NonFiniteError
-from .problem import ConvexProgram, DualPoint, QuadraticObjective, as_vector
+from .problem import ConvexProgram, DualPoint, QuadraticObjective, as_vector, norm
 
 # backtracks per line search before the step is declared a failure
 _MAX_BACKTRACKS = 60
@@ -110,14 +111,14 @@ def _certificate_floor(prog, x, p, c, g, grad):
     quadratic rows are evaluated here.
     """
     nA, nb, row_norms = prog.constraint_norms
-    scale = float(np.linalg.norm(grad))
-    nx = float(np.linalg.norm(x)) + 1.0
+    scale = norm(grad)
+    nx = norm(x) + 1.0
     if prog.m1:
-        scale += nA * (float(np.linalg.norm(p.lam)) + c * (nA * nx + nb))
+        scale += nA * (norm(p.lam) + c * (nA * nx + nb))
     if prog.m2:
         for ng, con, mu_i, g_i in zip(row_norms, prog.ineqs, p.mu.tolist(), g.tolist()):
             if ng is None:
-                ng = float(np.linalg.norm(con.grad(x)))
+                ng = norm(con.grad(x))
             scale += ng * (mu_i + c * (abs(g_i) + ng * nx))
     return max(_SNAP_TOL, min(30.0 * _EPS * scale, 1e-10))
 
@@ -189,21 +190,23 @@ def solve_subproblem(
         # and 400 candidates without one are a stall
         improve, patience, sigma_test = 0.75, 400, sigma
 
+    sides = criterion_tester(c, sigma_test, w_prev, p_prev.mu)
     best, best_norm, last_improve = None, math.inf, 0
     cand = next(steps)
     while True:
-        # each generator yields (x, y, |y|, L_c at x, inner iterations,
+        # each generator yields (x, y, |y|^2, L_c at x, inner iterations,
         # backtracks so far, stalled) and is sent back the best |y|
-        x, y, y_norm, lc, iters, backtracks, stalled = cand
+        x, y, y_sq, lc, iters, backtracks, stalled = cand
+        y_norm = math.sqrt(y_sq)
         if y_norm <= snap_at:
-            y = np.zeros(prog.n)
+            y, y_sq = np.zeros(prog.n), 0.0
         if y_norm < improve * best_norm:
             best, best_norm, last_improve = (x, lc), y_norm, iters
         if (stalled or iters - last_improve >= patience) and best_norm <= 1e-10:
             # the certificate norm has stopped improving at the solver's own
             # floating-point floor: declare the best candidate an exact solve
-            (x, lc), y = best, np.zeros(prog.n)
-        lhs, rhs_raw = criterion_sides(c, sigma_test, w_prev, x, y, lc.h, lc.g, p_prev.mu)
+            (x, lc), y, y_sq = best, np.zeros(prog.n), 0.0
+        lhs, rhs_raw = sides(x, y, y_sq, lc.h, lc.h_sq, lc.g)
         if lhs <= rhs_raw:
             return _accepted(p_prev, c, sigma, w_prev, x, y, lc, iters, backtracks, values)
         cand = steps.send(best_norm)
@@ -228,7 +231,7 @@ def _prox_steps(prog, c, sigma, lc_at, x, cur, max_inner, values):
         t_try = _trial_step(prev_dx, prev_dx_sq, prev_dgrad, t, t0)
         x_next, y, nxt, t, bt, dx, dx_sq, y_sq = _line_search(lc_at, prog.nonsmooth, x, cur, t_try, t_safe)
         backtracks += bt
-        best_norm = yield x_next, y, math.sqrt(y_sq), nxt, i, backtracks, False
+        best_norm = yield x_next, y, y_sq, nxt, i, backtracks, False
         # ||dx||^2 underflows to 0 for a dx of tiny but nonzero entries
         frozen = 0 if dx_sq > 0 or dx.any() else frozen + 1
         if frozen >= 400:
@@ -256,7 +259,9 @@ def _newton_steps(prog, p, c, lc_at, x, max_steps):
     inequalities, so Newton steps on that set end in finitely many steps;
     at most ``max_steps`` are taken (the caller's ``max_inner``). A repeated
     active set and the last step are reported as stalls; after a rejected
-    repeat, up to three polish rounds of 200 gradient steps move x.
+    repeat, up to three polish rounds of 200 gradient steps move x. An
+    active set fixes its Newton point, so a set met again, before a polish
+    round or after it, reuses its solve and evaluation.
     """
     Q, q = prog.smooth.Q, prog.smooth.q
     A, b = prog.eq_matrix(), prog.eq_rhs()
@@ -265,23 +270,27 @@ def _newton_steps(prog, p, c, lc_at, x, max_steps):
     rhs0 = -q - A.T @ (p.lam - c * b)
     best_norm = math.inf
     seen = set()
+    # active set key -> (x, evaluation of L_c at x, squared gradient norm)
+    solved = {}
     polish_rounds = 0
     for iters in range(1, max_steps + 1):
         active = (p.mu + c * (G @ x - d)) > 0
-        Ga = G[active]
-        H = base + c * Ga.T @ Ga if len(Ga) else base
-        rhs = rhs0 - Ga.T @ (p.mu[active] - c * d[active]) if len(Ga) else rhs0
-        try:
-            x = np.linalg.solve(H, rhs)
-        except np.linalg.LinAlgError:
-            if not np.isfinite(H).all():  # lstsq's SVD would fail on it too
-                raise NonFiniteError(f"the Newton matrix overflowed at c = {c:.3g}, step {iters}") from None
-            x = np.linalg.lstsq(H, rhs, rcond=None)[0]
-        ev = lc_at(x)
-        gnorm = float(np.linalg.norm(ev.smooth_grad))
         key = active.tobytes()
+        if key not in solved:
+            Ga = G[active]
+            H = base + c * Ga.T @ Ga if len(Ga) else base
+            rhs = rhs0 - Ga.T @ (p.mu[active] - c * d[active]) if len(Ga) else rhs0
+            try:
+                x = np.linalg.solve(H, rhs)
+            except np.linalg.LinAlgError:
+                if not np.isfinite(H).all():  # lstsq's SVD would fail on it too
+                    raise NonFiniteError(f"the Newton matrix overflowed at c = {c:.3g}, step {iters}") from None
+                x = np.linalg.lstsq(H, rhs, rcond=None)[0]
+            ev = lc_at(x)
+            solved[key] = x, ev, float(ev.smooth_grad.dot(ev.smooth_grad))
+        x, ev, g_sq = solved[key]
         repeated = key in seen
-        best_norm = yield x, ev.smooth_grad, gnorm, ev, iters, 0, repeated or iters == max_steps
+        best_norm = yield x, ev.smooth_grad, g_sq, ev, iters, 0, repeated or iters == max_steps
         if repeated:
             # the active set cycles above the floating-point floor: move x
             # by a few gradient steps and retry
@@ -359,7 +368,8 @@ def _line_search(lc_at, nonsmooth, x, cur, t_try, t_safe):
                 nxt.value <= cur.value - (_ARMIJO_DECREASE / t_try) * dx_sq + slack
             ):
                 grad_at(x_next, nxt)
-                y = nxt.smooth_grad + (v - x_next) / t_try
+                # x_next is finite, so with no prox (v - x_next) / t_try is +0.0
+                y = nxt.smooth_grad + ((v - x_next) / t_try if nonsmooth is not None else 0.0)
                 y_sq = float(y.dot(y))
                 if math.isfinite(y_sq) or np.isfinite(nxt.smooth_grad).all():
                     return x_next, y, nxt, t_try, bt, dx, dx_sq, y_sq

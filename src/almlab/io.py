@@ -14,7 +14,8 @@ Generated form: {"generator": {"family": ..., "n": ..., "m1": ..., "m2": ...,
 "seed": ..., "conditioning": [lo, hi]}} in place of explicit matrices.
 
 A field that no reader reads is refused, naming it: a misspelled key is an
-error, not a default. A JSON true or false is never read as a number.
+error, not a default. A JSON true or false, or a string, is never read as
+a number.
 """
 from __future__ import annotations
 
@@ -113,15 +114,21 @@ def write_csv(path, columns, rows):
                          for row in rows)
 
 
-def no_bool(values) -> bool:
-    """Whether no entry of values is true or false: JSON loads them as bool,
-    a subclass of int that NumPy and operator.index read as 1 and 0."""
-    return bool not in map(type, values)
+# what JSON loads that NumPy reads as a number: true and false load as
+# bool, a subclass of int that NumPy and operator.index read as 1 and 0,
+# and np.asarray(..., dtype=float) parses a string such as "2"
+_NON_NUMBERS = frozenset((bool, str))
+
+
+def non_numbers(values) -> frozenset:
+    """The types among _NON_NUMBERS of the entries of values; empty when
+    each entry is read as the number it is."""
+    return _NON_NUMBERS.intersection(map(type, values))
 
 
 def _is_int(v) -> bool:
-    # 1.0 and "1" are not integers
-    return isinstance(v, (int, np.integer)) and no_bool((v,))
+    # 1.0, true and "1" are not integers
+    return isinstance(v, (int, np.integer)) and type(v) is not bool
 
 
 def _generator_spec(gen: Fields) -> GeneratorSpec:
@@ -193,7 +200,7 @@ class Fields:
         v = self.get(field)
         if ok(v):
             return v
-        raise self.refuse(field, f"expected {expected}, got {v!r}")
+        raise self.refuse(field, f"expected {expected}, got {json.dumps(v, default=repr)}")
 
     def build(self, make, *args, **kwargs):
         """make(*args, **kwargs); a ValueError whose message leads with a
@@ -236,8 +243,8 @@ class Fields:
                            "a string" if empty else "a nonempty string")
 
     def array(self, field, kind="numbers", allow_inf=False) -> np.ndarray:
-        """The field as a float array of any shape; true and false and NaN
-        are never accepted, and infinities only with allow_inf."""
+        """The field as a float array of any shape; true and false, strings
+        and NaN are never accepted, and infinities only with allow_inf."""
         v = self.get(field)
         try:
             a = np.asarray(v, dtype=float)
@@ -246,8 +253,9 @@ class Fields:
         entries = [v]
         for _ in range(a.ndim):
             entries = chain.from_iterable(entries)
-        if not no_bool(entries):
-            raise self.refuse(field, f"expected {kind}, not true or false")
+        found = non_numbers(entries)
+        if found:
+            raise self.refuse(field, f"expected {kind}, not {'a string' if str in found else 'true or false'}")
         if (np.isnan(a) if allow_inf else ~np.isfinite(a)).any():
             raise self.refuse(field, "must not be NaN" if allow_inf else "must be finite")
         return a

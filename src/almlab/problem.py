@@ -30,6 +30,12 @@ def as_vector(x, n=None, name="x"):
     return a
 
 
+def norm(v) -> float:
+    """The 2-norm of a float vector v: the float of np.linalg.norm(v), which
+    computes sqrt(v.dot(v)) for it, without that call's dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 class QuadraticObjective:
     """Smooth convex quadratic 0.5*x'Qx + q'x + const with Q symmetric PSD."""
 
@@ -51,7 +57,7 @@ class QuadraticObjective:
         the rows of a (k, n) x share one matrix product, so their values
         can differ from the vector values in the last bits."""
         if x.ndim == 1:
-            return float(0.5 * x.dot(self.Q).dot(x) + x.dot(self.q) + self.const)
+            return 0.5 * float(x.dot(self.Q).dot(x)) + float(x.dot(self.q)) + self.const
         return 0.5 * np.vecdot(x @ self.Q, x) + x @ self.q + self.const
 
     def grad(self, x):
@@ -430,9 +436,9 @@ def kkt_residual(prog: ConvexProgram, x, p: DualPoint, y) -> KktResidual:
         raise DimensionMismatchError("dual point does not match the program")
     h, g = prog.eval_h(x), prog.eval_g(x)
     return KktResidual(
-        stationarity=float(np.linalg.norm(y)),
-        eq_feas=float(np.linalg.norm(h)),
-        ineq_feas=float(np.linalg.norm(np.maximum(g, 0.0))),
+        stationarity=norm(y),
+        eq_feas=norm(h),
+        ineq_feas=norm(np.maximum(g, 0.0)),
         comp=abs(float(p.mu @ g)),
-        mu_neg=float(np.linalg.norm(np.minimum(p.mu, 0.0))),
+        mu_neg=norm(np.minimum(p.mu, 0.0)),
     )

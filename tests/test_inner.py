@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from almlab import (
     GeneratorSpec,
     InnerOptions,
     QuadraticObjective,
+    PenaltySchedule,
     auglag_eval,
     generate,
+    run,
     solve_subproblem,
 )
+from almlab import driver as driver_mod
 from almlab import inner as inner_mod
 from almlab.auglag import lc_evaluator
 from almlab.errors import MaxInnerIterationsError, NonFiniteError
@@ -115,8 +120,9 @@ class TestSolveSubproblem:
         assert res.x.tolist() == [0.0, 2.0]
         assert res.inner_iters == 3
         assert res.criterion.satisfied and not res.y.any()
-        # one evaluation per Newton step and one per polish step
-        assert len(calls) == 3 + 200
+        # one evaluation per Newton step and one per polish step; the
+        # repeated empty active set reuses its first evaluation
+        assert len(calls) == 2 + 200
 
     def test_exact_mode_keeps_max_inner(self):
         # from x = 5 * 1 at c = 1e4 the Newton iteration reaches a gradient
@@ -314,3 +320,48 @@ class TestCallAccounting:
         assert calls["grad"] == res.inner_iters + 2
         # one per trial and one at the start point, whether m2 is 0 or not
         assert calls["eval_g"] == res.inner_iters + res.backtracks + 2
+
+
+class TestNewtonReuse:
+    """An exact-mode subproblem solves each active set it meets once: the
+    Newton point of a set depends on nothing else, so a step that meets a
+    set again takes the stored solve and evaluation."""
+
+    # the generator seeds of perfbench's solve-large set-ups at --seed 7,
+    # passes 0 to 2: two sc_qp (200, 40, 80) and one (400, 80, 160) each
+    SEEDS = {
+        (200, 40, 80): (242229993526511, 22778904279955, 82983463167212, 35330546978576,
+                        164790384399589, 270329053186020),
+        (400, 80, 160): (23661037542876, 177322015467340, 57868148430792),
+    }
+
+    def test_one_solve_per_subproblem_and_active_set(self, monkeypatch):
+        subproblem = [0]
+        solves = []
+
+        def counting_subproblem(*args, **kwargs):
+            subproblem[0] += 1
+            return inner_mod.solve_subproblem(*args, **kwargs)
+
+        def counting(production):
+            def solve(H, rhs, *args, **kwargs):
+                # H and rhs are fixed by the active set within a subproblem
+                solves.append((subproblem[0], hashlib.sha256(H.tobytes() + rhs.tobytes()).digest()))
+                return production(H, rhs, *args, **kwargs)
+            return solve
+
+        monkeypatch.setattr(driver_mod, "solve_subproblem", counting_subproblem)
+        monkeypatch.setattr(np.linalg, "solve", counting(np.linalg.solve))
+        monkeypatch.setattr(np.linalg, "lstsq", counting(np.linalg.lstsq))
+        inner = outer = 0
+        for (n, m1, m2), seeds in self.SEEDS.items():
+            for seed in seeds:
+                prog = generate(GeneratorSpec("sc_qp", n=n, m1=m1, m2=m2, seed=seed))
+                hist = run(prog, PenaltySchedule.geometric(10.0, 1.5, 1e6), 0.5, tol=1e-8, max_outer=200,
+                           inner=InnerOptions(exact=True))
+                assert hist.status == "Converged"
+                inner += hist.total_inner_iters()
+                outer += len(hist.records)
+        assert (inner, outer) == (168, 100)
+        # 23 of the 168 Newton steps meet an active set their subproblem has solved
+        assert len(set(solves)) == len(solves) == 145

@@ -246,21 +246,28 @@ def test_floor_paths_match_reference(seed, max_inner, path):
 def test_cheap_test_agrees_with_the_report(monkeypatch):
     """At every candidate of the corpus runs at the verify settings, the two
     sides the solver compares are those of criterion_eval, and so is the
-    decision. The same runs give 66 snapped iterates of 293 and 12006
+    decision; the squares it reads are those of y and h. The same runs give 66 snapped iterates of 293 and 12006
     inner iterations."""
-    real_sides = inner_mod.criterion_sides
+    real_tester = inner_mod.criterion_tester
     candidates = []
 
-    def spy(c, sigma, w_prev, x, y, h_val, g_val, mu_prev):
-        lhs, rhs_raw = real_sides(c, sigma, w_prev, x, y, h_val, g_val, mu_prev)
-        _, delta_p = multiplier_update(DualPoint(np.zeros(h_val.shape[0]), mu_prev), c, h_val, g_val)
-        report = criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p)
-        assert_bits_equal([lhs, rhs_raw], [report.lhs, report.rhs_raw])
-        assert (lhs <= rhs_raw) == report.satisfied
-        candidates.append(report.satisfied)
-        return lhs, rhs_raw
+    def spy(c, sigma, w_prev, mu_prev):
+        real_sides = real_tester(c, sigma, w_prev, mu_prev)
 
-    monkeypatch.setattr(inner_mod, "criterion_sides", spy)
+        def sides(x, y, y_sq, h_val, h_sq, g_val):
+            # the squares the solver carries are those of the vectors
+            assert_bits_equal([y_sq, h_sq], [float(y.dot(y)), float(h_val.dot(h_val))])
+            lhs, rhs_raw = real_sides(x, y, y_sq, h_val, h_sq, g_val)
+            _, delta_p = multiplier_update(DualPoint(np.zeros(h_val.shape[0]), mu_prev), c, h_val, g_val)
+            report = criterion_eval(c, sigma, w_prev, x, y, h_val, g_val, mu_prev, delta_p)
+            assert_bits_equal([lhs, rhs_raw], [report.lhs, report.rhs_raw])
+            assert (lhs <= rhs_raw) == report.satisfied
+            candidates.append(report.satisfied)
+            return lhs, rhs_raw
+
+        return sides
+
+    monkeypatch.setattr(inner_mod, "criterion_tester", spy)
     schedule = PenaltySchedule.geometric(10.0, 1.5, 1e6)
     snapped = outer = inner = 0
     for prog in standard_corpus():

@@ -18,7 +18,7 @@ from almlab import (
     standard_corpus,
 )
 from almlab.errors import DimensionMismatchError
-from almlab.problem import lagrangian_grad
+from almlab.problem import lagrangian_grad, norm
 from almlab.rng import Lcg
 
 from conftest import make_halfspace_qp, make_unconstrained_1d
@@ -69,6 +69,32 @@ class TestKktResidual:
         res = kkt_residual(prog, np.array([-2.0, 0.0]), p, np.zeros(2))
         assert res.mu_neg == pytest.approx(2.0)
         assert res.comp == pytest.approx(2.0)  # |mu . g| = |-2 * -1|
+
+
+class TestNorm:
+    """problem.norm gives the bits of np.linalg.norm on every float vector,
+    overflow to inf and NaN included."""
+
+    @staticmethod
+    def assert_same_bits(v):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = norm(v), np.linalg.norm(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes(), (v, got, want)
+
+    def test_random_vectors(self):
+        rng = Lcg(11)
+        for n in (1, 2, 3, 7, 16, 33, 100, 401):
+            for scale in (1e-200, 1e-150, 1e-5, 1.0, 3e4, 1e150, 1e200):
+                self.assert_same_bits(scale * rng.normal(n))
+
+    @pytest.mark.parametrize("v", [
+        [], [0.0], [-0.0], [np.inf], [-np.inf, 1.0], [np.nan], [1.0, np.nan, np.inf], [1e200, 1e200],
+        [1.3e154, -1.3e154], [1e-200], [1e-200, -3e-200], [5e-324, 1.0], [1.7e308],
+    ], ids=["empty", "zero", "negative-zero", "inf", "-inf", "nan", "nan-inf", "overflow", "near-overflow",
+            "underflow", "underflow-pair", "subnormal", "max"])
+    def test_edge_vectors(self, v):
+        self.assert_same_bits(np.array(v, dtype=float))
 
 
 class TestGradientConsistency:

@@ -469,11 +469,13 @@ def test_trace_refuses_a_boolean_inside_a_number(tmp_path, action, field, edit):
 @pytest.mark.parametrize("action", ["error", "default"])
 @pytest.mark.parametrize("field, edit, rule", [
     ("dual.eq_mat", _set(("dual", "eq_mat", 0, 0), True), "expected a numeric matrix, not true or false"),
-    ("dual.zero_idx", _set(("dual", "zero_idx"), [True]), "expected a list of integers, got [True]"),
+    ("dual.zero_idx", _set(("dual", "zero_idx"), [True]), "expected a list of integers, got [true]"),
     ("dual.nonneg_idx", _set(("dual", "nonneg_idx"), [0.0]), "expected a list of integers, got [0.0]"),
     ("dual.nonneg_idx", _set(("dual", "nonneg_idx"), [1]), "indices must lie in [0, 1), got [1]"),
     ("dual.nonneg_idx", _set(("dual", "nonneg_idx"), [0, 0]), "repeated index in [0, 0]"),
-], ids=["eq-mat-entry", "bool-index", "float-index", "index-range", "repeated-index"])
+    ("dual.zero_idx", _set(("dual", "zero_idx"), None), "expected a list of integers, got null"),
+    ("dual.zero_idx", _set(("dual", "zero_idx"), {"a": 1}), 'expected a list of integers, got {"a": 1}'),
+], ids=["eq-mat-entry", "bool-index", "float-index", "index-range", "repeated-index", "null-index", "object-index"])
 def test_oracle_refuses_a_boolean_inside_a_number_or_an_index(trace_doc, tmp_path, action, field, edit, rule):
     # an index is read by the rule that reads every integer: never true or false
     doc = _edited(solve_qp_exact(generate(GeneratorSpec("reference1d"))).to_json(), edit)
@@ -482,3 +484,47 @@ def test_oracle_refuses_a_boolean_inside_a_number_or_an_index(trace_doc, tmp_pat
     argv = ["rates", "--trace", str(tmp_path / "trace.json"), "--oracle", str(tmp_path / "oracle.json"),
             "--out", str(tmp_path)]
     _assert_refused(argv, tmp_path, field, action, rule)
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("field, doc, kind", [
+    ("Q", {"n": 1, "Q": [["2"]], "q": ["0.5"], "const": "3"}, "a numeric matrix"),
+    ("q", {"n": 2, "Q": [[1.0, 0.0], [0.0, 1.0]], "q": [0.0, "0.5"]}, "a numeric vector"),
+    ("const", {"n": 1, "Q": [[1.0]], "q": [0.0], "const": "3"}, "a number"),
+    ("ineq[0].d", {"n": 1, "Q": [[1.0]], "q": [0.0], "ineq": [{"type": "affine", "G": [1.0], "d": "1"}]},
+     "a number"),
+], ids=["Q-entry", "q-entry", "const", "ineq-d"])
+def test_problem_refuses_a_string_for_a_number(tmp_path, action, field, doc, kind):
+    # NumPy parses "2" as 2.0; a reader does not
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    _assert_refused(["solve", "--problem", str(path), "--out", str(out)], out, field, action,
+                    f"expected {kind}, not a string")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+@pytest.mark.parametrize("field, edit, kind", [
+    ("config.sigma", _set(("config", "sigma"), "0.5"), "a number"),
+    ("config.x0", _set(("config", "x0", 0), "0.0"), "a numeric vector"),
+    ("records[1].x", _set(("records", 1, "x", 0), "1.0"), "a numeric vector"),
+    ("records[0].kkt.comp", _set(("records", 0, "kkt", "comp"), "0"), "a number"),
+], ids=["sigma", "x0", "record-x", "record-kkt"])
+def test_trace_refuses_a_string_for_a_number(trace_doc, tmp_path, action, field, edit, kind):
+    # a string sigma was kept in config and ended rates in a TypeError
+    path = tmp_path / "bad.trace.json"
+    path.write_text(json.dumps(_edited(trace_doc, edit)))
+    _assert_refused(["rates", "--trace", str(path), "--generator", "reference1d", "--out", str(tmp_path)],
+                    tmp_path, field, action, f"expected {kind}, not a string")
+
+
+@pytest.mark.parametrize("action", ["error", "default"])
+def test_oracle_refuses_a_string_for_a_number(trace_doc, tmp_path, action):
+    doc = _edited(solve_qp_exact(generate(GeneratorSpec("reference1d"))).to_json(),
+                  _set(("dual", "eq_mat", 0, 0), "1"))
+    (tmp_path / "trace.json").write_text(json.dumps(trace_doc))
+    (tmp_path / "oracle.json").write_text(json.dumps(doc))
+    argv = ["rates", "--trace", str(tmp_path / "trace.json"), "--oracle", str(tmp_path / "oracle.json"),
+            "--out", str(tmp_path)]
+    _assert_refused(argv, tmp_path, "dual.eq_mat", action, "expected a numeric matrix, not a string")
